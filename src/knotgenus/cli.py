@@ -2,8 +2,8 @@
 seifert and curve.
 
 Exit codes: 0 success / conclusive, 1 usage or input error, 2 inconclusive
-search.  The KNOT_LOG environment variable (off/info/debug) controls
-logging verbosity.
+search.  The KNOT_LOG environment variable (off/info/debug) only sets the
+logging level; no module emits log records yet.
 """
 
 from __future__ import annotations
@@ -14,20 +14,17 @@ import os
 import sys
 
 from . import pipeline
-from .curve_search import find_genus1_certificate, format_certificate
+from .curve_search import default_search_bound, find_genus1_certificate, format_certificate
 from .lattice import (
     GramLattice,
     find_embedding,
     format_embedding,
     min_embedding_dim,
 )
-from .matrices import parse_matrix_text
+from .matrices import parse_matrix_text, symmetrize
 from .pipeline import render_json, report_to_dict, reports_to_csv
 from .seifert import alexander, knot_determinant, signature
-from .two_bridge import KnotParams, continued_fraction, crossing_count
-from .matrices import symmetrize
-
-log = logging.getLogger("knot")
+from .two_bridge import KnotParams, continued_fraction, crossing_count, seifert_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,9 +184,6 @@ def cmd_curve(args) -> int:
     else:
         if args.m is None or args.n is None:
             raise CliError("provide either --matrix or both --m and --n")
-        from .curve_search import default_search_bound
-        from .two_bridge import seifert_matrix
-
         k = _params(args)
         mat = seifert_matrix(k)
         bound = args.bound if args.bound is not None else default_search_bound(k)

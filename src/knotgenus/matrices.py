@@ -1,8 +1,11 @@
 """Exact integer matrix utilities and the shared text format for square matrices.
 
 Matrices are plain tuples of tuples of Python ints; all arithmetic is
-arbitrary precision.  The text format is: first line the size r, then r
-lines of r space-separated integers.  Lines starting with '#' are comments.
+arbitrary precision.  One fraction-free Bareiss elimination serves every
+determinant: `det` runs it with row swaps, `leading_principal_minors`
+reads the minors off its pivots in one pass.  The text format is: first
+line the size r, then r lines of r space-separated integers.  Lines
+starting with '#' are comments.
 """
 
 from __future__ import annotations
@@ -55,34 +58,55 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def det(m: IntMatrix) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
+def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
+    """Fraction-free Bareiss elimination of m (Bareiss 1968), pivot by pivot.
+
+    Yields each pivot times the sign of the row swaps so far.  Without swaps
+    the k-th pivot is the k-th leading principal minor; with them the last
+    one yielded is det(m).  Stops after a zero pivot.
+    """
     n = len(m)
-    if n == 0:
-        return 1
     a = [list(row) for row in m]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+    for k in range(n):
+        if swap_rows and a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
-            else:
-                return 0
+        row_k = a[k]
+        pivot = row_k[k]
+        yield sign * pivot
+        if pivot == 0:
+            return
         for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+        prev = pivot
+
+
+def det(m: IntMatrix) -> int:
+    """Exact integer determinant (Bareiss elimination with row swaps)."""
+    d = 1
+    for d in _bareiss_pivots(m, swap_rows=True):
+        pass
+    return d
 
 
 def leading_principal_minors(m: IntMatrix) -> list[int]:
-    n = len(m)
-    return [det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(n)]
+    """Leading principal minors of m in order of size, from one Bareiss pass
+    without row swaps.  Stops after the first minor <= 0, so all n minors
+    are returned exactly when m is positive definite."""
+    minors = []
+    for minor in _bareiss_pivots(m, swap_rows=False):
+        minors.append(minor)
+        if minor <= 0:
+            break
+    return minors
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .curve_search import (
     verify_certificate,
 )
 from .exact_arith import Fraction, LaurentPolynomial
-from .lattice import Embedding, SearchBudgetExceeded, find_embedding
+from .lattice import Embedding, SearchBudgetExceeded, find_embedding, verify_embedding
 from .matrices import symmetrize
 from .seifert import alexander, knot_determinant, signature
 from .two_bridge import (
@@ -160,7 +160,8 @@ def full_report(
     cert = find_genus1_certificate(mat, curve_bound)
     gtop_upper = base.gtop_upper
     if cert is not None:
-        assert verify_certificate(mat, cert)
+        if not verify_certificate(mat, cert):
+            raise RuntimeError(f"curve search returned an invalid certificate for {k}")
         gtop_upper = 1
         if not (
             (k.m == 0 and k.n == 0) or _is_square(k.m + 2) or _is_square(k.n + 3)
@@ -187,6 +188,8 @@ def full_report(
             gsm_lower = 1 - base.signature // 2  # = 2 when sigma = -2
             notes.append(f"embedding search at dim {dim} exhaustive: no embedding")
         else:
+            if not verify_embedding(g, witness):
+                raise RuntimeError(f"embedding search returned an invalid witness for {k}")
             verdict = EmbeddingVerdict(dim, True, witness)
             notes.append(f"embedding search at dim {dim}: witness found")
 

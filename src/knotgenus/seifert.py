@@ -1,8 +1,10 @@
 """Invariants computed exactly from Seifert matrices.
 
 Signature via symmetric congruence diagonalization over the rationals,
-determinant via fraction-free elimination, Alexander polynomial as
-det(M - t M^T) normalized up to units.  No floating point.
+determinant via the Bareiss kernel of `matrices.det`, Alexander polynomial
+as det(M - t M^T) normalized up to units: that polynomial has degree <= n,
+so it is interpolated exactly from n + 1 Bareiss determinants at t = 0..n.
+No floating point.
 """
 
 from __future__ import annotations
@@ -65,30 +67,6 @@ def knot_determinant(mat) -> int:
     return abs(det(symmetrize(as_matrix(mat))))
 
 
-def _laurent_det(entries: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Determinant over the Laurent ring by minor expansion, memoized on
-    column subsets."""
-    n = len(entries)
-    cache: dict[tuple[int, ...], LaurentPolynomial] = {(): LaurentPolynomial.one()}
-
-    def minor(cols: tuple[int, ...]) -> LaurentPolynomial:
-        if cols in cache:
-            return cache[cols]
-        row = n - len(cols)
-        total = LaurentPolynomial.zero()
-        for pos, c in enumerate(cols):
-            entry = entries[row][c]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        cache[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
-
-
 def alexander(mat) -> LaurentPolynomial:
     """Alexander polynomial det(M - t M^T), normalized up to units.
 
@@ -98,14 +76,25 @@ def alexander(mat) -> LaurentPolynomial:
     """
     mat = as_matrix(mat)
     n = len(mat)
-    entries = [
-        [
-            LaurentPolynomial({0: mat[i][j], 1: -mat[j][i]})
-            for j in range(n)
-        ]
-        for i in range(n)
+    # det(M - t M^T) has degree <= n: sample it at t = 0..n ...
+    coeffs = [
+        det(tuple(tuple(mat[i][j] - t * mat[j][i] for j in range(n)) for i in range(n)))
+        for t in range(n + 1)
     ]
-    d = _laurent_det(entries)
+    # ... and interpolate in Newton form.  On the nodes 0..n the divided
+    # differences of an integer polynomial are integers, so each division
+    # by k is exact.
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...)), ascending powers
+    poly = [coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [0] + poly
+        for e in range(len(poly) - 1):
+            poly[e] -= k * poly[e + 1]
+        poly[0] += coeffs[k]
+    d = LaurentPolynomial(dict(enumerate(poly)))
     if d.is_zero():
         return d
     return laurent_normalize(d)

@@ -93,19 +93,7 @@ def qmn_gram(k: KnotParams) -> GramLattice:
     Diagonal 3 at positions 2m+3, 2m+2n+7 and 2m+2n+8 (1-based), 2
     elsewhere; -1 on the first off-diagonals.
     """
-    m, n = k.m, k.n
-    r = 2 * m + 2 * n + 8
-    threes = {2 * m + 3, 2 * m + 2 * n + 7, 2 * m + 2 * n + 8}
-    rows = []
-    for i in range(1, r + 1):
-        row = [0] * r
-        row[i - 1] = 3 if i in threes else 2
-        if i > 1:
-            row[i - 2] = -1
-        if i < r:
-            row[i] = -1
-        rows.append(row)
-    return GramLattice(rows)
+    return path_gram(plumbing_weights(k))
 
 
 def plumbing_weights(k: KnotParams) -> tuple[int, ...]:

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from knotgenus import pipeline
+from knotgenus.curve_search import CurveCertificate
 from knotgenus.exact_arith import Fraction
+from knotgenus.lattice import Embedding
 from knotgenus.pipeline import (
     full_report,
     genus_bounds,
@@ -75,6 +78,23 @@ def test_full_report_inconclusive_on_tiny_budget():
     assert r.embedding_verdict.embeddable == "inconclusive"
     assert not r.conclusive
     assert (r.gsm_lower, r.gsm_upper) == (1, 2)
+
+
+def test_full_report_rechecks_search_results(monkeypatch):
+    # the checks must raise, not assert, so that python -O keeps them
+    k = KnotParams(0, 0)
+    bogus_cert = CurveCertificate((1, 0, 0, 0), (0, 1, 0, 0), ((0, 0), (0, 0)))
+    monkeypatch.setattr(pipeline, "find_genus1_certificate", lambda mat, bound: bogus_cert)
+    with pytest.raises(RuntimeError, match="invalid certificate"):
+        full_report(k)
+    monkeypatch.undo()
+
+    dim = qmn_gram(k).rank + 2
+    unit_vectors = [[int(i == j) for j in range(dim)] for i in range(dim - 2)]
+    bogus_witness = Embedding(unit_vectors, dim)
+    monkeypatch.setattr(pipeline, "find_embedding", lambda g, d, **budget: bogus_witness)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        full_report(k)
 
 
 def test_verify_theorem_grid():

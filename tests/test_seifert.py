@@ -2,8 +2,9 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from knotgenus.exact_arith import LaurentPolynomial, equal_up_to_units
+from knotgenus.exact_arith import LaurentPolynomial, equal_up_to_units, laurent_normalize
 from knotgenus.matrices import symmetrize
 from knotgenus.seifert import (
     alexander,
@@ -112,10 +113,12 @@ def test_alexander_against_sympy_oracle():
     t = sympy.symbols("t")
     rng = random.Random(31)
     for _ in range(40):
-        size = rng.randint(1, 4)
+        size = rng.randint(1, 8)
         mat = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
         sm = sympy.Matrix(mat)
-        d = sympy.expand((sm - t * sm.T).det())
+        # sympy's polynomial-domain determinant: exact, and fast enough at 8x8
+        dm = DomainMatrix.from_Matrix(sm - t * sm.T)
+        d = dm.domain.to_sympy(dm.det())
         coeffs = {}
         for (exp,), coeff in sympy.Poly(d, t).all_terms():
             coeffs[exp] = int(coeff)
@@ -125,6 +128,24 @@ def test_alexander_against_sympy_oracle():
             assert got.is_zero()
         else:
             assert equal_up_to_units(got, expected)
+
+
+def test_alexander_multiplicative_on_block_sum():
+    # the block sum is a Seifert matrix of the connected sum of four K(m,n)
+    params = [KnotParams(0, 0), KnotParams(1, 2), KnotParams(3, 0), KnotParams(2, 5)]
+    blocks = [seifert_matrix(k) for k in params]
+    size = 4 * len(blocks)
+    total = [[0] * size for _ in range(size)]
+    for b, block in enumerate(blocks):
+        for i in range(4):
+            for j in range(4):
+                total[4 * b + i][4 * b + j] = block[i][j]
+    product = L.one()
+    for block in blocks:
+        product = product * alexander(block)
+    got = alexander(total)
+    assert got == laurent_normalize(product)
+    assert got.max_exp() - got.min_exp() == 16
 
 
 def _random_unimodular(rng, size):

@@ -9,7 +9,6 @@ from knotgenus.two_bridge import (
     crossing_count,
     fraction_to_cf,
     knot_fraction,
-    path_gram,
     plumbing_weights,
     positive_crossings,
     qmn_gram,
@@ -97,6 +96,21 @@ def test_qmn_gram_examples():
     g = qmn_gram(KnotParams(1, 0))
     assert g.rank == 10
     assert tuple(g.gram[i][i] for i in range(10)) == (2, 2, 2, 2, 3, 2, 2, 2, 3, 3)
+    for m in range(5):
+        for n in range(5):
+            gram = qmn_gram(KnotParams(m, n)).gram
+            r = 2 * m + 2 * n + 8
+            threes = {2 * m + 3, 2 * m + 2 * n + 7, 2 * m + 2 * n + 8}
+            assert len(gram) == r
+            for i in range(r):
+                for j in range(r):
+                    if i == j:
+                        expected = 3 if i + 1 in threes else 2
+                    elif abs(i - j) == 1:
+                        expected = -1
+                    else:
+                        expected = 0
+                    assert gram[i][j] == expected
 
 
 def test_qmn_gram_determinant_is_knot_determinant():
@@ -118,10 +132,6 @@ def test_qmn_gram_positive_definite():
 def test_plumbing_weights():
     assert plumbing_weights(KnotParams(0, 0)) == (2, 2, 3, 2, 2, 2, 3, 3)
     assert plumbing_weights(KnotParams(1, 1)) == (2, 2, 2, 2, 3, 2, 2, 2, 2, 2, 3, 3)
-    for m in range(5):
-        for n in range(5):
-            k = KnotParams(m, n)
-            assert path_gram(plumbing_weights(k)) == qmn_gram(k)
 
 
 def test_crossing_count():
