@@ -2,8 +2,9 @@
 seifert and curve.
 
 Exit codes: 0 success / conclusive, 1 usage or input error, 2 inconclusive
-search.  The KNOT_LOG environment variable (off/info/debug) only sets the
-logging level; no module emits log records yet.
+search.  The KNOT_LOG environment variable (off/info/debug) sets the level of
+the log records written to stderr; at info every embedding search logs its
+rank, dimension, verdict, node count and time.  Stdout does not change.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import argparse
 import logging
 import os
 import sys
+import time
 
 from . import pipeline
 from .curve_search import default_search_bound, find_genus1_certificate, format_certificate
 from .lattice import (
     GramLattice,
+    SearchBudgetExceeded,
     find_embedding,
     format_embedding,
     min_embedding_dim,
@@ -136,21 +139,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    if args.max_nodes is not None and args.max_nodes < 1:
+        raise CliError("max-nodes must be >= 1")
+    if args.cap_seconds is not None and args.cap_seconds <= 0:
+        raise CliError("cap-seconds must be > 0")
     mat = _read_matrix(args.gram_path)
     try:
         g = GramLattice(mat)
     except ValueError as exc:
         raise CliError(str(exc))
+    deadline = None if args.cap_seconds is None else time.monotonic() + args.cap_seconds
     try:
         if args.mindim:
-            dim = min_embedding_dim(g, cap=args.cap)
+            dim = min_embedding_dim(
+                g, cap=args.cap, max_nodes=args.max_nodes, deadline=deadline
+            )
             if dim is None:
                 cap = args.cap if args.cap is not None else g.rank + 6
                 print(f"NO EMBEDDING up to cap={cap}")
                 return EXIT_INCONCLUSIVE
             print(f"MINDIM={dim}")
         else:
-            witness = find_embedding(g, args.dim)
+            witness = find_embedding(
+                g, args.dim, max_nodes=args.max_nodes, deadline=deadline
+            )
             if witness is None:
                 print(f"NOT EMBEDDABLE dim={args.dim}")
             else:
@@ -158,6 +170,9 @@ def cmd_lattice(args) -> int:
                 sys.stdout.write(format_embedding(witness))
     except ValueError as exc:
         raise CliError(str(exc))
+    except SearchBudgetExceeded as exc:
+        print(f"knot: search stopped: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -219,6 +234,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--mindim", action="store_true")
     p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--max-nodes", type=int, default=None, help="node budget of each search")
+    p.add_argument("--cap-seconds", type=float, default=None, help="time budget of the command")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("seifert", help="invariants of a Seifert matrix file")

@@ -145,7 +145,8 @@ def _search_numpy(mat: IntMatrix, bound: int) -> CurveCertificate | None:
     bvecs, avecs = _cached_boxes(bound, dim)
     g = _np.einsum("ij,jk,ik->i", bvecs, m, bvecs)  # b M b per box vector
     inter = (m - m.T) @ bvecs.T  # column j holds (M - M^T) b_j
-    chunk = 256
+    # the chunk product holds about 2^21 int64 entries (16 MB) at any box size
+    chunk = max(1, (1 << 21) // len(bvecs))
     for start in range(0, len(avecs), chunk):
         ac = avecs[start : start + chunk]
         hits = _np.abs(ac @ inter) == 1  # intersection +-1

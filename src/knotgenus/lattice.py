@@ -8,15 +8,25 @@ coordinates enter the search in ascending index order, and the block of
 coordinates first touched by a given vector carries positive, non-increasing
 values.  Every embedding is equivalent to a canonical one under the ambient
 symmetries, so absence results are exhaustive.
+
+The constraints are local: a Goeritz lattice is tridiagonal and its vectors
+have norm 2 or 3, so each placed vector is nonzero on a few coordinates.  The
+search keeps a coordinate -> placed-vector index, pushed and popped with each
+vector, whose entries carry the vector's suffix norm past that coordinate,
+computed once when the vector is placed.  Building a candidate then costs
+work only where a placed vector is nonzero, not rank x coordinates per node.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from math import isqrt
 
 from .matrices import GramLattice, dot, leading_principal_minors
+
+log = logging.getLogger(__name__)
 
 
 class SearchBudgetExceeded(Exception):
@@ -70,50 +80,81 @@ class _EmbedSearch:
         self.deadline = deadline
         self.nodes = 0
         self.assigned: list[list[int]] = []
+        # coordinate c -> [(j, assigned[j][c], norm of assigned[j] past c)]
+        # for every placed vector j that is nonzero at c, in placement order
+        self.touching: list[list[tuple[int, int, int]]] = [[] for _ in range(ambient_dim)]
+
+    def _push(self, vec: list[int]):
+        """Place vec as the next basis vector and index its nonzero entries,
+        each with the suffix norm after it (fixed once the vector is placed)."""
+        j = len(self.assigned)
+        self.assigned.append(vec)
+        tail = 0
+        for c in range(len(vec) - 1, -1, -1):
+            e = vec[c]
+            if e:
+                self.touching[c].append((j, e, tail))
+                tail += e * e
+
+    def _pop(self):
+        for c, e in enumerate(self.assigned.pop()):
+            if e:
+                self.touching[c].pop()
 
     def _candidates(self, i: int, used: int):
         """All canonical vectors for basis index i given the current partial
         assignment: a part over the `used` live coordinates satisfying every
-        dot constraint, plus leftover norm placed on fresh coordinates."""
+        dot constraint, plus leftover norm placed on fresh coordinates.
+
+        Values go in ascending order at each coordinate.  At coordinate c only
+        the placed vectors nonzero there (`touching[c]`) update their residual
+        dot and are checked by Cauchy-Schwarz against their suffix norm past
+        c; a vector that is zero at c keeps both.  At its last nonzero
+        coordinate a vector's suffix norm is 0, so the check forces its
+        residual to 0 there.  Once the norm is spent only zeros remain, and
+        the candidate stands iff every residual is 0.  Every prune is sound,
+        so the list is exactly the one an unpruned scan in the same order
+        gives."""
         d = self.g[i][i]
         max_entry = isqrt(d)
-        # suffix norms of each assigned vector, for Cauchy-Schwarz pruning
-        suffix = [[0] * (used + 1) for _ in range(i)]
-        for j in range(i):
-            vj = self.assigned[j]
-            acc = 0
-            for c in range(used - 1, -1, -1):
-                acc += vj[c] * vj[c]
-                suffix[j][c] = acc
+        touching = self.touching
         out = []
         x = [0] * used
+        needs = [self.g[i][j] for j in range(i)]  # residual dots, updated in place
 
-        def rec(c, norm_left, needs):
+        def rec(c, norm_left):
+            if norm_left == 0:
+                if not any(needs):
+                    out.append((tuple(x), ()))
+                return
             if c == used:
                 if any(needs):
                     return
                 for part in _square_partitions(norm_left, max_entry, self.M - used):
                     out.append((tuple(x), part))
                 return
+            col = touching[c]
             for val in range(-max_entry, max_entry + 1):
                 sq = val * val
                 if sq > norm_left:
                     continue
                 nleft = norm_left - sq
-                nxt = []
-                feasible = True
-                for j in range(i):
-                    r = needs[j] - val * self.assigned[j][c]
-                    if r * r > nleft * suffix[j][c + 1]:
-                        feasible = False
+                for j, e, tail in col:
+                    r = needs[j] - val * e
+                    if r * r > nleft * tail:
                         break
-                    nxt.append(r)
-                if feasible:
-                    x[c] = val
-                    rec(c + 1, nleft, nxt)
-                    x[c] = 0
+                else:
+                    if val:
+                        for j, e, _ in col:
+                            needs[j] -= val * e
+                        x[c] = val
+                    rec(c + 1, nleft)
+                    if val:
+                        for j, e, _ in col:
+                            needs[j] += val * e
+                        x[c] = 0
 
-        rec(0, d, [self.g[i][j] for j in range(i)])
+        rec(0, d)
         return out
 
     def run(self):
@@ -130,10 +171,9 @@ class _EmbedSearch:
                 tuple(v) + (0,) * (self.M - len(v)) for v in self.assigned
             )
         for head, fresh in self._candidates(i, used):
-            vec = list(head) + list(fresh) + [0] * (self.M - used - len(fresh))
-            self.assigned.append(vec)
+            self._push(list(head) + list(fresh))
             found = self._search(i + 1, used + len(fresh))
-            self.assigned.pop()
+            self._pop()
             if found is not None:
                 return found
         return None
@@ -149,6 +189,8 @@ def find_embedding(
 
     Returns a witness iff one exists.  Raises SearchBudgetExceeded when the
     optional node or wall-clock budget runs out before the search finishes.
+    A finished search logs one INFO record on the "knotgenus.lattice" logger
+    with the rank, the dimension, the verdict, the node count and the time.
     """
     if ambient_dim <= 0:
         raise ValueError("ambient dimension must be positive")
@@ -158,10 +200,20 @@ def find_embedding(
             f"Gram matrix is not positive definite: leading principal minor "
             f"{bad[0]} is {bad[1]}"
         )
-    if ambient_dim < g.rank:
-        return None
-    search = _EmbedSearch(g.gram, ambient_dim, max_nodes=max_nodes, deadline=deadline)
-    vectors = search.run()
+    start = time.perf_counter()
+    vectors, nodes = None, 0
+    if ambient_dim >= g.rank:
+        search = _EmbedSearch(g.gram, ambient_dim, max_nodes=max_nodes, deadline=deadline)
+        vectors = search.run()
+        nodes = search.nodes
+    log.info(
+        "embedding search: rank %d, dim %d, %s, %d nodes, %.3f s",
+        g.rank,
+        ambient_dim,
+        "absent" if vectors is None else "found",
+        nodes,
+        time.perf_counter() - start,
+    )
     if vectors is None:
         return None
     return Embedding(vectors, ambient_dim)

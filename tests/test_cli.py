@@ -116,6 +116,22 @@ def test_lattice_mindim(capsys, a2_file):
     assert out.strip() == "MINDIM=3"
 
 
+def test_lattice_budget_exceeded_exits_two(capsys, q00_file):
+    for budget in (["--max-nodes", "3"], ["--cap-seconds", "1e-9"]):
+        for mode in (["--dim", "10"], ["--mindim"]):
+            code, out, err = run(capsys, ["lattice", q00_file, *mode, *budget])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("knot: search stopped:") and err.count("\n") == 1
+
+
+def test_lattice_rejects_bad_budget(capsys, q00_file):
+    code, _, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--max-nodes", "0"])
+    assert code == 1 and "max-nodes" in err
+    code, _, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--cap-seconds", "0"])
+    assert code == 1 and "cap-seconds" in err
+
+
 def test_lattice_rejects_indefinite(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2\n2 3\n3 2\n")

@@ -1,3 +1,4 @@
+import logging
 import random
 from itertools import product
 from math import isqrt
@@ -7,6 +8,8 @@ import pytest
 from knotgenus.lattice import (
     Embedding,
     SearchBudgetExceeded,
+    _EmbedSearch,
+    _square_partitions,
     find_embedding,
     first_nonpositive_minor,
     format_embedding,
@@ -15,7 +18,7 @@ from knotgenus.lattice import (
     verify_embedding,
 )
 from knotgenus.matrices import GramLattice, dot
-from knotgenus.two_bridge import KnotParams, qmn_gram
+from knotgenus.two_bridge import KnotParams, path_gram, qmn_gram
 
 
 def a_chain(n):
@@ -179,3 +182,123 @@ def test_budget_raises():
 def test_format_embedding():
     e = Embedding([(1, -1, 0), (0, 1, -1)], 3)
     assert format_embedding(e) == "1 -1 0\n0 1 -1\n"
+
+
+def dense_candidates(gram, ambient_dim, assigned, i, used):
+    """The earlier candidate generator, kept as the reference for the
+    canonical order: it rebuilds every placed vector's suffix norms and
+    checks every placed vector at every coordinate."""
+    d = gram[i][i]
+    max_entry = isqrt(d)
+    assigned = [list(v) + [0] * (ambient_dim - len(v)) for v in assigned]
+    suffix = [[0] * (used + 1) for _ in range(i)]
+    for j in range(i):
+        acc = 0
+        for c in range(used - 1, -1, -1):
+            acc += assigned[j][c] * assigned[j][c]
+            suffix[j][c] = acc
+    out = []
+    x = [0] * used
+
+    def rec(c, norm_left, needs):
+        if c == used:
+            if any(needs):
+                return
+            for part in _square_partitions(norm_left, max_entry, ambient_dim - used):
+                out.append((tuple(x), part))
+            return
+        for val in range(-max_entry, max_entry + 1):
+            sq = val * val
+            if sq > norm_left:
+                continue
+            nleft = norm_left - sq
+            nxt = []
+            for j in range(i):
+                r = needs[j] - val * assigned[j][c]
+                if r * r > nleft * suffix[j][c + 1]:
+                    break
+                nxt.append(r)
+            else:
+                x[c] = val
+                rec(c + 1, nleft, nxt)
+                x[c] = 0
+
+    rec(0, d, [gram[i][j] for j in range(i)])
+    return out
+
+
+class _CheckedSearch(_EmbedSearch):
+    """The search, with every node's candidate list compared to the reference."""
+
+    def _candidates(self, i, used):
+        got = super()._candidates(i, used)
+        assert got == dense_candidates(self.g, self.M, self.assigned, i, used)
+        return got
+
+
+def _checked_run(gram, dim):
+    search = _CheckedSearch(gram, dim)
+    found = search.run()
+    plain = _EmbedSearch(gram, dim)
+    assert plain.run() == found and plain.nodes == search.nodes
+    return search.nodes
+
+
+def test_candidate_order_matches_dense_reference():
+    rng = random.Random(61)
+    nodes = 0
+    cases = 0
+    while cases < 250:
+        r = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            # Gram of random vectors: embeddable, so witness paths are covered
+            k = rng.randint(r, r + 2)
+            vs = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(r)]
+            rows = [[dot(u, v) for v in vs] for u in vs]
+        else:
+            rows = [[0] * r for _ in range(r)]
+            for a in range(r):
+                rows[a][a] = rng.randint(1, 5)
+                for b in range(a):
+                    rows[a][b] = rows[b][a] = rng.randint(-2, 2)
+        g = GramLattice(rows)
+        if not is_positive_definite(g):
+            continue
+        for dim in range(1, 8):
+            nodes += _checked_run(g.gram, dim)
+        cases += 1
+    assert nodes > 1000
+
+
+def test_candidate_order_matches_dense_reference_on_signed_plumbings():
+    rng = random.Random(67)
+    for _ in range(16):
+        weights = [rng.randint(2, 4) for _ in range(rng.randint(2, 7))]
+        signs = [rng.choice((1, -1)) for _ in weights]
+        base = path_gram(weights).gram
+        gram = [[signs[i] * signs[j] * base[i][j] for j in range(len(base))] for i in range(len(base))]
+        for dim in range(len(weights), len(weights) + 4):
+            _checked_run(gram, dim)
+
+
+@pytest.mark.parametrize(
+    "m, n, nodes",
+    [(0, 0, 36), (1, 0, 32), (0, 1, 48), (3, 7, 96), (5, 5, 88), (10, 10, 148), (20, 20, 268), (60, 60, 748)],
+)
+def test_obstruction_node_counts(m, n, nodes):
+    # Q(m,n) has no embedding at rank + 2; the node counts pin the search order
+    g = qmn_gram(KnotParams(m, n))
+    search = _EmbedSearch(g.gram, g.rank + 2)
+    assert search.run() is None
+    assert search.nodes == nodes
+
+
+def test_find_embedding_logs_one_info_record(caplog):
+    g = qmn_gram(KnotParams(0, 0))
+    with caplog.at_level(logging.INFO, logger="knotgenus.lattice"):
+        assert find_embedding(g, 10) is None
+        assert find_embedding(g, 11) is not None
+    records = [r for r in caplog.records if r.name == "knotgenus.lattice"]
+    assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
+    assert "rank 8, dim 10, absent, 36 nodes" in records[0].getMessage()
+    assert "rank 8, dim 11, found" in records[1].getMessage()
