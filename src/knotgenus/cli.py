@@ -4,7 +4,9 @@ seifert and curve.
 Exit codes: 0 success / conclusive, 1 usage or input error, 2 inconclusive
 search.  The KNOT_LOG environment variable (off/info/debug) sets the level of
 the log records written to stderr; at info every embedding search logs its
-rank, dimension, verdict, node count and time.  Stdout does not change.
+rank, dimension, verdict, node count and time, and every curve search its
+dimension, bound, verdict, a-vectors scanned and time.  Stdout does not
+change.
 """
 
 from __future__ import annotations
@@ -118,13 +120,16 @@ def cmd_verify(args) -> int:
         raise CliError("m-max must be >= 0")
     if args.n_max < 0:
         raise CliError("n-max must be >= 0")
-    reports = pipeline.verify_theorem(
-        args.m_max,
-        args.n_max,
-        curve_bound=args.curve_bound,
-        embed_cap_seconds=args.embed_cap_seconds,
-        jobs=args.jobs,
-    )
+    try:
+        reports = pipeline.verify_theorem(
+            args.m_max,
+            args.n_max,
+            curve_bound=args.curve_bound,
+            embed_cap_seconds=args.embed_cap_seconds,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     if args.format == "json":
         sys.stdout.write(render_json([report_to_dict(r) for r in reports]))
     elif args.format == "csv":
@@ -173,6 +178,10 @@ def cmd_lattice(args) -> int:
     except SearchBudgetExceeded as exc:
         print(f"knot: search stopped: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"knot: search stopped: recursion limit {limit} reached", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -202,7 +211,10 @@ def cmd_curve(args) -> int:
         k = _params(args)
         mat = seifert_matrix(k)
         bound = args.bound if args.bound is not None else default_search_bound(k)
-    cert = find_genus1_certificate(mat, bound)
+    try:
+        cert = find_genus1_certificate(mat, bound)
+    except ValueError as exc:
+        raise CliError(str(exc))
     if cert is None:
         print(f"NONE within bound {bound}")
     else:

@@ -14,18 +14,22 @@ is returned, so results are deterministic.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
-from itertools import product
-from math import gcd, isqrt
+from math import isqrt
+
+import numpy as np
 
 from .matrices import IntMatrix, antisymmetrize, as_matrix, bilinear
 from .seifert import alexander_trivial_2x2
 from .two_bridge import KnotParams
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+log = logging.getLogger(__name__)
+
+# The box of b-vectors and its intersection columns are materialized as int64
+# arrays; each may hold at most this many entries (64 MB).
+MAX_BOX_ENTRIES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -83,103 +87,89 @@ def default_search_bound(k: KnotParams) -> int:
     return max(3, ceil_sqrt(k.m + 2), ceil_sqrt(k.n + 3)) + 1
 
 
-def _normalized_a_vectors(bound: int, dim: int):
-    """Primitive vectors with positive first nonzero coordinate, lex order."""
-    for a in product(range(-bound, bound + 1), repeat=dim):
-        nz = next((x for x in a if x != 0), None)
-        if nz is None or nz < 0:
-            continue
-        g = 0
-        for x in a:
-            g = gcd(g, abs(x))
-        if g != 1:
-            continue
-        yield a
-
-
-def _search_python(mat: IntMatrix, bound: int) -> CurveCertificate | None:
-    dim = len(mat)
-    anti = antisymmetrize(mat)
-    brange = range(-bound, bound + 1)
-    for a in _normalized_a_vectors(bound, dim):
-        for b in product(brange, repeat=dim):
-            if abs(bilinear(a, anti, b)) != 1:
-                continue
-            form = restricted_form(mat, a, b)
-            if form[0][0] * form[1][1] != form[0][1] * form[1][0]:
-                continue
-            cert = CurveCertificate(a, b, form)
-            if verify_certificate(mat, cert):
-                return cert
-    return None
-
-
-def _box_vectors(bound: int, dim: int):
-    """All vectors of [-bound, bound]^dim as int64 rows, in lex order."""
-    side = 2 * bound + 1
-    grid = _np.indices((side,) * dim).reshape(dim, -1).T - bound
-    return _np.ascontiguousarray(grid, dtype=_np.int64)
-
-
 _BOX_CACHE: dict[tuple[int, int], tuple] = {}
 
 
 def _cached_boxes(bound: int, dim: int):
+    """All vectors of [-bound, bound]^dim as int64 rows in lex order, and the
+    normalized a-vectors among them.  A vector has positive first nonzero
+    coordinate iff it comes after the zero vector, the middle of the box."""
     key = (bound, dim)
     if key not in _BOX_CACHE:
-        bvecs = _box_vectors(bound, dim)
-        first_nz = _np.zeros(len(bvecs), dtype=_np.int64)
-        nonzero = bvecs != 0
-        anyset = nonzero.any(axis=1)
-        first_idx = nonzero.argmax(axis=1)
-        first_nz[anyset] = bvecs[anyset, first_idx[anyset]]
-        primitive = _np.gcd.reduce(_np.abs(bvecs), axis=1) == 1
-        avecs = bvecs[(first_nz > 0) & primitive]
+        side = 2 * bound + 1
+        grid = np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T - bound
+        bvecs = np.ascontiguousarray(grid)
+        positive = bvecs[len(bvecs) // 2 + 1 :]
+        avecs = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
         _BOX_CACHE[key] = (bvecs, avecs)
     return _BOX_CACHE[key]
 
 
-def _search_numpy(mat: IntMatrix, bound: int) -> CurveCertificate | None:
+def _wrap64(x: int) -> int:
+    """x reduced mod 2^64 into the int64 range."""
+    return (x + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+def _search(mat: IntMatrix, bound: int) -> tuple[CurveCertificate | None, int]:
+    """The lex-first certificate (or None) and the number of a-vectors scanned.
+
+    The filters run in int64 on the matrix reduced mod 2^64.  Each is an
+    equality of ring expressions, which reduction mod 2^64 preserves, so no
+    true pair is dropped; a pair that only passes mod 2^64 is rejected by
+    verify_certificate, which runs on the exact Python integers.
+    """
     dim = len(mat)
-    m = _np.array(mat, dtype=_np.int64)
+    m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
     bvecs, avecs = _cached_boxes(bound, dim)
-    g = _np.einsum("ij,jk,ik->i", bvecs, m, bvecs)  # b M b per box vector
     inter = (m - m.T) @ bvecs.T  # column j holds (M - M^T) b_j
-    # the chunk product holds about 2^21 int64 entries (16 MB) at any box size
-    chunk = max(1, (1 << 21) // len(bvecs))
-    for start in range(0, len(avecs), chunk):
-        ac = avecs[start : start + chunk]
-        hits = _np.abs(ac @ inter) == 1  # intersection +-1
-        if not hits.any():
+    for scanned, a in enumerate(avecs, 1):
+        cols = np.flatnonzero(np.abs(a @ inter) == 1)  # intersection +-1
+        if not len(cols):
             continue
-        for i in _np.flatnonzero(hits.any(axis=1)):
-            a = ac[i]
-            cols = _np.flatnonzero(hits[i])
-            cand = bvecs[cols]
-            alpha = int(a @ m @ a)
-            x = cand @ (m.T @ a)  # a M b
-            y = cand @ (m @ a)  # b M a
-            ok = _np.flatnonzero(alpha * g[cols] == x * y)
-            at = tuple(int(v) for v in a)
-            for j in ok:
-                b = tuple(int(v) for v in cand[j])
-                cert = CurveCertificate(at, b, restricted_form(mat, at, b))
-                if verify_certificate(mat, cert):
-                    return cert
-    return None
+        cand = bvecs[cols]
+        g = np.einsum("ij,ij->i", cand @ m, cand)  # b M b
+        x = cand @ (m.T @ a)  # a M b
+        y = cand @ (m @ a)  # b M a
+        ok = np.flatnonzero((a @ m @ a) * g == x * y)
+        at = tuple(int(v) for v in a)
+        for j in ok:
+            b = tuple(int(v) for v in cand[j])
+            cert = CurveCertificate(at, b, restricted_form(mat, at, b))
+            if verify_certificate(mat, cert):
+                return cert, scanned
+    return None, len(avecs)
 
 
 def find_genus1_certificate(mat, bound: int) -> CurveCertificate | None:
     """Exhaustive search over the normalized box [-bound, bound]^(2 dim);
-    returns the lexicographically first certificate (a before b), or None."""
+    returns the lexicographically first certificate (a before b), or None.
+
+    Raises ValueError, before allocating anything, when the box holds more
+    than MAX_BOX_ENTRIES entries.  A finished search logs one INFO record on
+    the "knotgenus.curve_search" logger with the dimension, the bound, the
+    verdict, the number of a-vectors scanned and the time.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     mat = as_matrix(mat)
-    max_entry = max((abs(x) for row in mat for x in row), default=0)
-    # int64 is exact up to 2^63; fall back to big-int Python beyond that
-    if _np is not None and (len(mat) * max_entry * bound * bound) ** 2 < 2**62:
-        return _search_numpy(mat, bound)
-    return _search_python(mat, bound)
+    dim = len(mat)
+    entries = (2 * bound + 1) ** dim * dim
+    if entries > MAX_BOX_ENTRIES:
+        raise ValueError(
+            f"curve search box too large: dimension {dim} at bound {bound} "
+            f"holds {entries} entries, more than {MAX_BOX_ENTRIES}"
+        )
+    start = time.perf_counter()
+    cert, scanned = _search(mat, bound)
+    log.info(
+        "curve search: dim %d, bound %d, %s, %d a-vectors, %.3f s",
+        dim,
+        bound,
+        "absent" if cert is None else "found",
+        scanned,
+        time.perf_counter() - start,
+    )
+    return cert
 
 
 def format_certificate(cert: CurveCertificate) -> str:

@@ -1,4 +1,7 @@
+import inspect
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -125,6 +128,26 @@ def test_lattice_budget_exceeded_exits_two(capsys, q00_file):
             assert err.startswith("knot: search stopped:") and err.count("\n") == 1
 
 
+def test_lattice_recursion_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "id60.txt"
+    path.write_text(format_matrix_text([[int(i == j) for j in range(60)] for i in range(60)]))
+    argv = ["lattice", str(path), "--dim", "60"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("EMBEDDABLE dim=60")
+    limit = sys.getrecursionlimit()
+    # room for the command up to the search, not for its 60 nested levels
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("knot: search stopped: recursion limit")
+    assert captured.err.count("\n") == 1
+
+
 def test_lattice_rejects_bad_budget(capsys, q00_file):
     code, _, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--max-nodes", "0"])
     assert code == 1 and "max-nodes" in err
@@ -175,6 +198,30 @@ def test_curve_bound_zero_is_usage_error(capsys):
     code, _, err = run(capsys, ["curve", "--m", "0", "--n", "0", "--bound", "0"])
     assert code == 1
     assert "bound" in err
+
+
+def test_curve_box_too_large_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "m8.txt"
+    path.write_text(format_matrix_text([[(i * j) % 5 - 2 for j in range(8)] for i in range(8)]))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["curve", "--matrix", str(path), "--bound", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("knot: error: curve search box too large") and err.count("\n") == 1
+    assert peak < 1 << 20  # refused before the 7^8-vector box is built
+
+
+def test_verify_curve_box_too_large_is_usage_error(capsys):
+    for bound in ("0", "40"):
+        code, out, err = run(
+            capsys, ["verify", "--m-max", "0", "--n-max", "0", "--curve-bound", bound]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("knot: error:") and err.count("\n") == 1
+    assert "box too large" in err
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import logging
 import random
 from itertools import product
 from math import gcd, isqrt
@@ -5,9 +6,9 @@ from math import gcd, isqrt
 import pytest
 
 from knotgenus.curve_search import (
+    MAX_BOX_ENTRIES,
     CurveCertificate,
-    _search_numpy,
-    _search_python,
+    _wrap64,
     default_search_bound,
     find_genus1_certificate,
     format_certificate,
@@ -15,7 +16,7 @@ from knotgenus.curve_search import (
     restricted_form,
     verify_certificate,
 )
-from knotgenus.matrices import antisymmetrize, bilinear, det
+from knotgenus.matrices import antisymmetrize, bilinear, det, dot
 from knotgenus.two_bridge import KnotParams, seifert_matrix
 
 
@@ -113,6 +114,28 @@ def test_bound_validation():
         find_genus1_certificate(seifert_matrix(KnotParams(0, 0)), 0)
 
 
+def test_box_guard():
+    # every default bound for m, n <= 286 fits; K(287, 287) needs bound 19
+    for m in range(287):
+        bound = default_search_bound(KnotParams(m, m))
+        assert (2 * bound + 1) ** 4 * 4 <= MAX_BOX_ENTRIES
+    with pytest.raises(ValueError, match="box too large"):
+        find_genus1_certificate(seifert_matrix(KnotParams(287, 287)), 19)
+    with pytest.raises(ValueError, match="box too large"):
+        find_genus1_certificate([[0] * 8 for _ in range(8)], 3)
+
+
+def test_search_logs_one_info_record(caplog):
+    with caplog.at_level(logging.INFO, logger="knotgenus.curve_search"):
+        assert find_genus1_certificate(seifert_matrix(KnotParams(0, 0)), 4) is not None
+        assert find_genus1_certificate([[1, 0], [0, 1]], 1) is None
+    records = [r for r in caplog.records if r.name == "knotgenus.curve_search"]
+    assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
+    # a = (0, 0, 1, 0) is the sixth normalized a-vector; [-1, 1]^2 holds four
+    assert "dim 4, bound 4, found, 6 a-vectors" in records[0].getMessage()
+    assert "dim 2, bound 1, absent, 4 a-vectors" in records[1].getMessage()
+
+
 def test_default_search_bound():
     assert default_search_bound(KnotParams(0, 0)) == 4
     assert default_search_bound(KnotParams(23, 0)) == 6
@@ -148,10 +171,192 @@ def test_search_matches_naive_double_loop():
             assert fast == slow
 
 
-def test_numpy_and_python_paths_agree():
-    for params in [(0, 0), (1, 0), (2, 1)]:
-        mat = seifert_matrix(KnotParams(*params))
-        assert _search_numpy(mat, 2) == _search_python(mat, 2)
+def _wide_entry_matrices(rng):
+    """Seeded dim 2-4 matrices with entries beyond int64, and a bound for each.
+
+    Half are congruent mod 2^64 to a small matrix, so the int64 filters pass
+    pairs that are not certificates.  The others add k u v^T, |k| between
+    2^63 and 3^50, to a small matrix with a certificate (a, b), where u and v
+    are orthogonal to a and b: (a, b) stays a certificate, and its check sums
+    products of entries above 2^63 that cancel only exactly.
+    """
+    cases = []
+    for i in range(24):
+        if i % 2 == 0:
+            dim = 2 + i // 2 % 3
+            mat = [
+                [rng.randint(-3, 3) + (rng.randint(-2, 2) << 64) for _ in range(dim)]
+                for _ in range(dim)
+            ]
+        else:
+            dim = 3 + i // 2 % 2
+            cert = None
+            while cert is None:
+                mat = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+                cert = naive_double_loop(mat, 2 if dim < 4 else 1)
+            kernel = [
+                w
+                for w in product(range(-2, 3), repeat=dim)
+                if any(w) and dot(w, cert.a) == 0 == dot(w, cert.b)
+            ]
+            u, v = rng.choice(kernel), rng.choice(kernel)
+            k = rng.choice([-1, 1]) * rng.randint(2**63, 3**50)
+            mat = [[mat[r][c] + k * u[r] * v[c] for c in range(dim)] for r in range(dim)]
+        cases.append((mat, 2 if dim < 4 else 1))
+    return cases
+
+
+def test_wrap64_is_the_int64_residue():
+    for x in (0, 1, -1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 3**50, -(3**50), 5 << 64):
+        w = _wrap64(x)
+        assert -(2**63) <= w < 2**63 and (w - x) % 2**64 == 0
+
+
+def test_search_matches_naive_double_loop_beyond_int64():
+    rng = random.Random(47)
+    present = 0
+    for mat, bound in _wide_entry_matrices(rng):
+        cert = find_genus1_certificate(mat, bound)
+        assert cert == naive_double_loop(mat, bound)
+        present += cert is not None
+    assert present == 12
+
+
+# (a, b) of the lex-first certificate at the default bound, recorded with the
+# earlier chunked numpy search: the 121 knots of the grid m, n <= 10, then
+# K(30,30) and K(40,40).
+FIRST_CERTIFICATES = {
+    (0, 0): ((0, 0, 1, 0), (-1, -1, -4, -2)),
+    (0, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (0, 2): ((0, 0, 1, 1), (-1, -1, -2, -4)),
+    (0, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (0, 4): ((0, 1, -1, -3), (-3, 0, 0, 2)),
+    (0, 5): ((0, 0, 2, 3), (-2, 1, -3, -3)),
+    (0, 6): ((0, 1, -2, 3), (-3, -1, 3, -3)),
+    (0, 7): ((0, 1, -5, 4), (-3, -3, -1, -2)),
+    (0, 8): ((0, 1, -2, 3), (-1, -1, 4, -4)),
+    (0, 9): ((0, 0, 2, 3), (-2, -1, -1, -3)),
+    (0, 10): ((0, 1, 1, 3), (-1, -3, 1, -3)),
+    (1, 0): ((0, 0, 3, 4), (-1, -2, -1, -3)),
+    (1, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (1, 2): ((0, 0, 3, 4), (-1, -2, 1, -1)),
+    (1, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (1, 4): ((0, 1, -2, -2), (-1, -4, 2, -1)),
+    (1, 5): ((0, 0, 2, 3), (-2, -1, -1, -3)),
+    (1, 6): ((0, 1, -3, 3), (-1, -2, 3, -4)),
+    (1, 7): ((0, 1, -5, 4), (-5, -4, 2, -4)),
+    (1, 8): ((0, 1, 0, 1), (-1, -5, 3, 0)),
+    (1, 9): ((0, 1, -4, 4), (-4, -1, 5, -4)),
+    (1, 10): ((0, 1, 2, -3), (-1, -1, -2, 3)),
+    (2, 0): ((0, 0, 1, 1), (-1, -3, 0, -4)),
+    (2, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (2, 2): ((0, 1, -3, -4), (-1, 0, 2, 4)),
+    (2, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (2, 4): ((0, 0, 2, 3), (-1, 3, -3, -2)),
+    (2, 5): ((0, 1, -3, -4), (-1, 0, 2, 4)),
+    (2, 6): ((0, 1, -3, -4), (-1, 0, 2, 4)),
+    (2, 7): ((0, 0, 2, 3), (-2, 3, -5, -4)),
+    (2, 8): ((0, 1, -3, -4), (-1, 0, 2, 4)),
+    (2, 9): ((0, 1, -5, 4), (-2, -2, 1, -2)),
+    (2, 10): ((0, 0, 2, 3), (-1, 1, -3, -3)),
+    (3, 0): ((0, 0, 1, 1), (-1, -2, -1, -4)),
+    (3, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (3, 2): ((0, 0, 2, 3), (-1, 2, -3, -3)),
+    (3, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (3, 4): ((0, 1, 0, -1), (-1, -2, 0, 4)),
+    (3, 5): ((0, 1, -3, 3), (-4, -3, 4, -4)),
+    (3, 6): ((0, 1, -3, 3), (-1, 0, 3, -2)),
+    (3, 7): ((0, 1, -2, -4), (-2, 0, 1, 4)),
+    (3, 8): ((0, 1, 2, -1), (-5, -5, -2, -5)),
+    (3, 9): ((0, 0, 2, 3), (-1, 1, -3, -3)),
+    (3, 10): ((0, 0, 2, 3), (-1, -2, -1, -4)),
+    (4, 0): ((0, 1, -2, -3), (-1, -3, 2, 2)),
+    (4, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (4, 2): ((0, 1, -2, -4), (-1, -2, 2, 4)),
+    (4, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (4, 4): ((0, 1, 0, 1), (-1, -4, -4, -1)),
+    (4, 5): ((0, 1, -2, 2), (-1, -3, 2, -3)),
+    (4, 6): ((0, 1, -2, 3), (-3, -1, 3, -3)),
+    (4, 7): ((0, 1, -3, 3), (-2, 4, 3, 3)),
+    (4, 8): ((0, 0, 2, 3), (-1, 1, -3, -3)),
+    (4, 9): ((0, 1, -5, 4), (-3, -5, -2, -3)),
+    (4, 10): ((0, 0, 2, 3), (-1, -1, -1, -3)),
+    (5, 0): ((0, 0, 3, 4), (-1, 2, -4, -3)),
+    (5, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (5, 2): ((0, 1, -2, 2), (-1, -3, 2, -3)),
+    (5, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (5, 4): ((0, 1, -3, 3), (-1, -2, 3, -4)),
+    (5, 5): ((0, 1, -3, 3), (-1, 0, 3, -2)),
+    (5, 6): ((0, 1, -2, 3), (-3, -1, 3, -3)),
+    (5, 7): ((0, 0, 2, 3), (-2, -3, -1, -5)),
+    (5, 8): ((0, 1, -2, 3), (-1, -2, 4, -5)),
+    (5, 9): ((0, 0, 2, 3), (-1, -3, -1, -5)),
+    (5, 10): ((0, 1, 2, -3), (-1, -1, -2, 3)),
+    (6, 0): ((0, 0, 3, 4), (-1, -3, -1, -4)),
+    (6, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (6, 2): ((0, 1, -1, 2), (-1, 0, 4, -2)),
+    (6, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (6, 4): ((0, 1, -1, 2), (-3, 4, 4, 2)),
+    (6, 5): ((0, 1, -2, -2), (-1, 2, 0, 3)),
+    (6, 6): ((0, 0, 2, 3), (-1, 1, -3, -3)),
+    (6, 7): ((0, 1, -3, -4), (-1, -3, 3, 2)),
+    (6, 8): ((0, 0, 2, 3), (-1, -1, -1, -3)),
+    (6, 9): ((0, 1, -4, 4), (-4, -1, 5, -4)),
+    (6, 10): ((0, 1, -1, -4), (-3, -2, 0, 2)),
+    (7, 0): ((0, 1, -2, -3), (-3, 4, -2, 2)),
+    (7, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
+    (7, 2): ((0, 0, 2, 3), (-1, -2, -1, -3)),
+    (7, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
+    (7, 4): ((0, 1, -2, -3), (-1, -3, 3, 3)),
+    (7, 5): ((0, 0, 2, 3), (-1, -4, 1, -2)),
+    (7, 6): ((0, 1, -2, -3), (-1, -3, 3, 3)),
+    (7, 7): ((0, 0, 2, 3), (-1, -1, -1, -3)),
+    (7, 8): ((0, 0, 2, 3), (-1, 2, -5, -5)),
+    (7, 9): ((0, 0, 2, 3), (-1, -2, -1, -4)),
+    (7, 10): ((0, 1, -2, -3), (-1, -3, 3, 3)),
+    (8, 0): ((0, 1, -2, -4), (-1, -2, 2, 4)),
+    (8, 1): ((0, 0, 1, 0), (0, -1, -5, -2)),
+    (8, 2): ((0, 1, -4, -5), (-1, -5, 3, 0)),
+    (8, 3): ((0, 0, 1, 1), (0, -1, -3, -5)),
+    (8, 4): ((0, 0, 2, 3), (-1, -3, -1, -4)),
+    (8, 5): ((0, 1, 2, 4), (-2, 2, -3, -3)),
+    (8, 6): ((0, 0, 2, 3), (-1, -1, -1, -3)),
+    (8, 7): ((0, 1, -3, -5), (-1, 1, 0, 1)),
+    (8, 8): ((0, 0, 2, 3), (-1, 3, -5, -4)),
+    (8, 9): ((0, 1, -5, 4), (-2, -5, -4, -2)),
+    (8, 10): ((0, 1, -3, 3), (-1, 1, 3, -1)),
+    (9, 0): ((0, 0, 3, 4), (-1, -2, -2, -5)),
+    (9, 1): ((0, 0, 1, 0), (0, -1, -5, -2)),
+    (9, 2): ((0, 1, -1, -1), (-1, -1, 2, 5)),
+    (9, 3): ((0, 0, 1, 1), (0, -1, -3, -5)),
+    (9, 4): ((0, 1, -1, -1), (-1, -1, 2, 5)),
+    (9, 5): ((0, 0, 2, 3), (-1, -1, -1, -3)),
+    (9, 6): ((0, 1, -2, -5), (-5, -1, 0, 2)),
+    (9, 7): ((0, 1, -1, -4), (-1, -1, 1, 4)),
+    (9, 8): ((0, 1, -2, -5), (-1, 0, 0, 1)),
+    (9, 9): ((0, 1, -4, 4), (-4, -1, 5, -4)),
+    (9, 10): ((0, 1, -5, 4), (-1, -3, 4, -5)),
+    (10, 0): ((0, 1, -2, -3), (-1, -4, 3, 3)),
+    (10, 1): ((0, 0, 1, 0), (0, -1, -5, -2)),
+    (10, 2): ((0, 0, 2, 3), (-1, 1, -3, -3)),
+    (10, 3): ((0, 0, 1, 1), (0, -1, -3, -5)),
+    (10, 4): ((0, 0, 2, 3), (-1, -1, -1, -3)),
+    (10, 5): ((0, 1, -5, 4), (-1, -4, 0, -4)),
+    (10, 6): ((0, 1, -2, -5), (-5, -1, 0, 2)),
+    (10, 7): ((0, 1, -5, 4), (-2, -5, 1, -5)),
+    (10, 8): ((0, 1, -1, 2), (-1, 1, 5, -2)),
+    (10, 9): ((0, 1, -5, 4), (-1, -3, 4, -5)),
+    (10, 10): ((0, 1, 0, -1), (-3, 4, -2, 5)),
+    (30, 30): ((0, 1, -3, 4), (-1, 0, 4, -4)),
+    (40, 40): ((0, 0, 5, 8), (-1, -1, -3, -6)),
+}
+
+
+def test_first_certificates_pinned():
+    for (m, n), (a, b) in FIRST_CERTIFICATES.items():
+        k = KnotParams(m, n)
+        cert = find_genus1_certificate(seifert_matrix(k), default_search_bound(k))
+        assert (cert.a, cert.b) == (a, b), (m, n)
 
 
 def test_square_condition_families():
