@@ -120,6 +120,12 @@ def cmd_verify(args) -> int:
         raise CliError("m-max must be >= 0")
     if args.n_max < 0:
         raise CliError("n-max must be >= 0")
+    if args.jobs is not None and args.jobs < 1:
+        raise CliError("jobs must be >= 1")
+    # `not x >= 0` also rejects nan, a deadline no clock reading ever passes;
+    # a zero budget stays valid and gives every row "inconclusive" (exit 2)
+    if args.embed_cap_seconds is not None and not args.embed_cap_seconds >= 0:
+        raise CliError("embed-cap-seconds must be >= 0")
     try:
         reports = pipeline.verify_theorem(
             args.m_max,
@@ -146,7 +152,7 @@ def cmd_verify(args) -> int:
 def cmd_lattice(args) -> int:
     if args.max_nodes is not None and args.max_nodes < 1:
         raise CliError("max-nodes must be >= 1")
-    if args.cap_seconds is not None and args.cap_seconds <= 0:
+    if args.cap_seconds is not None and not args.cap_seconds > 0:
         raise CliError("cap-seconds must be > 0")
     mat = _read_matrix(args.gram_path)
     try:

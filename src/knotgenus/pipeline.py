@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isqrt
 
 from .curve_search import (
@@ -193,16 +193,10 @@ def full_report(
             verdict = EmbeddingVerdict(dim, True, witness)
             notes.append(f"embedding search at dim {dim}: witness found")
 
-    return SliceReport(
-        params=k,
-        fraction=base.fraction,
-        signature=base.signature,
-        determinant=base.determinant,
-        alexander=base.alexander,
-        gtop_lower=base.gtop_lower,
+    return replace(
+        base,
         gtop_upper=gtop_upper,
         gsm_lower=gsm_lower,
-        gsm_upper=base.gsm_upper,
         curve_certificate=cert,
         embedding_verdict=verdict,
         notes=tuple(notes),

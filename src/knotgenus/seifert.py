@@ -1,65 +1,67 @@
 """Invariants computed exactly from Seifert matrices.
 
-Signature via symmetric congruence diagonalization over the rationals,
-determinant via the Bareiss kernel of `matrices.det`, Alexander polynomial
-as det(M - t M^T) normalized up to units: that polynomial has degree <= n,
-so it is interpolated exactly from n + 1 Bareiss determinants at t = 0..n.
-No floating point.
+Both polynomials take one path: det(A + t B) has degree <= n, so it is
+interpolated exactly from the n + 1 Bareiss determinants `matrices.det`
+gives at t = 0..n.  The Alexander polynomial is det(M - t M^T), normalized
+up to units.  The signature of a symmetric S is read from the sign changes
+of its characteristic polynomial det(t I - S).  The determinant is one
+Bareiss determinant.  No floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact_arith import LaurentPolynomial, laurent_normalize
 from .matrices import IntMatrix, as_matrix, det, is_symmetric, symmetrize
+
+
+def _det_polynomial(a: IntMatrix, b: IntMatrix) -> list[int]:
+    """Ascending integer coefficients of det(a + t b), n + 1 of them."""
+    n = len(a)
+    # det(a + t b) has degree <= n: sample it at t = 0..n ...
+    coeffs = [
+        det(tuple(tuple(a[i][j] + t * b[i][j] for j in range(n)) for i in range(n)))
+        for t in range(n + 1)
+    ]
+    # ... and interpolate in Newton form.  On the nodes 0..n the divided
+    # differences of an integer polynomial are integers, so each division
+    # by k is exact.
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...)), ascending powers
+    poly = [coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [0] + poly
+        for e in range(len(poly) - 1):
+            poly[e] -= k * poly[e + 1]
+        poly[0] += coeffs[k]
+    return poly
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def signature(mat) -> int:
     """Signature of a symmetric integer matrix: #positive - #negative
     eigenvalues, with zero eigenvalues contributing 0.
 
-    Computed by congruence diagonalization over exact rationals.
+    The characteristic polynomial p(t) = det(t I - S) of a symmetric S has
+    only real roots, so Descartes' rule of signs is exact for it: the sign
+    changes of p count its positive roots, and those of p(-t) its negative
+    roots.  Zero roots are the trailing powers of t and change no sign.
     """
     mat = as_matrix(mat)
     if not is_symmetric(mat):
         raise ValueError("signature requires a symmetric matrix")
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    sig = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            # try to swap in a nonzero diagonal entry
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    a[k], a[j] = a[j], a[k]
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    break
-            else:
-                # no nonzero pivot on the diagonal: add another row/column
-                # to create one (a[k][k] becomes 2*a[k][j] != 0), or the
-                # row is zero and contributes a zero eigenvalue
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        for c in range(n):
-                            a[k][c] += a[j][c]
-                        for r in range(n):
-                            a[r][k] += a[r][j]
-                        break
-                else:
-                    continue
-        pivot = a[k][k]
-        sig += 1 if pivot > 0 else -1
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-    return sig
+    p = _det_polynomial(
+        tuple(tuple(-x for x in row) for row in mat),
+        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+    )
+    p_neg = [-c if e % 2 else c for e, c in enumerate(p)]
+    return _sign_changes(p) - _sign_changes(p_neg)
 
 
 def knot_determinant(mat) -> int:
@@ -76,24 +78,7 @@ def alexander(mat) -> LaurentPolynomial:
     """
     mat = as_matrix(mat)
     n = len(mat)
-    # det(M - t M^T) has degree <= n: sample it at t = 0..n ...
-    coeffs = [
-        det(tuple(tuple(mat[i][j] - t * mat[j][i] for j in range(n)) for i in range(n)))
-        for t in range(n + 1)
-    ]
-    # ... and interpolate in Newton form.  On the nodes 0..n the divided
-    # differences of an integer polynomial are integers, so each division
-    # by k is exact.
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
-    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...)), ascending powers
-    poly = [coeffs[n]]
-    for k in range(n - 1, -1, -1):
-        poly = [0] + poly
-        for e in range(len(poly) - 1):
-            poly[e] -= k * poly[e + 1]
-        poly[0] += coeffs[k]
+    poly = _det_polynomial(mat, tuple(tuple(-mat[j][i] for j in range(n)) for i in range(n)))
     d = LaurentPolynomial(dict(enumerate(poly)))
     if d.is_zero():
         return d

@@ -151,8 +151,25 @@ def test_lattice_recursion_limit_exits_two(capsys, tmp_path):
 def test_lattice_rejects_bad_budget(capsys, q00_file):
     code, _, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--max-nodes", "0"])
     assert code == 1 and "max-nodes" in err
-    code, _, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--cap-seconds", "0"])
-    assert code == 1 and "cap-seconds" in err
+    for cap in ("0", "nan"):
+        code, out, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--cap-seconds", cap])
+        assert code == 1 and out == ""
+        assert "cap-seconds" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
+        ("--embed-cap-seconds", "-1"),
+        ("--embed-cap-seconds", "nan"),
+    ],
+)
+def test_verify_rejects_bad_option(capsys, option, value):
+    code, out, err = run(capsys, ["verify", "--m-max", "0", "--n-max", "0", option, value])
+    assert code == 1 and out == ""
+    assert err.startswith(f"knot: error: {option[2:]} must be") and err.count("\n") == 1
 
 
 def test_lattice_rejects_indefinite(capsys, tmp_path):

@@ -19,7 +19,11 @@ L = LaurentPolynomial
 
 def sympy_signature(mat):
     """Independent oracle: count real eigenvalue signs from the exact
-    characteristic polynomial via Sturm-based root counting."""
+    characteristic polynomial via Sturm-based root counting.
+
+    Sturm sequences count distinct roots, so each square-free factor is
+    counted and weighted by its multiplicity.
+    """
     lam = sympy.symbols("lam")
     p = sympy.Poly(sympy.Matrix(mat).charpoly(lam), lam)
     zeros = 0
@@ -28,11 +32,14 @@ def sympy_signature(mat):
         zeros += 1
         coeffs.pop()
     q = sympy.Poly(coeffs, lam)
-    pos = q.count_roots(0, sympy.oo)
     if q.eval(0) == 0:
         raise AssertionError("zero roots not fully stripped")
-    neg = q.degree() - pos
-    return pos - neg
+    sig = 0
+    for factor, multiplicity in q.sqf_list()[1]:
+        pos = factor.count_roots(0, sympy.oo)
+        neg = factor.degree() - pos
+        sig += multiplicity * (pos - neg)
+    return sig
 
 
 def test_signature_identity():
@@ -59,15 +66,53 @@ def test_family_signature_is_minus_two():
             assert signature(symmetrize(seifert_matrix(KnotParams(m, n)))) == -2
 
 
+def _random_symmetric(rng, size, entry):
+    mat = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            mat[i][j] = mat[j][i] = entry()
+    return mat
+
+
 def test_signature_against_sympy_oracle():
     rng = random.Random(23)
     for _ in range(200):
-        size = rng.randint(1, 6)
-        mat = [[0] * size for _ in range(size)]
+        mat = _random_symmetric(rng, rng.randint(1, 8), lambda: rng.randint(-5, 5))
+        assert signature(mat) == sympy_signature(mat)
+
+
+def _special_symmetric_cases(rng):
+    for size in (1, 2, 5, 8):
+        yield [[0] * size for _ in range(size)]
+    for _ in range(30):
+        # singular: row and column `size - 1` copy row and column i
+        size = rng.randint(2, 8)
+        base = _random_symmetric(rng, size - 1, lambda: rng.randint(-4, 4))
+        i = rng.randrange(size - 1)
+        src = list(range(size - 1)) + [i]
+        yield [[base[src[r]][src[c]] for c in range(size)] for r in range(size)]
+    for _ in range(30):
+        # zero diagonal: hyperbolic blocks [[0, h], [h, 0]] on the pairs, and
+        # sparse entries elsewhere; odd sizes leave a last zero diagonal entry
+        size = rng.randint(2, 8)
+        mat = _random_symmetric(rng, size, lambda: rng.choice((0, 0, 0, -1, 1, 2)))
         for i in range(size):
-            mat[i][i] = rng.randint(-5, 5)
-            for j in range(i):
-                mat[i][j] = mat[j][i] = rng.randint(-5, 5)
+            mat[i][i] = 0
+        for i in range(0, size - 1, 2):
+            mat[i][i + 1] = mat[i + 1][i] = rng.choice((-3, -1, 1, 2))
+        yield mat
+    for _ in range(30):
+        # entries beyond int64, near +-2^70
+        size = rng.randint(1, 6)
+        yield _random_symmetric(
+            rng, size, lambda: rng.choice((-1, 1)) * (2**70 + rng.randint(-(2**20), 2**20))
+        )
+
+
+def test_signature_against_sympy_oracle_special_shapes():
+    assert sympy_signature([[1, 0, 0], [0, 1, 0], [0, 0, -1]]) == 1  # repeated eigenvalue
+    rng = random.Random(29)
+    for mat in _special_symmetric_cases(rng):
         assert signature(mat) == sympy_signature(mat)
 
 
