@@ -2,11 +2,11 @@
 seifert and curve.
 
 Exit codes: 0 success / conclusive, 1 usage or input error, 2 inconclusive
-search.  The KNOT_LOG environment variable (off/info/debug) sets the level of
-the log records written to stderr; at info every embedding search logs its
-rank, dimension, verdict, node count and time, and every curve search its
-dimension, bound, verdict, a-vectors scanned and time.  Stdout does not
-change.
+search.  A seconds budget must be > 0 and a node budget >= 1.  The KNOT_LOG
+environment variable (off/info/debug) sets the level of the log records
+written to stderr; at info every embedding search logs its rank, dimension,
+verdict, node count and time, and every curve search its dimension, bound,
+verdict, a-vectors scanned and time.  Stdout does not change.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ def _setup_logging():
         logging.basicConfig(level=logging.INFO)
     else:
         logging.basicConfig(level=logging.WARNING)
+
+
+def _check_seconds(name: str, seconds: float | None):
+    # `not seconds > 0` also rejects nan, a deadline no clock reading passes
+    if seconds is not None and not seconds > 0:
+        raise CliError(f"{name} must be > 0")
 
 
 def _params(args) -> KnotParams:
@@ -122,10 +128,7 @@ def cmd_verify(args) -> int:
         raise CliError("n-max must be >= 0")
     if args.jobs is not None and args.jobs < 1:
         raise CliError("jobs must be >= 1")
-    # `not x >= 0` also rejects nan, a deadline no clock reading ever passes;
-    # a zero budget stays valid and gives every row "inconclusive" (exit 2)
-    if args.embed_cap_seconds is not None and not args.embed_cap_seconds >= 0:
-        raise CliError("embed-cap-seconds must be >= 0")
+    _check_seconds("embed-cap-seconds", args.embed_cap_seconds)
     try:
         reports = pipeline.verify_theorem(
             args.m_max,
@@ -152,8 +155,7 @@ def cmd_verify(args) -> int:
 def cmd_lattice(args) -> int:
     if args.max_nodes is not None and args.max_nodes < 1:
         raise CliError("max-nodes must be >= 1")
-    if args.cap_seconds is not None and not args.cap_seconds > 0:
-        raise CliError("cap-seconds must be > 0")
+    _check_seconds("cap-seconds", args.cap_seconds)
     mat = _read_matrix(args.gram_path)
     try:
         g = GramLattice(mat)
@@ -183,10 +185,6 @@ def cmd_lattice(args) -> int:
         raise CliError(str(exc))
     except SearchBudgetExceeded as exc:
         print(f"knot: search stopped: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        print(f"knot: search stopped: recursion limit {limit} reached", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -242,7 +240,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--curve-bound", type=int, default=None)
-    p.add_argument("--embed-cap-seconds", type=float, default=None)
+    p.add_argument("--embed-cap-seconds", type=float, default=None,
+                   help="time budget of each row's embedding search")
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--format", choices=["human", "json", "csv"], default="human")
     p.set_defaults(func=cmd_verify)

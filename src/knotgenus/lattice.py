@@ -9,6 +9,10 @@ coordinates first touched by a given vector carries positive, non-increasing
 values.  Every embedding is equivalent to a canonical one under the ambient
 symmetries, so absence results are exhaustive.
 
+The search keeps its own stack, one entry per basis vector and one per
+coordinate of the vector being built, so its depth is not bounded by the
+interpreter's recursion limit.
+
 The constraints are local: a Goeritz lattice is tridiagonal and its vectors
 have norm 2 or 3, so each placed vector is nonzero on a few coordinates.  The
 search keeps a coordinate -> placed-vector index, pushed and popped with each
@@ -108,75 +112,80 @@ class _EmbedSearch:
 
         Values go in ascending order at each coordinate.  At coordinate c only
         the placed vectors nonzero there (`touching[c]`) update their residual
-        dot and are checked by Cauchy-Schwarz against their suffix norm past
-        c; a vector that is zero at c keeps both.  At its last nonzero
-        coordinate a vector's suffix norm is 0, so the check forces its
-        residual to 0 there.  Once the norm is spent only zeros remain, and
-        the candidate stands iff every residual is 0.  Every prune is sound,
-        so the list is exactly the one an unpruned scan in the same order
-        gives."""
+        dot (`needs`, undone on backing up) and are checked by Cauchy-Schwarz
+        against their suffix norm past c; a vector that is zero at c keeps
+        both.  At its last nonzero coordinate a vector's suffix norm is 0, so
+        the check forces its residual to 0 there.  Once the norm is spent only
+        zeros remain, and the candidate stands iff every residual is 0.  Every
+        prune is sound, so the list is exactly the one an unpruned scan in the
+        same order gives."""
         d = self.g[i][i]
         max_entry = isqrt(d)
         touching = self.touching
         out = []
-        x = [0] * used
-        needs = [self.g[i][j] for j in range(i)]  # residual dots, updated in place
-
-        def rec(c, norm_left):
-            if norm_left == 0:
-                if not any(needs):
-                    out.append((tuple(x), ()))
-                return
-            if c == used:
-                if any(needs):
-                    return
-                for part in _square_partitions(norm_left, max_entry, self.M - used):
-                    out.append((tuple(x), part))
-                return
-            col = touching[c]
-            for val in range(-max_entry, max_entry + 1):
-                sq = val * val
-                if sq > norm_left:
-                    continue
-                nleft = norm_left - sq
-                for j, e, tail in col:
-                    r = needs[j] - val * e
-                    if r * r > nleft * tail:
-                        break
-                else:
+        x = [0] * used  # the value chosen at each coordinate
+        left = [d] + [0] * used  # the norm left before each coordinate
+        needs = [self.g[i][j] for j in range(i)]
+        c, val = 0, -max_entry
+        while True:
+            norm_left = left[c]
+            if c < used and norm_left:
+                col = touching[c]
+                while val <= max_entry:  # the next value at c that passes every check
+                    rest = norm_left - val * val
+                    if rest >= 0:
+                        for j, e, tail in col:
+                            r = needs[j] - val * e
+                            if r * r > rest * tail:
+                                break
+                        else:
+                            break
+                    val += 1
+                if val <= max_entry:
                     if val:
                         for j, e, _ in col:
                             needs[j] -= val * e
                         x[c] = val
-                    rec(c + 1, nleft)
-                    if val:
-                        for j, e, _ in col:
-                            needs[j] += val * e
-                        x[c] = 0
-
-        rec(0, d)
-        return out
+                    left[c + 1] = rest
+                    c, val = c + 1, -max_entry
+                    continue
+            elif not any(needs):
+                for part in _square_partitions(norm_left, max_entry, self.M - used):
+                    out.append((tuple(x), part))
+            # back up to the previous coordinate and its next value
+            c -= 1
+            if c < 0:
+                return out
+            val = x[c]
+            if val:
+                for j, e, _ in touching[c]:
+                    needs[j] += val * e
+                x[c] = 0
+            val += 1
 
     def run(self):
-        return self._search(0, 0)
-
-    def _search(self, i: int, used: int):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise SearchBudgetExceeded(f"node budget exceeded at {self.nodes}")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchBudgetExceeded("time budget exceeded")
-        if i == self.rank:
-            return tuple(
-                tuple(v) + (0,) * (self.M - len(v)) for v in self.assigned
-            )
-        for head, fresh in self._candidates(i, used):
+        # per vector being placed: its remaining candidates, live coordinates before it
+        stack = []
+        used = 0
+        while True:
+            self.nodes += 1
+            if self.max_nodes is not None and self.nodes > self.max_nodes:
+                raise SearchBudgetExceeded(f"node budget exceeded at {self.nodes}")
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchBudgetExceeded("time budget exceeded")
+            i = len(stack)
+            if i == self.rank:
+                return tuple(tuple(v) + (0,) * (self.M - len(v)) for v in self.assigned)
+            stack.append((iter(self._candidates(i, used)), used))
+            # back up past exhausted vectors, lifting each parent's placed candidate
+            while (nxt := next(stack[-1][0], None)) is None:
+                stack.pop()
+                if not stack:
+                    return None
+                self._pop()
+            head, fresh = nxt
             self._push(list(head) + list(fresh))
-            found = self._search(i + 1, used + len(fresh))
-            self._pop()
-            if found is not None:
-                return found
-        return None
+            used = stack[-1][1] + len(fresh)
 
 
 def find_embedding(

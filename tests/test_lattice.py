@@ -283,7 +283,10 @@ def test_candidate_order_matches_dense_reference_on_signed_plumbings():
 
 @pytest.mark.parametrize(
     "m, n, nodes",
-    [(0, 0, 36), (1, 0, 32), (0, 1, 48), (3, 7, 96), (5, 5, 88), (10, 10, 148), (20, 20, 268), (60, 60, 748)],
+    [
+        (0, 0, 36), (1, 0, 32), (0, 1, 48), (3, 7, 96), (5, 5, 88), (10, 10, 148), (20, 20, 268),
+        (60, 60, 748), (240, 0, 988), (120, 115, 1428),
+    ],
 )
 def test_obstruction_node_counts(m, n, nodes):
     # Q(m,n) has no embedding at rank + 2; the node counts pin the search order
@@ -291,6 +294,21 @@ def test_obstruction_node_counts(m, n, nodes):
     search = _EmbedSearch(g.gram, g.rank + 2)
     assert search.run() is None
     assert search.nodes == nodes
+
+
+def test_search_depth_not_bound_by_recursion_limit():
+    # both run at the interpreter's default limit of 1000 frames, which a
+    # search recursing per basis vector and per coordinate exceeds
+    g = qmn_gram(KnotParams(250, 0))
+    assert _EmbedSearch(g.gram, g.rank + 2).run() is None
+    # the identity of rank 1100, searched directly: the positive-definiteness
+    # check of find_embedding and the O(rank^3) verify_embedding would each
+    # take tens of seconds here; the canonical witness is the identity itself
+    n = 1100
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    search = _EmbedSearch(identity, n)
+    assert search.run() == tuple(map(tuple, identity))
+    assert search.nodes == n + 1
 
 
 def test_find_embedding_logs_one_info_record(caplog):
