@@ -2,7 +2,9 @@
 seifert and curve.
 
 Exit codes: 0 success / conclusive, 1 usage or input error, 2 inconclusive
-search.  A seconds budget must be > 0 and a node budget >= 1.  The KNOT_LOG
+search.  Every input error is a ValueError, raised by the function that
+consumes the value, which `main` turns into one stderr line and exit 1.  A
+seconds budget must be > 0 and a node budget >= 1.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
 verdict, node count and time, and every curve search its dimension, bound,
@@ -36,10 +38,6 @@ EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -60,15 +58,7 @@ def _setup_logging():
 def _check_seconds(name: str, seconds: float | None):
     # `not seconds > 0` also rejects nan, a deadline no clock reading passes
     if seconds is not None and not seconds > 0:
-        raise CliError(f"{name} must be > 0")
-
-
-def _params(args) -> KnotParams:
-    if args.m < 0:
-        raise CliError("m must be >= 0")
-    if args.n < 0:
-        raise CliError("n must be >= 0")
-    return KnotParams(args.m, args.n)
+        raise ValueError(f"{name} must be > 0")
 
 
 def _read_matrix(path: str):
@@ -76,11 +66,11 @@ def _read_matrix(path: str):
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
     try:
         return parse_matrix_text(text)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def _print_report_human(r, out):
@@ -110,8 +100,7 @@ def _print_report_human(r, out):
 
 
 def cmd_info(args) -> int:
-    k = _params(args)
-    report = pipeline.genus_bounds(k)
+    report = pipeline.genus_bounds(KnotParams(args.m, args.n))
     if args.format == "json":
         sys.stdout.write(render_json(report_to_dict(report)))
     elif args.format == "csv":
@@ -122,23 +111,16 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.m_max < 0:
-        raise CliError("m-max must be >= 0")
-    if args.n_max < 0:
-        raise CliError("n-max must be >= 0")
     if args.jobs is not None and args.jobs < 1:
-        raise CliError("jobs must be >= 1")
+        raise ValueError("jobs must be >= 1")
     _check_seconds("embed-cap-seconds", args.embed_cap_seconds)
-    try:
-        reports = pipeline.verify_theorem(
-            args.m_max,
-            args.n_max,
-            curve_bound=args.curve_bound,
-            embed_cap_seconds=args.embed_cap_seconds,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    reports = pipeline.verify_theorem(
+        args.m_max,
+        args.n_max,
+        curve_bound=args.curve_bound,
+        embed_cap_seconds=args.embed_cap_seconds,
+        jobs=args.jobs,
+    )
     if args.format == "json":
         sys.stdout.write(render_json([report_to_dict(r) for r in reports]))
     elif args.format == "csv":
@@ -154,13 +136,9 @@ def cmd_verify(args) -> int:
 
 def cmd_lattice(args) -> int:
     if args.max_nodes is not None and args.max_nodes < 1:
-        raise CliError("max-nodes must be >= 1")
+        raise ValueError("max-nodes must be >= 1")
     _check_seconds("cap-seconds", args.cap_seconds)
-    mat = _read_matrix(args.gram_path)
-    try:
-        g = GramLattice(mat)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    g = GramLattice(_read_matrix(args.gram_path))
     deadline = None if args.cap_seconds is None else time.monotonic() + args.cap_seconds
     try:
         if args.mindim:
@@ -181,8 +159,6 @@ def cmd_lattice(args) -> int:
             else:
                 print(f"EMBEDDABLE dim={args.dim}")
                 sys.stdout.write(format_embedding(witness))
-    except ValueError as exc:
-        raise CliError(str(exc))
     except SearchBudgetExceeded as exc:
         print(f"knot: search stopped: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -192,10 +168,7 @@ def cmd_lattice(args) -> int:
 def cmd_seifert(args) -> int:
     mat = _read_matrix(args.matrix_path)
     if args.sig:
-        try:
-            print(signature(symmetrize(mat)))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        print(signature(symmetrize(mat)))
     if args.det:
         print(knot_determinant(mat))
     if args.alex:
@@ -204,21 +177,16 @@ def cmd_seifert(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.bound is not None and args.bound < 1:
-        raise CliError("bound must be >= 1")
     if args.matrix_path is not None:
         mat = _read_matrix(args.matrix_path)
         bound = args.bound if args.bound is not None else 3
     else:
         if args.m is None or args.n is None:
-            raise CliError("provide either --matrix or both --m and --n")
-        k = _params(args)
+            raise ValueError("provide either --matrix or both --m and --n")
+        k = KnotParams(args.m, args.n)
         mat = seifert_matrix(k)
         bound = args.bound if args.bound is not None else default_search_bound(k)
-    try:
-        cert = find_genus1_certificate(mat, bound)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cert = find_genus1_certificate(mat, bound)
     if cert is None:
         print(f"NONE within bound {bound}")
     else:
@@ -248,8 +216,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lattice", help="embed a Gram lattice into Z^M")
     p.add_argument("gram_path")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--mindim", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dim", type=int)
+    mode.add_argument("--mindim", action="store_true")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None, help="node budget of each search")
     p.add_argument("--cap-seconds", type=float, default=None, help="time budget of the command")
@@ -274,13 +243,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "lattice" and not args.mindim and args.dim is None:
-        parser.error("lattice requires --dim or --mindim")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"knot: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

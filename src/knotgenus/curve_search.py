@@ -21,7 +21,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matrices import IntMatrix, antisymmetrize, as_matrix, bilinear
+from .matrices import IntMatrix, as_matrix, bilinear
 from .seifert import alexander_trivial_2x2
 from .two_bridge import KnotParams
 
@@ -53,13 +53,14 @@ def restricted_form(mat, a, b) -> IntMatrix:
     )
 
 
-def _proportional(a, b) -> bool:
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i))
-
-
 def verify_certificate(mat, cert: CurveCertificate) -> bool:
-    """Check all certificate invariants against the Seifert matrix."""
+    """Check all certificate invariants against the Seifert matrix.
+
+    The restricted form decides them: the intersection a(M - M^T)b is
+    form[0][1] - form[1][0], and once it is +-1 the pair is not proportional
+    (proportional classes intersect in 0) and the form meets both
+    preconditions of alexander_trivial_2x2.
+    """
     mat = as_matrix(mat)
     a, b = cert.a, cert.b
     if len(a) != len(mat) or len(b) != len(mat):
@@ -67,14 +68,7 @@ def verify_certificate(mat, cert: CurveCertificate) -> bool:
     form = restricted_form(mat, a, b)
     if form != cert.restricted_form:
         return False
-    if abs(bilinear(a, antisymmetrize(mat), b)) != 1:
-        return False
-    if _proportional(a, b):
-        return False
-    try:
-        return alexander_trivial_2x2(form)
-    except ValueError:
-        return False
+    return abs(form[0][1] - form[1][0]) == 1 and alexander_trivial_2x2(form)
 
 
 def default_search_bound(k: KnotParams) -> int:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from math import isqrt
 
-from .matrices import GramLattice, dot, leading_principal_minors
+from .matrices import GramLattice, leading_principal_minors
 
 log = logging.getLogger(__name__)
 
@@ -247,12 +247,18 @@ def min_embedding_dim(
 
 
 def verify_embedding(g: GramLattice, e: Embedding) -> bool:
-    """True iff the embedding's pairwise dot products match the Gram matrix."""
+    """True iff the embedding's pairwise dot products match the Gram matrix.
+
+    Each vector's nonzero entries are read once, and the dot product of a
+    pair is summed over the support of one of them: exact on every pair, at
+    a cost of rank^2 x support, not rank^2 x dimension.
+    """
     if len(e.vectors) != g.rank:
         raise ValueError("embedding rank does not match Gram matrix")
     vs = e.vectors
+    supports = [[(c, x) for c, x in enumerate(v) if x] for v in vs]
     return all(
-        dot(vs[i], vs[j]) == g.gram[i][j]
+        sum(x * vs[j][c] for c, x in supports[i]) == g.gram[i][j]
         for i in range(g.rank)
         for j in range(i + 1)
     )

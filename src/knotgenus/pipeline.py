@@ -148,7 +148,6 @@ def full_report(
     k: KnotParams,
     curve_bound: int | None = None,
     embed_cap_seconds: float | None = None,
-    embed_max_nodes: int | None = None,
 ) -> SliceReport:
     """Run both searches and assemble the final verdicts."""
     base = genus_bounds(k)
@@ -178,7 +177,7 @@ def full_report(
     )
     gsm_lower = base.gsm_lower
     try:
-        witness = find_embedding(g, dim, max_nodes=embed_max_nodes, deadline=deadline)
+        witness = find_embedding(g, dim, deadline=deadline)
     except SearchBudgetExceeded:
         verdict = EmbeddingVerdict(dim, "inconclusive", None)
         notes.append(f"embedding search at dim {dim} hit its budget: inconclusive")

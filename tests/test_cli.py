@@ -1,10 +1,14 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import knotgenus
 from knotgenus.cli import main
 from knotgenus.matrices import format_matrix_text
 from knotgenus.two_bridge import KnotParams, qmn_gram, seifert_matrix
@@ -117,6 +121,16 @@ def test_lattice_mindim(capsys, a2_file):
     code, out, _ = run(capsys, ["lattice", a2_file, "--mindim", "--cap", "5"])
     assert code == 0
     assert out.strip() == "MINDIM=3"
+
+
+def test_lattice_mode_is_exactly_one_of_dim_or_mindim(capsys, a2_file):
+    for mode in (["--dim", "5", "--mindim"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", a2_file, *mode])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, ["lattice", a2_file, "--mindim"])
+    assert code == 0 and out == "MINDIM=3\n"
 
 
 def test_lattice_budget_exceeded_exits_two(capsys, q00_file):
@@ -243,3 +257,52 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["info", "--m", "zero", "--n", "0"])
     assert exc.value.code == 1
+
+
+MATRIX_FILES = {
+    "garbage.txt": "2\n1 x\n0 1\n",
+    "nonsym.txt": "2\n2 1\n0 2\n",
+    "indefinite.txt": "2\n2 3\n3 2\n",
+    "q00.txt": format_matrix_text(qmn_gram(KnotParams(0, 0)).gram),
+    "nonsquare.txt": "2\n1 2 3\n4 5 6\n",
+    "m8.txt": format_matrix_text([[(i * j) % 5 - 2 for j in range(8)] for i in range(8)]),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["info", "--m", "-1", "--n", "0"], "m must be >= 0"),
+        (["verify", "--m-max", "-1", "--n-max", "0"], "ranges must be >= 0"),
+        (["verify", "--m-max", "0", "--n-max", "0", "--curve-bound", "0"], "bound must be >= 1"),
+        (["lattice", "missing.txt", "--dim", "4"], "cannot read"),
+        (["lattice", "garbage.txt", "--dim", "4"], "expected integers"),
+        (["lattice", "nonsym.txt", "--dim", "4"], "must be symmetric"),
+        (["lattice", "indefinite.txt", "--dim", "4"], "not positive definite"),
+        (["lattice", "q00.txt", "--dim", "0"], "dimension must be positive"),
+        (["seifert", "nonsquare.txt", "--sig"], "expected 2 entries"),
+        (["curve"], "provide either --matrix"),
+        (["curve", "--m", "0", "--n", "0", "--bound", "0"], "bound must be >= 1"),
+        (["curve", "--matrix", "m8.txt", "--bound", "3"], "box too large"),
+    ],
+)
+def test_bad_input_exits_one_through_the_entry_point(tmp_path, argv, message):
+    # the real entry point, `python -m knotgenus.cli`, in a fresh interpreter
+    for name, text in MATRIX_FILES.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(knotgenus.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("KNOT_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotgenus.cli", *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("knot: error:") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr

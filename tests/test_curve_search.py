@@ -17,6 +17,7 @@ from knotgenus.curve_search import (
     verify_certificate,
 )
 from knotgenus.matrices import antisymmetrize, bilinear, det, dot
+from knotgenus.seifert import alexander_trivial_2x2
 from knotgenus.two_bridge import KnotParams, seifert_matrix
 
 
@@ -72,6 +73,60 @@ def test_verify_certificate_rejects_wrong_form():
     m = seifert_matrix(KnotParams(0, 0))
     cert = CurveCertificate((1, 0, 0, 1), (1, 1, 0, 2), ((0, 1), (0, 0)))
     assert not verify_certificate(m, cert)
+
+
+def _proportional(a, b) -> bool:
+    n = len(a)
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i))
+
+
+def reference_verify_certificate(mat, cert) -> bool:
+    """Every check spelled out: the intersection through M - M^T, the
+    proportionality test and the guarded Alexander test."""
+    a, b = cert.a, cert.b
+    if len(a) != len(mat) or len(b) != len(mat):
+        return False
+    form = restricted_form(mat, a, b)
+    if form != cert.restricted_form:
+        return False
+    if abs(bilinear(a, antisymmetrize(mat), b)) != 1:
+        return False
+    if _proportional(a, b):
+        return False
+    try:
+        return alexander_trivial_2x2(form)
+    except ValueError:
+        return False
+
+
+def test_verify_certificate_matches_reference():
+    # around every grid certificate: itself, shears b + k a (same intersection),
+    # proportional and zero pairs, random pairs, altered forms, wrong lengths
+    rng = random.Random(89)
+    accepted = 0
+    for m, n in product(range(11), repeat=2):
+        k = KnotParams(m, n)
+        mat = seifert_matrix(k)
+        cert = find_genus1_certificate(mat, default_search_bound(k))
+        a, b = cert.a, cert.b
+        pairs = [(a, b), (a, tuple(3 * x for x in a)), ((0,) * 4, b), (b, b)]
+        for _ in range(8):
+            s = rng.randint(-3, 3)
+            pairs.append((a, tuple(y + s * x for x, y in zip(a, b))))
+            pairs.append(tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in "ab"))
+        cases = [CurveCertificate(p, q, restricted_form(mat, p, q)) for p, q in pairs]
+        for i, j in product(range(2), repeat=2):
+            for step in (1, -1):
+                form = [list(row) for row in cert.restricted_form]
+                form[i][j] += step
+                cases.append(CurveCertificate(a, b, form))
+        cases.append(CurveCertificate(a[:3], b, cert.restricted_form))
+        cases.append(CurveCertificate(a, b + (0,), cert.restricted_form))
+        for c in cases:
+            ok = verify_certificate(mat, c)
+            assert ok == reference_verify_certificate(mat, c), (m, n, c)
+            accepted += ok
+    assert accepted > 121
 
 
 def test_find_certificate_k00():

@@ -302,13 +302,45 @@ def test_search_depth_not_bound_by_recursion_limit():
     g = qmn_gram(KnotParams(250, 0))
     assert _EmbedSearch(g.gram, g.rank + 2).run() is None
     # the identity of rank 1100, searched directly: the positive-definiteness
-    # check of find_embedding and the O(rank^3) verify_embedding would each
-    # take tens of seconds here; the canonical witness is the identity itself
+    # check of find_embedding would take tens of seconds here; the canonical
+    # witness is the identity itself
     n = 1100
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     search = _EmbedSearch(identity, n)
-    assert search.run() == tuple(map(tuple, identity))
+    witness = search.run()
+    assert witness == tuple(map(tuple, identity))
+    assert verify_embedding(GramLattice(identity), Embedding(witness, n))
     assert search.nodes == n + 1
+
+
+def dense_verify_embedding(g: GramLattice, e: Embedding) -> bool:
+    """Reference: every pairwise dot product over all coordinates."""
+    vs = e.vectors
+    return all(dot(vs[i], vs[j]) == g.gram[i][j] for i in range(g.rank) for j in range(i + 1))
+
+
+def test_verify_embedding_rejects_every_unit_change():
+    # the first ten lattices of the benchmark's plumbing catalogue (seed 2015,
+    # rank 6) with seeded basis signs; changing one entry x by +-1 changes
+    # that vector's norm by 2x +- 1, never by 0
+    catalogue, rng = random.Random(2015), random.Random(71)
+    for _ in range(10):
+        weights = [catalogue.randint(2, 4) for _ in range(6)]
+        signs = [rng.choice((1, -1)) for _ in weights]
+        base = path_gram(weights).gram
+        g = GramLattice(
+            [[signs[i] * signs[j] * base[i][j] for j in range(len(base))] for i in range(len(base))]
+        )
+        dim = min_embedding_dim(g)
+        e = find_embedding(g, dim)
+        assert verify_embedding(g, e) and dense_verify_embedding(g, e)
+        vs = e.vectors
+        for i, c, step in product(range(g.rank), range(dim), (1, -1)):
+            v = list(vs[i])
+            v[c] += step
+            bad = Embedding(vs[:i] + (tuple(v),) + vs[i + 1 :], dim)
+            assert not verify_embedding(g, bad)
+            assert not dense_verify_embedding(g, bad)
 
 
 def test_find_embedding_logs_one_info_record(caplog):

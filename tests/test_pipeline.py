@@ -74,7 +74,7 @@ def test_full_report_k21():
 
 
 def test_full_report_inconclusive_on_tiny_budget():
-    r = full_report(KnotParams(0, 0), embed_max_nodes=2)
+    r = full_report(KnotParams(0, 0), embed_cap_seconds=1e-9)
     assert r.embedding_verdict.embeddable == "inconclusive"
     assert not r.conclusive
     assert (r.gsm_lower, r.gsm_upper) == (1, 2)
