@@ -13,7 +13,6 @@ from .exact_arith import (
     Fraction,
     LaurentPolynomial,
     equal_up_to_units,
-    laurent_mul,
     laurent_normalize,
 )
 from .lattice import (

@@ -3,8 +3,10 @@ seifert and curve.
 
 Exit codes: 0 success / conclusive, 1 usage or input error, 2 inconclusive
 search.  Every input error is a ValueError, raised by the function that
-consumes the value, which `main` turns into one stderr line and exit 1.  A
-seconds budget must be > 0 and a node budget >= 1.  The KNOT_LOG
+consumes the value, which `main` turns into one stderr line and exit 1; an
+option that a command would ignore is refused the same way.  Budgets are per
+search and checked by the library: a seconds budget must be > 0 and a node
+budget >= 1, and each embedding search gets the whole of both.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
 verdict, node count and time, and every curve search its dimension, bound,
@@ -17,9 +19,8 @@ import argparse
 import logging
 import os
 import sys
-import time
 
-from . import pipeline
+from . import lattice, pipeline
 from .curve_search import default_search_bound, find_genus1_certificate, format_certificate
 from .lattice import (
     GramLattice,
@@ -53,12 +54,6 @@ def _setup_logging():
         logging.basicConfig(level=logging.INFO)
     else:
         logging.basicConfig(level=logging.WARNING)
-
-
-def _check_seconds(name: str, seconds: float | None):
-    # `not seconds > 0` also rejects nan, a deadline no clock reading passes
-    if seconds is not None and not seconds > 0:
-        raise ValueError(f"{name} must be > 0")
 
 
 def _read_matrix(path: str):
@@ -111,9 +106,6 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    _check_seconds("embed-cap-seconds", args.embed_cap_seconds)
     reports = pipeline.verify_theorem(
         args.m_max,
         args.n_max,
@@ -135,25 +127,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    if args.max_nodes is not None and args.max_nodes < 1:
-        raise ValueError("max-nodes must be >= 1")
-    _check_seconds("cap-seconds", args.cap_seconds)
+    if args.cap is not None and not args.mindim:
+        raise ValueError("--cap applies only with --mindim")
     g = GramLattice(_read_matrix(args.gram_path))
-    deadline = None if args.cap_seconds is None else time.monotonic() + args.cap_seconds
+    budget = {"max_nodes": args.max_nodes, "cap_seconds": args.cap_seconds}
     try:
         if args.mindim:
-            dim = min_embedding_dim(
-                g, cap=args.cap, max_nodes=args.max_nodes, deadline=deadline
-            )
+            cap = args.cap if args.cap is not None else lattice.default_dim_cap(g)
+            dim = min_embedding_dim(g, cap=cap, **budget)
             if dim is None:
-                cap = args.cap if args.cap is not None else g.rank + 6
                 print(f"NO EMBEDDING up to cap={cap}")
                 return EXIT_INCONCLUSIVE
             print(f"MINDIM={dim}")
         else:
-            witness = find_embedding(
-                g, args.dim, max_nodes=args.max_nodes, deadline=deadline
-            )
+            witness = find_embedding(g, args.dim, **budget)
             if witness is None:
                 print(f"NOT EMBEDDABLE dim={args.dim}")
             else:
@@ -166,6 +153,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_seifert(args) -> int:
+    if not (args.sig or args.det or args.alex):
+        raise ValueError("provide at least one of --sig, --det, --alex")
     mat = _read_matrix(args.matrix_path)
     if args.sig:
         print(signature(symmetrize(mat)))
@@ -177,15 +166,15 @@ def cmd_seifert(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    if args.matrix_path is not None:
+    if args.matrix_path is not None and args.m is None and args.n is None:
         mat = _read_matrix(args.matrix_path)
         bound = args.bound if args.bound is not None else 3
-    else:
-        if args.m is None or args.n is None:
-            raise ValueError("provide either --matrix or both --m and --n")
+    elif args.matrix_path is None and args.m is not None and args.n is not None:
         k = KnotParams(args.m, args.n)
         mat = seifert_matrix(k)
         bound = args.bound if args.bound is not None else default_search_bound(k)
+    else:
+        raise ValueError("provide either --matrix or both --m and --n")
     cert = find_genus1_certificate(mat, bound)
     if cert is None:
         print(f"NONE within bound {bound}")
@@ -221,7 +210,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--mindim", action="store_true")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None, help="node budget of each search")
-    p.add_argument("--cap-seconds", type=float, default=None, help="time budget of the command")
+    p.add_argument("--cap-seconds", type=float, default=None, help="time budget of each search")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("seifert", help="invariants of a Seifert matrix file")

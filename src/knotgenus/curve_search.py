@@ -172,14 +172,3 @@ def format_certificate(cert: CurveCertificate) -> str:
     f = cert.restricted_form
     form = f"[[{f[0][0]},{f[0][1]}],[{f[1][0]},{f[1][1]}]]"
     return f"a = ({a}) ; b = ({b}) ; form = {form}"
-
-
-def parse_certificate(text: str) -> CurveCertificate:
-    parts = dict(
-        item.strip().split(" = ", 1) for item in text.strip().split(";") if item.strip()
-    )
-    a = tuple(int(x) for x in parts["a"].strip("() ").split(","))
-    b = tuple(int(x) for x in parts["b"].strip("() ").split(","))
-    rows = parts["form"].strip()[2:-2].split("],[")
-    form = tuple(tuple(int(x) for x in row.split(",")) for row in rows)
-    return CurveCertificate(a, b, form)

@@ -13,7 +13,6 @@ from fractions import Fraction
 __all__ = [
     "Fraction",
     "LaurentPolynomial",
-    "laurent_mul",
     "laurent_normalize",
     "equal_up_to_units",
 ]
@@ -41,10 +40,6 @@ class LaurentPolynomial:
     @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPolynomial":
-        return cls({exp: coeff})
 
     @classmethod
     def t(cls, exp: int = 1) -> "LaurentPolynomial":
@@ -155,10 +150,6 @@ class LaurentPolynomial:
                 raise ValueError(f"duplicate exponent {e}")
             coeffs[e] = int(coeff)
         return cls(coeffs)
-
-
-def laurent_mul(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    return p * q
 
 
 def laurent_normalize(p: LaurentPolynomial) -> LaurentPolynomial:

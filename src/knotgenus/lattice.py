@@ -192,17 +192,27 @@ def find_embedding(
     g: GramLattice,
     ambient_dim: int,
     max_nodes: int | None = None,
-    deadline: float | None = None,
+    cap_seconds: float | None = None,
 ) -> Embedding | None:
     """Complete search for an isometric embedding of g into Z^ambient_dim.
 
     Returns a witness iff one exists.  Raises SearchBudgetExceeded when the
-    optional node or wall-clock budget runs out before the search finishes.
-    A finished search logs one INFO record on the "knotgenus.lattice" logger
-    with the rank, the dimension, the verdict, the node count and the time.
+    optional budget of this one search runs out before it finishes: a
+    max_nodes >= 1 node budget, or a cap_seconds > 0 wall-clock budget
+    counted from the call.  Both are read only between search nodes, so the
+    positive-definiteness check before the first node is not interrupted
+    (seconds at rank 508, Q(250,0)).  A finished search logs one INFO
+    record on the "knotgenus.lattice" logger with the rank, the dimension,
+    the verdict, the node count and the time.
     """
     if ambient_dim <= 0:
         raise ValueError("ambient dimension must be positive")
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError("node budget must be >= 1")
+    # `not cap_seconds > 0` also rejects nan, a deadline no clock reading passes
+    if cap_seconds is not None and not cap_seconds > 0:
+        raise ValueError("time budget must be > 0")
+    deadline = None if cap_seconds is None else time.monotonic() + cap_seconds
     bad = first_nonpositive_minor(g)
     if bad is not None:
         raise ValueError(
@@ -228,20 +238,26 @@ def find_embedding(
     return Embedding(vectors, ambient_dim)
 
 
+def default_dim_cap(g: GramLattice) -> int:
+    """min_embedding_dim's default cap: rank + 6, comfortably above the
+    answers seen in practice."""
+    return g.rank + 6
+
+
 def min_embedding_dim(
     g: GramLattice,
     cap: int | None = None,
     max_nodes: int | None = None,
-    deadline: float | None = None,
+    cap_seconds: float | None = None,
 ) -> int | None:
-    """Smallest M <= cap admitting an embedding, or None.  Default cap is
-    rank + 6 (comfortably above the answers seen in practice)."""
+    """Smallest M <= cap admitting an embedding, or None.  The default cap
+    is default_dim_cap(g).  The budgets apply to each find_embedding call."""
     if cap is None:
-        cap = g.rank + 6
+        cap = default_dim_cap(g)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")
     for dim in range(g.rank, cap + 1):
-        if find_embedding(g, dim, max_nodes=max_nodes, deadline=deadline) is not None:
+        if find_embedding(g, dim, max_nodes, cap_seconds) is not None:
             return dim
     return None
 

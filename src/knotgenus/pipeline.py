@@ -13,7 +13,6 @@ import concurrent.futures
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, field, replace
 from math import isqrt
 
@@ -149,7 +148,8 @@ def full_report(
     curve_bound: int | None = None,
     embed_cap_seconds: float | None = None,
 ) -> SliceReport:
-    """Run both searches and assemble the final verdicts."""
+    """Run both searches and assemble the final verdicts.  embed_cap_seconds
+    is the time budget of the embedding search, checked by find_embedding."""
     base = genus_bounds(k)
     notes = list(base.notes)
 
@@ -172,12 +172,9 @@ def full_report(
 
     g = qmn_gram(k)
     dim = obstruction_dim(g.rank, base.signature)
-    deadline = (
-        time.monotonic() + embed_cap_seconds if embed_cap_seconds is not None else None
-    )
     gsm_lower = base.gsm_lower
     try:
-        witness = find_embedding(g, dim, deadline=deadline)
+        witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:
         verdict = EmbeddingVerdict(dim, "inconclusive", None)
         notes.append(f"embedding search at dim {dim} hit its budget: inconclusive")
@@ -223,6 +220,8 @@ def verify_theorem(
     Rows are independent; with jobs > 1 they run in a process pool, and the
     table is assembled in deterministic order regardless of worker count.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if m_max < 0 or n_max < 0:
         raise ValueError("ranges must be >= 0")
     grid = [

@@ -133,6 +133,25 @@ def test_lattice_mode_is_exactly_one_of_dim_or_mindim(capsys, a2_file):
     assert code == 0 and out == "MINDIM=3\n"
 
 
+def test_lattice_no_embedding_message_names_the_library_default_cap(
+    capsys, monkeypatch, a2_file
+):
+    from knotgenus import lattice
+
+    # A2 needs dimension 3; a default cap of rank + 0 = 2 finds nothing
+    monkeypatch.setattr(lattice, "default_dim_cap", lambda g: g.rank)
+    code, out, _ = run(capsys, ["lattice", a2_file, "--mindim"])
+    assert code == 2 and out == "NO EMBEDDING up to cap=2\n"
+    assert lattice.min_embedding_dim(lattice.GramLattice([[2, -1], [-1, 2]])) is None
+
+
+def test_verify_json_matches_the_reference(capsys):
+    reference = Path(__file__).parent / "reference" / "verify_m3_n3.json"
+    code, out, _ = run(capsys, ["verify", "--m-max", "3", "--n-max", "3", "--format", "json"])
+    assert code == 0
+    assert out == reference.read_text()
+
+
 def test_lattice_budget_exceeded_exits_two(capsys, q00_file):
     for budget in (["--max-nodes", "3"], ["--cap-seconds", "1e-9"]):
         for mode in (["--dim", "10"], ["--mindim"]):
@@ -161,11 +180,11 @@ def test_lattice_search_depth_not_bound_by_recursion_limit(capsys, tmp_path):
 
 def test_lattice_rejects_bad_budget(capsys, q00_file):
     code, _, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--max-nodes", "0"])
-    assert code == 1 and "max-nodes" in err
+    assert code == 1 and "node budget" in err
     for cap in ("0", "nan"):
         code, out, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--cap-seconds", cap])
         assert code == 1 and out == ""
-        assert "cap-seconds" in err and err.count("\n") == 1
+        assert "time budget" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -181,7 +200,8 @@ def test_lattice_rejects_bad_budget(capsys, q00_file):
 def test_verify_rejects_bad_option(capsys, option, value):
     code, out, err = run(capsys, ["verify", "--m-max", "0", "--n-max", "0", option, value])
     assert code == 1 and out == ""
-    assert err.startswith(f"knot: error: {option[2:]} must be") and err.count("\n") == 1
+    expected = "jobs must be" if option == "--jobs" else "time budget must be"
+    assert err.startswith(f"knot: error: {expected}") and err.count("\n") == 1
 
 
 def test_lattice_rejects_indefinite(capsys, tmp_path):
@@ -215,12 +235,20 @@ def test_curve_family(capsys):
 
 
 def test_curve_restricted_form_case(capsys):
-    from knotgenus.curve_search import parse_certificate, verify_certificate
+    from knotgenus.curve_search import (
+        default_search_bound,
+        find_genus1_certificate,
+        format_certificate,
+        verify_certificate,
+    )
 
     code, out, _ = run(capsys, ["curve", "--m", "2", "--n", "0"])
     assert code == 0
-    cert = parse_certificate(out.strip())
-    assert verify_certificate(seifert_matrix(KnotParams(2, 0)), cert)
+    k = KnotParams(2, 0)
+    mat = seifert_matrix(k)
+    cert = find_genus1_certificate(mat, default_search_bound(k))
+    assert cert is not None and out == format_certificate(cert) + "\n"
+    assert verify_certificate(mat, cert)
 
 
 def test_curve_bound_zero_is_usage_error(capsys):
@@ -266,6 +294,7 @@ MATRIX_FILES = {
     "q00.txt": format_matrix_text(qmn_gram(KnotParams(0, 0)).gram),
     "nonsquare.txt": "2\n1 2 3\n4 5 6\n",
     "m8.txt": format_matrix_text([[(i * j) % 5 - 2 for j in range(8)] for i in range(8)]),
+    "m00.txt": format_matrix_text(seifert_matrix(KnotParams(0, 0))),
 }
 
 
@@ -284,6 +313,9 @@ MATRIX_FILES = {
         (["curve"], "provide either --matrix"),
         (["curve", "--m", "0", "--n", "0", "--bound", "0"], "bound must be >= 1"),
         (["curve", "--matrix", "m8.txt", "--bound", "3"], "box too large"),
+        (["lattice", "q00.txt", "--dim", "11", "--cap", "3"], "--cap applies only with --mindim"),
+        (["seifert", "m00.txt"], "provide at least one of --sig, --det, --alex"),
+        (["curve", "--matrix", "m00.txt", "--m", "5", "--n", "5"], "provide either --matrix"),
     ],
 )
 def test_bad_input_exits_one_through_the_entry_point(tmp_path, argv, message):

@@ -11,8 +11,6 @@ from knotgenus.curve_search import (
     _wrap64,
     default_search_bound,
     find_genus1_certificate,
-    format_certificate,
-    parse_certificate,
     restricted_form,
     verify_certificate,
 )
@@ -447,11 +445,3 @@ def test_unimodular_invariance_of_certificates():
         b2 = tuple(int(x) for x in (pinv * sympy.Matrix(cert.b)))
         mapped = CurveCertificate((a2), (b2), restricted_form(conj, a2, b2))
         assert verify_certificate(conj, mapped)
-
-
-def test_certificate_serialization_round_trip():
-    m = seifert_matrix(KnotParams(0, 0))
-    cert = find_genus1_certificate(m, 3)
-    text = format_certificate(cert)
-    assert parse_certificate(text) == cert
-    assert text.startswith("a = (")

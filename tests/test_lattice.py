@@ -179,6 +179,23 @@ def test_budget_raises():
         find_embedding(g, g.rank + 4, max_nodes=3)
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"cap_seconds": float("nan")}, "time budget must be > 0"),
+        ({"cap_seconds": 0}, "time budget must be > 0"),
+        ({"cap_seconds": -1}, "time budget must be > 0"),
+        ({"max_nodes": 0}, "node budget must be >= 1"),
+    ],
+)
+def test_search_budget_rules_are_checked_by_the_search(budget, message):
+    g = a_chain(2)
+    with pytest.raises(ValueError, match=message):
+        find_embedding(g, 3, **budget)
+    with pytest.raises(ValueError, match=message):
+        min_embedding_dim(g, **budget)
+
+
 def test_format_embedding():
     e = Embedding([(1, -1, 0), (0, 1, -1)], 3)
     assert format_embedding(e) == "1 -1 0\n0 1 -1\n"

@@ -80,6 +80,18 @@ def test_full_report_inconclusive_on_tiny_budget():
     assert (r.gsm_lower, r.gsm_upper) == (1, 2)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), 0, -1])
+def test_full_report_rejects_bad_time_budget(seconds):
+    with pytest.raises(ValueError, match="time budget must be > 0"):
+        full_report(KnotParams(0, 0), embed_cap_seconds=seconds)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_verify_theorem_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        verify_theorem(0, 0, jobs=jobs)
+
+
 def test_full_report_rechecks_search_results(monkeypatch):
     # the checks must raise, not assert, so that python -O keeps them
     k = KnotParams(0, 0)
