@@ -2,6 +2,8 @@
 knots: Seifert invariants, genus-1 reduction certificates, and integral
 lattice embedding obstructions."""
 
+from fractions import Fraction
+
 from .curve_search import (
     CurveCertificate,
     default_search_bound,
@@ -9,17 +11,10 @@ from .curve_search import (
     restricted_form,
     verify_certificate,
 )
-from .exact_arith import (
-    Fraction,
-    LaurentPolynomial,
-    equal_up_to_units,
-    laurent_normalize,
-)
 from .lattice import (
     Embedding,
     SearchBudgetExceeded,
     find_embedding,
-    is_positive_definite,
     min_embedding_dim,
     verify_embedding,
 )
@@ -32,7 +27,13 @@ from .pipeline import (
     signature_from_goeritz,
     verify_theorem,
 )
-from .seifert import alexander, alexander_trivial_2x2, knot_determinant, signature
+from .seifert import (
+    LaurentPolynomial,
+    alexander,
+    alexander_trivial_2x2,
+    knot_determinant,
+    signature,
+)
 from .two_bridge import (
     KnotParams,
     cf_to_fraction,

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from math import isqrt
 
-from .matrices import GramLattice, leading_principal_minors
+from .matrices import GramLattice
 
 log = logging.getLogger(__name__)
 
@@ -49,16 +49,9 @@ class Embedding:
             raise ValueError("all vectors must have length ambient_dim")
 
 
-def first_nonpositive_minor(g: GramLattice) -> tuple[int, int] | None:
-    """(1-based order, value) of the first leading principal minor <= 0."""
-    for k, minor in enumerate(leading_principal_minors(g.gram), 1):
-        if minor <= 0:
-            return k, minor
-    return None
-
-
-def is_positive_definite(g: GramLattice) -> bool:
-    return first_nonpositive_minor(g) is None
+# A search in Z^M pads each of its rank witness vectors to M entries: at
+# most this many in all, the curve search box's limit.
+MAX_WITNESS_ENTRIES = 1 << 23
 
 
 def _square_partitions(n: int, max_part: int, max_len: int):
@@ -85,8 +78,11 @@ class _EmbedSearch:
         self.nodes = 0
         self.assigned: list[list[int]] = []
         # coordinate c -> [(j, assigned[j][c], norm of assigned[j] past c)]
-        # for every placed vector j that is nonzero at c, in placement order
-        self.touching: list[list[tuple[int, int, int]]] = [[] for _ in range(ambient_dim)]
+        # for every placed vector j that is nonzero at c, in placement order.
+        # A vector of norm d enters at most d fresh coordinates, so no more
+        # than the trace of the Gram matrix are ever live.
+        live = min(ambient_dim, sum(gram[i][i] for i in range(self.rank)))
+        self.touching: list[list[tuple[int, int, int]]] = [[] for _ in range(live)]
 
     def _push(self, vec: list[int]):
         """Place vec as the next basis vector and index its nonzero entries,
@@ -196,29 +192,29 @@ def find_embedding(
 ) -> Embedding | None:
     """Complete search for an isometric embedding of g into Z^ambient_dim.
 
-    Returns a witness iff one exists.  Raises SearchBudgetExceeded when the
-    optional budget of this one search runs out before it finishes: a
-    max_nodes >= 1 node budget, or a cap_seconds > 0 wall-clock budget
-    counted from the call.  Both are read only between search nodes, so the
-    positive-definiteness check before the first node is not interrupted
-    (seconds at rank 508, Q(250,0)).  A finished search logs one INFO
-    record on the "knotgenus.lattice" logger with the rank, the dimension,
-    the verdict, the node count and the time.
+    g is positive definite: GramLattice checks that once, when it is built.
+    Returns a witness iff one exists.  Raises ValueError, before allocating
+    anything, when rank x ambient_dim exceeds MAX_WITNESS_ENTRIES.  Raises
+    SearchBudgetExceeded when the optional budget of this one search runs
+    out before it finishes: a max_nodes >= 1 node budget, or a
+    cap_seconds > 0 wall-clock budget counted from the call, both read
+    between search nodes.  A finished search logs one INFO record on the
+    "knotgenus.lattice" logger with the rank, the dimension, the verdict,
+    the node count and the time.
     """
     if ambient_dim <= 0:
         raise ValueError("ambient dimension must be positive")
+    if g.rank * ambient_dim > MAX_WITNESS_ENTRIES:
+        raise ValueError(
+            f"embedding too large: rank {g.rank} in dimension {ambient_dim} "
+            f"needs {g.rank * ambient_dim} witness entries, more than {MAX_WITNESS_ENTRIES}"
+        )
     if max_nodes is not None and max_nodes < 1:
         raise ValueError("node budget must be >= 1")
     # `not cap_seconds > 0` also rejects nan, a deadline no clock reading passes
     if cap_seconds is not None and not cap_seconds > 0:
         raise ValueError("time budget must be > 0")
     deadline = None if cap_seconds is None else time.monotonic() + cap_seconds
-    bad = first_nonpositive_minor(g)
-    if bad is not None:
-        raise ValueError(
-            f"Gram matrix is not positive definite: leading principal minor "
-            f"{bad[0]} is {bad[1]}"
-        )
     start = time.perf_counter()
     vectors, nodes = None, 0
     if ambient_dim >= g.rank:

@@ -111,7 +111,11 @@ def leading_principal_minors(m: IntMatrix) -> list[int]:
 
 @dataclass(frozen=True)
 class GramLattice:
-    """Symmetric integer Gram matrix of a lattice basis."""
+    """Symmetric positive-definite integer Gram matrix of a lattice basis.
+
+    Both properties are checked once, here, so every search on the lattice
+    may rely on them.  The rank-0 lattice is positive definite.
+    """
 
     gram: IntMatrix
 
@@ -119,6 +123,12 @@ class GramLattice:
         object.__setattr__(self, "gram", as_matrix(self.gram))
         if not is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
+        minors = leading_principal_minors(self.gram)
+        if minors and minors[-1] <= 0:
+            raise ValueError(
+                f"Gram matrix is not positive definite: leading principal minor "
+                f"{len(minors)} is {minors[-1]}"
+            )
 
     @property
     def rank(self) -> int:

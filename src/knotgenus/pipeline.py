@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from math import isqrt
 
 from .curve_search import (
@@ -22,10 +23,9 @@ from .curve_search import (
     find_genus1_certificate,
     verify_certificate,
 )
-from .exact_arith import Fraction, LaurentPolynomial
 from .lattice import Embedding, SearchBudgetExceeded, find_embedding, verify_embedding
 from .matrices import symmetrize
-from .seifert import alexander, knot_determinant, signature
+from .seifert import LaurentPolynomial, alexander, knot_determinant, signature
 from .two_bridge import (
     KnotParams,
     continued_fraction,

@@ -2,16 +2,53 @@
 
 Both polynomials take one path: det(A + t B) has degree <= n, so it is
 interpolated exactly from the n + 1 Bareiss determinants `matrices.det`
-gives at t = 0..n.  The Alexander polynomial is det(M - t M^T), normalized
-up to units.  The signature of a symmetric S is read from the sign changes
-of its characteristic polynomial det(t I - S).  The determinant is one
-Bareiss determinant.  No floating point.
+gives at t = 0..n.  The Alexander polynomial is det(M - t M^T), returned as
+its canonical representative up to units.  The signature of a symmetric S
+is read from the sign changes of its characteristic polynomial
+det(t I - S).  The determinant is one Bareiss determinant.  No floating
+point.
 """
 
 from __future__ import annotations
 
-from .exact_arith import LaurentPolynomial, laurent_normalize
 from .matrices import IntMatrix, as_matrix, det, is_symmetric, symmetrize
+
+
+class LaurentPolynomial:
+    """Integer Laurent polynomial in t, an immutable {exponent: coeff} map.
+
+    Zero coefficients are never stored; the zero polynomial is the empty map.
+    It prints as sorted "exponent:coefficient" pairs, e.g. "-1:1 0:-1 1:1"
+    for t - 1 + t^-1, and as "0:0" when zero.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: dict):
+        self._coeffs = {int(e): int(c) for e, c in coeffs.items() if c}
+
+    @property
+    def coeffs(self) -> dict:
+        return dict(self._coeffs)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self._coeffs.items()))
+
+    def __str__(self):
+        if not self._coeffs:
+            return "0:0"
+        return " ".join(f"{e}:{self._coeffs[e]}" for e in sorted(self._coeffs))
+
+    def __repr__(self):
+        return f"LaurentPolynomial({str(self)!r})"
 
 
 def _det_polynomial(a: IntMatrix, b: IntMatrix) -> list[int]:
@@ -70,19 +107,29 @@ def knot_determinant(mat) -> int:
 
 
 def alexander(mat) -> LaurentPolynomial:
-    """Alexander polynomial det(M - t M^T), normalized up to units.
+    """Alexander polynomial det(M - t M^T), as its canonical representative
+    up to the units +-t^k.
 
-    For the Seifert matrix of a knot the result is symmetric in t, 1/t with
-    Delta(1) = +-1.  Returns the zero polynomial if the determinant vanishes
-    identically (never the case for knot Seifert matrices).
+    With c the coefficients from the lowest to the highest nonzero power:
+    if c is a palindrome of odd length, the representative is the one
+    symmetric in t, 1/t (exponents -len(c)//2 .. len(c)//2), else the one
+    with lowest exponent 0; either way its lowest coefficient is positive.
+    A palindrome has c[0] == c[-1], so the symmetric one also has a
+    positive top coefficient.  For the Seifert matrix of a knot the result
+    is symmetric with Delta(1) = +-1.  Returns the zero polynomial if the
+    determinant vanishes identically (never the case for knot Seifert
+    matrices).
     """
     mat = as_matrix(mat)
     n = len(mat)
     poly = _det_polynomial(mat, tuple(tuple(-mat[j][i] for j in range(n)) for i in range(n)))
-    d = LaurentPolynomial(dict(enumerate(poly)))
-    if d.is_zero():
-        return d
-    return laurent_normalize(d)
+    nonzero = [e for e, x in enumerate(poly) if x]
+    if not nonzero:
+        return LaurentPolynomial({})
+    c = poly[nonzero[0] : nonzero[-1] + 1]
+    shift = len(c) // 2 if len(c) % 2 and c == c[::-1] else 0
+    sign = 1 if c[0] > 0 else -1
+    return LaurentPolynomial({e - shift: sign * x for e, x in enumerate(c)})
 
 
 def alexander_trivial_2x2(form) -> bool:

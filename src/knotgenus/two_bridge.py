@@ -11,8 +11,8 @@ Seifert surface, the positive-definite Goeritz lattice Q(m,n) of rank
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact_arith import Fraction
 from .matrices import GramLattice, IntMatrix, as_matrix
 
 

@@ -316,6 +316,7 @@ MATRIX_FILES = {
         (["lattice", "q00.txt", "--dim", "11", "--cap", "3"], "--cap applies only with --mindim"),
         (["seifert", "m00.txt"], "provide at least one of --sig, --det, --alex"),
         (["curve", "--matrix", "m00.txt", "--m", "5", "--n", "5"], "provide either --matrix"),
+        (["lattice", "q00.txt", "--dim", "100000000"], "embedding too large"),
     ],
 )
 def test_bad_input_exits_one_through_the_entry_point(tmp_path, argv, message):

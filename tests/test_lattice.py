@@ -5,15 +5,15 @@ from math import isqrt
 
 import pytest
 
+from knotgenus import lattice, matrices
 from knotgenus.lattice import (
+    MAX_WITNESS_ENTRIES,
     Embedding,
     SearchBudgetExceeded,
     _EmbedSearch,
     _square_partitions,
     find_embedding,
-    first_nonpositive_minor,
     format_embedding,
-    is_positive_definite,
     min_embedding_dim,
     verify_embedding,
 )
@@ -58,10 +58,12 @@ def naive_find_embedding(g: GramLattice, dim):
 
 
 def test_is_positive_definite():
-    assert is_positive_definite(GramLattice([[1, 0], [0, 1]]))
-    assert is_positive_definite(qmn_gram(KnotParams(0, 0)))
-    assert not is_positive_definite(GramLattice([[2, 3], [3, 2]]))
-    assert first_nonpositive_minor(GramLattice([[2, 3], [3, 2]])) == (2, -5)
+    # GramLattice refuses a matrix that is not positive definite
+    assert GramLattice([[1, 0], [0, 1]]).rank == 2
+    assert qmn_gram(KnotParams(0, 0)).rank == 8
+    with pytest.raises(ValueError, match="leading principal minor 2 is -5$"):
+        GramLattice([[2, 3], [3, 2]])
+    assert GramLattice(()).rank == 0
 
 
 def test_a2_embeds_in_z3():
@@ -77,6 +79,11 @@ def test_find_embedding_validates_input():
         find_embedding(GramLattice([[2, 3], [3, 2]]), 4)
     with pytest.raises(ValueError):
         find_embedding(a_chain(2), 0)
+    # the witness would hold rank x dimension entries: refused before allocating
+    with pytest.raises(ValueError, match="embedding too large"):
+        find_embedding(a_chain(2), MAX_WITNESS_ENTRIES // 2 + 1)
+    # a rank-0 witness holds no entry, and the search allocates nothing per coordinate
+    assert find_embedding(GramLattice(()), 10**8).vectors == ()
 
 
 def test_q00_claim_dims():
@@ -125,6 +132,21 @@ def test_min_embedding_dim_desk_scale():
         assert min_embedding_dim(g, cap=g.rank + 6) == g.rank + extra
 
 
+def test_min_embedding_dim_checks_positive_definiteness_once(monkeypatch):
+    # once when the lattice is built, not again for each dimension searched
+    calls = []
+    real = matrices.leading_principal_minors
+
+    def counted(m):
+        calls.append(len(m))
+        return real(m)
+
+    for module in (matrices, lattice):
+        monkeypatch.setattr(module, "leading_principal_minors", counted, raising=False)
+    assert min_embedding_dim(qmn_gram(KnotParams(3, 3))) == 24
+    assert calls == [20]
+
+
 def test_monotone_in_ambient_dim():
     rng = random.Random(47)
     for _ in range(30):
@@ -143,8 +165,10 @@ def _random_pd_gram(rng, r):
         rows[i][i] = rng.randint(1, 3)
         for j in range(i):
             rows[i][j] = rows[j][i] = rng.randint(-2, 3)
-    g = GramLattice(rows)
-    return g if is_positive_definite(g) else None
+    try:
+        return GramLattice(rows)
+    except ValueError:  # not positive definite
+        return None
 
 
 def test_exhaustiveness_against_naive_enumeration():
@@ -278,8 +302,9 @@ def test_candidate_order_matches_dense_reference():
                 rows[a][a] = rng.randint(1, 5)
                 for b in range(a):
                     rows[a][b] = rows[b][a] = rng.randint(-2, 2)
-        g = GramLattice(rows)
-        if not is_positive_definite(g):
+        try:
+            g = GramLattice(rows)
+        except ValueError:  # not positive definite
             continue
         for dim in range(1, 8):
             nodes += _checked_run(g.gram, dim)
@@ -318,9 +343,9 @@ def test_search_depth_not_bound_by_recursion_limit():
     # search recursing per basis vector and per coordinate exceeds
     g = qmn_gram(KnotParams(250, 0))
     assert _EmbedSearch(g.gram, g.rank + 2).run() is None
-    # the identity of rank 1100, searched directly: the positive-definiteness
-    # check of find_embedding would take tens of seconds here; the canonical
-    # witness is the identity itself
+    # the identity of rank 1100, searched directly; the canonical witness is
+    # the identity itself.  Building its GramLattice runs the dense
+    # positive-definiteness check, most of this test's time
     n = 1100
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     search = _EmbedSearch(identity, n)

@@ -1,12 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from knotgenus.exact_arith import LaurentPolynomial, equal_up_to_units, laurent_normalize
 from knotgenus.matrices import symmetrize
 from knotgenus.seifert import (
+    LaurentPolynomial,
     alexander,
     alexander_trivial_2x2,
     knot_determinant,
@@ -15,6 +16,39 @@ from knotgenus.seifert import (
 from knotgenus.two_bridge import KnotParams, knot_fraction, seifert_matrix
 
 L = LaurentPolynomial
+
+
+def _units_normal(coeffs):
+    """Representative of a {exponent: coeff} polynomial up to +-t^k, made
+    without the library: lowest exponent 0, lowest coefficient positive."""
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if not coeffs:
+        return {}
+    lo = min(coeffs)
+    sign = 1 if coeffs[lo] > 0 else -1
+    return {e - lo: sign * c for e, c in coeffs.items()}
+
+
+def _obeys_canonical_rule(p):
+    """True iff p is zero or the representative `alexander` promises: with c
+    the coefficients from the lowest to the highest exponent, symmetric in
+    t, 1/t when c is a palindrome of odd length, else lowest exponent 0;
+    lowest coefficient positive."""
+    d = p.coeffs
+    if not d:
+        return True
+    lo, hi = min(d), max(d)
+    c = [d.get(e, 0) for e in range(lo, hi + 1)]
+    symmetric = len(c) % 2 == 1 and c == c[::-1]
+    return c[0] > 0 and (lo == -hi if symmetric else lo == 0)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
 
 
 def sympy_signature(mat):
@@ -131,7 +165,7 @@ def test_knot_determinant_matches_fraction_numerator():
 
 def test_alexander_trivial_family_form():
     for n in range(6):
-        assert alexander([[0, 1], [0, -n - 3]]) == L.one()
+        assert alexander([[0, 1], [0, -n - 3]]) == L({0: 1})
 
 
 def test_alexander_small_example():
@@ -148,10 +182,10 @@ def test_alexander_of_k00_frozen():
 def test_alexander_family_shape():
     for m in range(4):
         for n in range(4):
-            p = alexander(seifert_matrix(KnotParams(m, n)))
-            assert p.max_exp() - p.min_exp() == 4
-            assert p.is_symmetric()
-            assert abs(p.evaluate(1)) == 1
+            d = alexander(seifert_matrix(KnotParams(m, n))).coeffs
+            assert max(d) - min(d) == 4
+            assert all(d.get(-e) == c for e, c in d.items())
+            assert abs(sum(d.values())) == 1
 
 
 def test_alexander_against_sympy_oracle():
@@ -164,15 +198,10 @@ def test_alexander_against_sympy_oracle():
         # sympy's polynomial-domain determinant: exact, and fast enough at 8x8
         dm = DomainMatrix.from_Matrix(sm - t * sm.T)
         d = dm.domain.to_sympy(dm.det())
-        coeffs = {}
-        for (exp,), coeff in sympy.Poly(d, t).all_terms():
-            coeffs[exp] = int(coeff)
-        expected = L(coeffs)
+        expected = {exp: int(coeff) for (exp,), coeff in sympy.Poly(d, t).all_terms()}
         got = alexander(mat)
-        if expected.is_zero():
-            assert got.is_zero()
-        else:
-            assert equal_up_to_units(got, expected)
+        assert _units_normal(got.coeffs) == _units_normal(expected)
+        assert _obeys_canonical_rule(got)
 
 
 def test_alexander_multiplicative_on_block_sum():
@@ -185,12 +214,13 @@ def test_alexander_multiplicative_on_block_sum():
         for i in range(4):
             for j in range(4):
                 total[4 * b + i][4 * b + j] = block[i][j]
-    product = L.one()
+    product = {0: 1}
     for block in blocks:
-        product = product * alexander(block)
+        product = _poly_mul(product, alexander(block).coeffs)
     got = alexander(total)
-    assert got == laurent_normalize(product)
-    assert got.max_exp() - got.min_exp() == 16
+    assert _units_normal(got.coeffs) == _units_normal(product)
+    assert _obeys_canonical_rule(got)
+    assert max(got.coeffs) - min(got.coeffs) == 16
 
 
 def _random_unimodular(rng, size):
@@ -213,17 +243,15 @@ def test_alexander_invariant_under_unimodular_congruence():
         a1, a2 = alexander(mat), alexander(conj)
         if max(abs(int(x)) for row in p for x in row) > 3:
             continue
-        if a1.is_zero() or a2.is_zero():
-            assert a1.is_zero() == a2.is_zero()
-        else:
-            assert equal_up_to_units(a1, a2)
+        assert _units_normal(a1.coeffs) == _units_normal(a2.coeffs)
 
 
 def test_alexander_at_minus_one_is_determinant():
     for m in range(6):
         for n in range(6):
             mat = seifert_matrix(KnotParams(m, n))
-            assert abs(alexander(mat).evaluate(-1)) == knot_determinant(mat)
+            at_minus_one = sum(-c if e % 2 else c for e, c in alexander(mat).coeffs.items())
+            assert abs(at_minus_one) == knot_determinant(mat)
 
 
 def test_alexander_trivial_2x2_examples():
@@ -238,7 +266,6 @@ def test_alexander_trivial_2x2_precondition():
 
 
 def test_alexander_trivial_2x2_exhaustive_equivalence():
-    one = L.one()
     span = range(-6, 7)
     for s11 in span:
         for s22 in span:
@@ -247,5 +274,80 @@ def test_alexander_trivial_2x2_exhaustive_equivalence():
                     if not (-6 <= s21 <= 6):
                         continue
                     form = [[s11, s12], [s21, s22]]
-                    expected = equal_up_to_units(alexander(form), one)
+                    expected = _units_normal(alexander(form).coeffs) == {0: 1}
                     assert alexander_trivial_2x2(form) == expected
+
+
+ALEXANDER_REFERENCE = Path(__file__).parent / "reference" / "alexander_seeded.txt"
+
+
+def _random_symmetric_of_lower_rank(rng, size):
+    # a sum of fewer than `size` terms +-v v^T is singular, and so is
+    # det(M - t M^T) = (1 - t)^size det(M) for every t
+    mat = [[0] * size for _ in range(size)]
+    for _ in range(rng.randint(0, size - 1)):
+        v = [rng.randint(-2, 2) for _ in range(size)]
+        sign = rng.choice((-1, 1))
+        for i in range(size):
+            for j in range(size):
+                mat[i][j] += sign * v[i] * v[j]
+    return mat
+
+
+def _alexander_reference_matrices():
+    """Seeded integer matrices of size 1-6 reaching the three branches of
+    the canonical representative.  det(M - t M^T) = (-t)^n det(M - M^T / t),
+    so its coefficients are palindromic for even n (a symmetric
+    representative) and antipalindromic for odd n (none: shifted to t^0)."""
+    rng = random.Random(41)
+    for size in range(1, 7):
+        for _ in range(30):
+            yield [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        for _ in range(20):
+            # sparse: zero ends of the coefficient list to strip
+            yield [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(size)] for _ in range(size)]
+        for _ in range(30):
+            yield _random_symmetric_of_lower_rank(rng, size)
+        if size % 2 == 0:
+            for _ in range(30):
+                # knot-like: a symmetric matrix plus the standard symplectic
+                # upper half, so that M - M^T is unimodular
+                mat = _random_symmetric(rng, size, lambda: rng.randint(-2, 2))
+                for i in range(0, size, 2):
+                    mat[i][i + 1] += 1
+                yield mat
+
+
+def _alexander_reference_text():
+    return "".join(
+        ";".join(",".join(map(str, row)) for row in mat) + f"\t{alexander(mat)}\n"
+        for mat in _alexander_reference_matrices()
+    )
+
+
+def test_alexander_matches_the_seeded_reference():
+    # pins every printed byte, on each branch of the canonical rule
+    assert _alexander_reference_text() == ALEXANDER_REFERENCE.read_text()
+    branches = set()
+    for mat in _alexander_reference_matrices():
+        poly = alexander(mat)
+        assert _obeys_canonical_rule(poly)
+        d = poly.coeffs
+        if not d:
+            branches.add("zero")
+        elif min(d) == -max(d) and all(d.get(-e) == c for e, c in d.items()):
+            branches.add("symmetric")
+        else:
+            branches.add("shifted to t^0")
+    assert branches == {"zero", "symmetric", "shifted to t^0"}
+
+
+def test_laurent_polynomial_is_a_value():
+    p = L({-1: 1, 0: -1, 1: 1, 2: 0})
+    assert p.coeffs == {-1: 1, 0: -1, 1: 1}
+    assert str(p) == "-1:1 0:-1 1:1" and repr(p) == "LaurentPolynomial('-1:1 0:-1 1:1')"
+    assert p == L({1: 1, 0: -1, -1: 1}) and hash(p) == hash(L({1: 1, 0: -1, -1: 1}))
+    assert p != L({0: 1}) and not p.is_zero()
+    p.coeffs[0] = 5  # a copy
+    assert p.coeffs[0] == -1
+    assert L({0: 0}).is_zero() and str(L({})) == "0:0"

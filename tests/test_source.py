@@ -1,4 +1,6 @@
 import ast
+import fractions
+import types
 from pathlib import Path
 
 import knotgenus
@@ -28,3 +30,50 @@ def test_only_the_embedding_search_reads_the_budget_clock():
         and (node.attr if isinstance(node, ast.Attribute) else node.name) == "monotonic"
     }
     assert calls == {"lattice.py"}
+
+
+def test_public_names_are_the_contract():
+    # the names knotgenus exports are its public contract: a change shows here
+    names = sorted(
+        name
+        for name, value in vars(knotgenus).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "CurveCertificate",
+        "Embedding",
+        "Fraction",
+        "GramLattice",
+        "KnotParams",
+        "LaurentPolynomial",
+        "SearchBudgetExceeded",
+        "SliceReport",
+        "alexander",
+        "alexander_trivial_2x2",
+        "cf_to_fraction",
+        "continued_fraction",
+        "crossing_count",
+        "default_search_bound",
+        "find_embedding",
+        "find_genus1_certificate",
+        "format_matrix_text",
+        "fraction_to_cf",
+        "full_report",
+        "genus_bounds",
+        "knot_determinant",
+        "knot_fraction",
+        "min_embedding_dim",
+        "obstruction_dim",
+        "parse_matrix_text",
+        "plumbing_weights",
+        "positive_crossings",
+        "qmn_gram",
+        "restricted_form",
+        "seifert_matrix",
+        "signature",
+        "signature_from_goeritz",
+        "verify_certificate",
+        "verify_embedding",
+        "verify_theorem",
+    ]
+    assert knotgenus.Fraction is fractions.Fraction
