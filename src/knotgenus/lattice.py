@@ -43,7 +43,10 @@ class Embedding:
     ambient_dim: int
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        # a tuple of ints is kept as it is, not copied: a wide witness is
+        # held once
+        vecs = tuple(map(tuple, self.vectors))
+        vecs = tuple(v if all(type(x) is int for x in v) else tuple(map(int, v)) for v in vecs)
         object.__setattr__(self, "vectors", vecs)
         if any(len(v) != self.ambient_dim for v in vecs):
             raise ValueError("all vectors must have length ambient_dim")
@@ -277,4 +280,12 @@ def verify_embedding(g: GramLattice, e: Embedding) -> bool:
 
 
 def format_embedding(e: Embedding) -> str:
-    return "\n".join(" ".join(str(x) for x in v) for v in e.vectors) + "\n"
+    """One line per vector, its entries separated by spaces.  The trailing
+    zeros of a vector are written as one string, not one str per entry."""
+    lines = []
+    for v in e.vectors:
+        end = len(v)
+        while end > 1 and v[end - 1] == 0:
+            end -= 1
+        lines.append(f"{' '.join(map(str, v[:end]))}{' 0' * (len(v) - end)}\n")
+    return "".join(lines)

@@ -6,11 +6,27 @@ determinant: `det` runs it with row swaps, `leading_principal_minors`
 reads the minors off its pivots in one pass.  The text format is: first
 line the size r, then r lines of r space-separated integers.  Lines
 starting with '#' are comments.
+
+The elimination skips zero entries by deferring a scale.  Without swaps,
+entry (i, j) after step k is the minor on rows 0..k, i and columns 0..k, j,
+and the pivot p_k is the (k+1)-th leading principal minor (p_-1 = 1).  If
+row i is 0 in column k, step k only multiplies the row by p_k / p_(k-1).
+So such a row is left as it is, with the pivot p_s it was last exact at;
+its true entries after step k are stored x p_k / p_s, an exact division
+since each is a minor.  A stored zero is an exact zero, since every scale
+is a nonzero pivot, so the zero tests and the swap choice read the stored
+entries.  A row swap swaps the remembered pivots with the rows.  On a
+tridiagonal (path) Gram matrix each step updates one row, so the pass costs
+O(n^2); on dense input it is still O(n^3).
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
+
+log = logging.getLogger(__name__)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -63,29 +79,48 @@ def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
 
     Yields each pivot times the sign of the row swaps so far.  Without swaps
     the k-th pivot is the k-th leading principal minor; with them the last
-    one yielded is det(m).  Stops after a zero pivot.
+    one yielded is det(m).  Stops after a zero pivot.  A row that is 0 in
+    the pivot column is not rescaled (see the module docstring).
     """
     n = len(m)
     a = [list(row) for row in m]
     sign = 1
     prev = 1
+    # row index -> the pivot its stored entries are exact at, for every row
+    # whose rescaling is deferred; empty on a matrix without zeros
+    skipped = {}
     for k in range(n):
         if swap_rows and a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    # the remembered pivots move with the rows; a row that
+                    # is exact now is exact at prev
+                    skipped[k], skipped[i] = skipped.get(i, prev), skipped.get(k, prev)
                     sign = -sign
                     break
         row_k = a[k]
+        if skipped and k in skipped:
+            s = skipped.pop(k)
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
         yield sign * pivot
         if pivot == 0:
             return
-        for i in range(k + 1, n):
+        cols = range(k + 1, n)
+        for i in cols:
             row_i = a[i]
             aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            if aik == 0:
+                if i not in skipped:
+                    skipped[i] = prev
+                continue
+            # a deferred row divides by the pivot it is exact at, which
+            # applies its scale and this step's update in one pass
+            d = skipped.pop(i, prev) if skipped else prev
+            for j in cols:
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // d
         prev = pivot
 
 
@@ -114,7 +149,9 @@ class GramLattice:
     """Symmetric positive-definite integer Gram matrix of a lattice basis.
 
     Both properties are checked once, here, so every search on the lattice
-    may rely on them.  The rank-0 lattice is positive definite.
+    may rely on them.  The rank-0 lattice is positive definite.  The
+    positive-definiteness check logs one INFO record on the
+    "knotgenus.matrices" logger with the rank, the verdict and the time.
     """
 
     gram: IntMatrix
@@ -123,8 +160,16 @@ class GramLattice:
         object.__setattr__(self, "gram", as_matrix(self.gram))
         if not is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
+        start = time.perf_counter()
         minors = leading_principal_minors(self.gram)
-        if minors and minors[-1] <= 0:
+        definite = not minors or minors[-1] > 0
+        log.info(
+            "positive-definiteness check: rank %d, %s, %.3f s",
+            len(self.gram),
+            "positive definite" if definite else "not positive definite",
+            time.perf_counter() - start,
+        )
+        if not definite:
             raise ValueError(
                 f"Gram matrix is not positive definite: leading principal minor "
                 f"{len(minors)} is {minors[-1]}"

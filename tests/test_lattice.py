@@ -223,6 +223,22 @@ def test_search_budget_rules_are_checked_by_the_search(budget, message):
 def test_format_embedding():
     e = Embedding([(1, -1, 0), (0, 1, -1)], 3)
     assert format_embedding(e) == "1 -1 0\n0 1 -1\n"
+    # trailing, inner and all-zero runs print as one str per entry would
+    rows = [(0,), (0, 0, 0), (2, 0, 0, -3, 0, 0, 0), (0, 0, 5), (-1,) * 3, (0, 4, 0, 0)]
+    for row in rows:
+        e = Embedding([row], len(row))
+        assert format_embedding(e) == " ".join(str(x) for x in row) + "\n"
+
+
+def test_embedding_holds_a_tuple_of_ints_without_copying():
+    wide = (1, -1) + (0,) * 1000
+    e = Embedding([wide, list(wide[::-1])], len(wide))
+    assert e.vectors[0] is wide
+    assert e.vectors[1] == wide[::-1]
+    # entries that are not ints are still converted
+    e = Embedding([(True, 0), [0.0, 2]], 2)
+    assert e.vectors == ((1, 0), (0, 2))
+    assert all(type(x) is int for v in e.vectors for x in v)
 
 
 def dense_candidates(gram, ambient_dim, assigned, i, used):
@@ -344,8 +360,9 @@ def test_search_depth_not_bound_by_recursion_limit():
     g = qmn_gram(KnotParams(250, 0))
     assert _EmbedSearch(g.gram, g.rank + 2).run() is None
     # the identity of rank 1100, searched directly; the canonical witness is
-    # the identity itself.  Building its GramLattice runs the dense
-    # positive-definiteness check, most of this test's time
+    # the identity itself.  Building its GramLattice runs the
+    # positive-definiteness check, which defers the rescaling of every row
+    # that is zero in the pivot column: O(n^2) on the identity, not O(n^3)
     n = 1100
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     search = _EmbedSearch(identity, n)

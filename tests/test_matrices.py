@@ -1,9 +1,49 @@
+import inspect
+import logging
 import random
+import sys
 
 import pytest
 import sympy
 
-from knotgenus.matrices import GramLattice, det, leading_principal_minors
+from knotgenus.matrices import GramLattice, _bareiss_pivots, det, leading_principal_minors
+from knotgenus.two_bridge import path_gram
+
+
+def dense_bareiss_pivots(m, swap_rows):
+    """Reference: the dense Bareiss loop, which rescales every row below the
+    pivot at every step, zero entries included."""
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if swap_rows and a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+        row_k = a[k]
+        pivot = row_k[k]
+        yield sign * pivot
+        if pivot == 0:
+            return
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+        prev = pivot
+
+
+def reference_minors(m):
+    minors = []
+    for minor in dense_bareiss_pivots(m, swap_rows=False):
+        minors.append(minor)
+        if minor <= 0:
+            break
+    return minors
 
 
 def _random_matrix(rng, size, kind):
@@ -83,3 +123,90 @@ def test_leading_principal_minors_stop_at_first_nonpositive():
     assert leading_principal_minors(((2, -1, 0), (-1, 2, -1), (0, -1, 2))) == [2, 3, 4]
     assert leading_principal_minors(((1, 2, 0), (2, 1, 0), (0, 0, 5))) == [1, -3]
     assert leading_principal_minors(((0, 1), (1, 1))) == [0]
+
+
+# Row 3 is 0 in column 1 after step 0, so its scale is deferred at p_0 = 2.
+# Row 2 is 0 in columns 0-2, so at step 2 a swap moves row 3 into the pivot
+# position, where it is materialized with the scale p_1 / p_0 = 4 / 2.
+SKIPPED_ROW_SWAPPED_IN = ((2, 2, 0, 0), (1, 3, 1, 0), (0, 0, 0, 1), (1, 1, 1, 0))
+
+
+def test_skipped_row_swapped_into_the_pivot_position():
+    assert list(dense_bareiss_pivots(SKIPPED_ROW_SWAPPED_IN, True)) == [2, 4, -4, -4]
+    assert list(_bareiss_pivots(SKIPPED_ROW_SWAPPED_IN, True)) == [2, 4, -4, -4]
+    assert det(SKIPPED_ROW_SWAPPED_IN) == int(sympy.Matrix(SKIPPED_ROW_SWAPPED_IN).det()) == -4
+
+
+def test_zero_skipping_kernel_matches_dense_reference():
+    # sparse and dense, symmetric and not, with and without swaps
+    rng = random.Random(47)
+    swapped = 0
+    for trial in range(4000):
+        size = rng.randint(1, 8)
+        density = (0.15, 0.4, 0.7, 1.0)[trial % 4]
+        mat = [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(size)]
+            for _ in range(size)
+        ]
+        if trial % 8 >= 4:
+            mat = [[mat[i][j] + mat[j][i] for j in range(size)] for i in range(size)]
+        mat = tuple(map(tuple, mat))
+        for swap_rows in (False, True):
+            expected = list(dense_bareiss_pivots(mat, swap_rows))
+            assert list(_bareiss_pivots(mat, swap_rows)) == expected
+        swapped += expected != list(dense_bareiss_pivots(mat, False))
+        assert det(mat) == expected[-1]
+        assert leading_principal_minors(mat) == reference_minors(mat)
+    assert swapped >= 500
+
+
+def _row_updates(mat):
+    """Executions of the kernel's row-update line, the one that picks the
+    divisor of a row about to be updated, while the leading minors of mat
+    are computed."""
+    lines, start = inspect.getsourcelines(_bareiss_pivots)
+    [offset] = [i for i, line in enumerate(lines) if "skipped.pop(i, prev)" in line]
+    target = start + offset
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno == target:
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code is _bareiss_pivots.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        minors = leading_principal_minors(mat)
+    finally:
+        sys.settrace(old)
+    assert minors == reference_minors(mat)
+    return count
+
+
+def test_row_updates_are_linear_in_the_rank_on_a_path_gram():
+    # on a path Gram matrix only row k+1 is nonzero in pivot column k; the
+    # dense loop updates all n(n-1)/2 rows below the pivots
+    rng = random.Random(53)
+    for n in (8, 16, 32, 64, 128):
+        gram = path_gram([rng.choice((2, 3)) for _ in range(n)]).gram
+        assert _row_updates(gram) == n - 1
+    dense = tuple(tuple(7 * (i == j) + 1 for j in range(16)) for i in range(16))
+    assert _row_updates(dense) == 16 * 15 // 2
+
+
+def test_positive_definiteness_check_logs_one_info_record(caplog):
+    with caplog.at_level(logging.INFO, logger="knotgenus.matrices"):
+        path_gram([2, 3, 2])
+        with pytest.raises(ValueError, match="not positive definite"):
+            GramLattice(((1, 2), (2, 1)))
+    records = [r for r in caplog.records if r.name == "knotgenus.matrices"]
+    assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
+    messages = [r.getMessage() for r in records]
+    assert messages[0].startswith("positive-definiteness check: rank 3, positive definite, ")
+    assert messages[1].startswith("positive-definiteness check: rank 2, not positive definite, ")
+    assert all(m.endswith(" s") for m in messages)
