@@ -10,6 +10,13 @@ coordinate (flipping the sign of a or dividing out a common factor never
 destroys a certificate, so nothing is lost).  Within that space the
 enumeration is exhaustive in lexicographic order and the first valid pair
 is returned, so results are deterministic.
+
+The filters run in int64 on the box [-bound, bound]^dim, split into the
+box of the first dim // 2 coordinates and the box of the rest.  Every
+bilinear form in b is then a sum of one product over each half, and bMb is
+one table per matrix.  All of it is ring arithmetic mod 2^64, so the split
+passes exactly the pairs one product over the whole box would; the exact
+check is verify_certificate's.
 """
 
 from __future__ import annotations
@@ -84,18 +91,27 @@ def default_search_bound(k: KnotParams) -> int:
 _BOX_CACHE: dict[tuple[int, int], tuple] = {}
 
 
+def _box(bound: int, k: int):
+    """All vectors of [-bound, bound]^k as int64 rows in lex order; for
+    k = 0, the one empty vector."""
+    side = 2 * bound + 1
+    box = np.indices((side,) * k, dtype=np.int64).reshape(k, side**k).T - bound
+    return np.ascontiguousarray(box)
+
+
 def _cached_boxes(bound: int, dim: int):
-    """All vectors of [-bound, bound]^dim as int64 rows in lex order, and the
-    normalized a-vectors among them.  A vector has positive first nonzero
-    coordinate iff it comes after the zero vector, the middle of the box."""
+    """The box [-bound, bound]^dim, the normalized a-vectors in it, and the
+    boxes of its first dim // 2 and of its other coordinates.  All are in lex
+    order, so row i * len(lo) + j of the box is hi[i] followed by lo[j].  A
+    vector has positive first nonzero coordinate iff it comes after the zero
+    vector, the middle of the box."""
     key = (bound, dim)
     if key not in _BOX_CACHE:
-        side = 2 * bound + 1
-        grid = np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T - bound
-        bvecs = np.ascontiguousarray(grid)
+        bvecs = _box(bound, dim)
         positive = bvecs[len(bvecs) // 2 + 1 :]
         avecs = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
-        _BOX_CACHE[key] = (bvecs, avecs)
+        h = dim // 2
+        _BOX_CACHE[key] = (bvecs, avecs, _box(bound, h), _box(bound, dim - h))
     return _BOX_CACHE[key]
 
 
@@ -104,34 +120,51 @@ def _wrap64(x: int) -> int:
     return (x + (1 << 63)) % (1 << 64) - (1 << 63)
 
 
-def _search(mat: IntMatrix, bound: int) -> tuple[CurveCertificate | None, int]:
-    """The lex-first certificate (or None) and the number of a-vectors scanned.
+def _search(mat: IntMatrix, bound: int) -> tuple[CurveCertificate | None, int, int, int]:
+    """The lex-first certificate (or None), the number of a-vectors scanned,
+    the number of (a, b) pairs that passed the intersection filter and the
+    number of them that verify_certificate checked.
+
+    The box is split into the halves hi and lo of the first dim // 2 and the
+    other coordinates.  For each a, the intersection a(M - M^T)b is an outer
+    sum of one product over hi and one over lo, and so is aMb on the pairs
+    that pass; bMb is a table over the box, computed once per matrix.
+    bMa = aMb - a(M - M^T)b, so the Alexander test aMa bMb == aMb bMa needs
+    no product over b beyond these.
 
     The filters run in int64 on the matrix reduced mod 2^64.  Each is an
     equality of ring expressions, which reduction mod 2^64 preserves, so no
     true pair is dropped; a pair that only passes mod 2^64 is rejected by
-    verify_certificate, which runs on the exact Python integers.
+    verify_certificate, which runs on the exact Python integers.  Splitting
+    the sums changes no residue, so every filter passes the same pairs as
+    one product over the whole box.
     """
     dim = len(mat)
+    h = dim // 2
     m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
-    bvecs, avecs = _cached_boxes(bound, dim)
-    inter = (m - m.T) @ bvecs.T  # column j holds (M - M^T) b_j
+    anti = m - m.T
+    bvecs, avecs, hi, lo = _cached_boxes(bound, dim)
+    bmb = np.einsum("ij,ij->i", bvecs @ m, bvecs)
+    hits = checked = 0
     for scanned, a in enumerate(avecs, 1):
-        cols = np.flatnonzero(np.abs(a @ inter) == 1)  # intersection +-1
+        w = a @ anti
+        p = ((hi @ w[:h])[:, None] + lo @ w[h:]).ravel()  # a (M - M^T) b
+        cols = np.flatnonzero(np.abs(p) == 1)
         if not len(cols):
             continue
-        cand = bvecs[cols]
-        g = np.einsum("ij,ij->i", cand @ m, cand)  # b M b
-        x = cand @ (m.T @ a)  # a M b
-        y = cand @ (m @ a)  # b M a
-        ok = np.flatnonzero((a @ m @ a) * g == x * y)
+        hits += len(cols)
+        u = a @ m
+        i, j = np.divmod(cols, len(lo))
+        x = (hi @ u[:h])[i] + (lo @ u[h:])[j]  # a M b
+        ok = cols[np.flatnonzero((u @ a) * bmb[cols] == x * (x - p[cols]))]
         at = tuple(int(v) for v in a)
-        for j in ok:
-            b = tuple(int(v) for v in cand[j])
+        for c in ok:
+            checked += 1
+            b = tuple(int(v) for v in bvecs[c])
             cert = CurveCertificate(at, b, restricted_form(mat, at, b))
             if verify_certificate(mat, cert):
-                return cert, scanned
-    return None, len(avecs)
+                return cert, scanned, hits, checked
+    return None, len(avecs), hits, checked
 
 
 def find_genus1_certificate(mat, bound: int) -> CurveCertificate | None:
@@ -141,7 +174,9 @@ def find_genus1_certificate(mat, bound: int) -> CurveCertificate | None:
     Raises ValueError, before allocating anything, when the box holds more
     than MAX_BOX_ENTRIES entries.  A finished search logs one INFO record on
     the "knotgenus.curve_search" logger with the dimension, the bound, the
-    verdict, the number of a-vectors scanned and the time.
+    verdict, the number of a-vectors scanned, the number of (a, b) pairs
+    that passed the intersection filter, how many of them went to
+    verify_certificate, and the time.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -154,13 +189,16 @@ def find_genus1_certificate(mat, bound: int) -> CurveCertificate | None:
             f"holds {entries} entries, more than {MAX_BOX_ENTRIES}"
         )
     start = time.perf_counter()
-    cert, scanned = _search(mat, bound)
+    cert, scanned, hits, checked = _search(mat, bound)
     log.info(
-        "curve search: dim %d, bound %d, %s, %d a-vectors, %.3f s",
+        "curve search: dim %d, bound %d, %s, %d a-vectors, "
+        "%d pairs with intersection +-1, %d verified, %.3f s",
         dim,
         bound,
         "absent" if cert is None else "found",
         scanned,
+        hits,
+        checked,
         time.perf_counter() - start,
     )
     return cert

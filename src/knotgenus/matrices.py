@@ -32,7 +32,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def as_matrix(rows) -> IntMatrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    mat = tuple(tuple(map(int, row)) for row in rows)
     if any(len(row) != len(mat) for row in mat):
         raise ValueError("matrix must be square")
     return mat
@@ -43,8 +43,7 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 
 def is_symmetric(m: IntMatrix) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    return m == transpose(m)
 
 
 def add(a: IntMatrix, b: IntMatrix) -> IntMatrix:

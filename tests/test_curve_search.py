@@ -5,16 +5,20 @@ from math import gcd, isqrt
 
 import pytest
 
+import numpy as np
+
 from knotgenus.curve_search import (
     MAX_BOX_ENTRIES,
     CurveCertificate,
+    _cached_boxes,
+    _search,
     _wrap64,
     default_search_bound,
     find_genus1_certificate,
     restricted_form,
     verify_certificate,
 )
-from knotgenus.matrices import antisymmetrize, bilinear, det, dot
+from knotgenus.matrices import antisymmetrize, as_matrix, bilinear, det, dot
 from knotgenus.seifert import alexander_trivial_2x2
 from knotgenus.two_bridge import KnotParams, seifert_matrix
 
@@ -40,6 +44,36 @@ def naive_double_loop(mat, bound):
             if form[0][0] * form[1][1] == form[0][1] * form[1][0]:
                 return CurveCertificate(a, b, form)
     return None
+
+
+def full_box_search(mat, bound):
+    """The earlier int64 search: one product over the whole box per a, then
+    the Alexander test on the gathered hit columns.  Returns the certificate,
+    the a-vectors scanned, the pairs with intersection +-1 and the pairs
+    that went to verify_certificate."""
+    dim = len(mat)
+    m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
+    bvecs, avecs = _cached_boxes(bound, dim)[:2]
+    inter = (m - m.T) @ bvecs.T  # column j holds (M - M^T) b_j
+    hits = checked = 0
+    for scanned, a in enumerate(avecs, 1):
+        cols = np.flatnonzero(np.abs(a @ inter) == 1)  # intersection +-1
+        if not len(cols):
+            continue
+        hits += len(cols)
+        cand = bvecs[cols]
+        g = np.einsum("ij,ij->i", cand @ m, cand)  # b M b
+        x = cand @ (m.T @ a)  # a M b
+        y = cand @ (m @ a)  # b M a
+        ok = np.flatnonzero((a @ m @ a) * g == x * y)
+        at = tuple(int(v) for v in a)
+        for j in ok:
+            checked += 1
+            b = tuple(int(v) for v in cand[j])
+            cert = CurveCertificate(at, b, restricted_form(mat, at, b))
+            if verify_certificate(mat, cert):
+                return cert, scanned, hits, checked
+    return None, len(avecs), hits, checked
 
 
 def test_restricted_form_family_examples():
@@ -184,9 +218,17 @@ def test_search_logs_one_info_record(caplog):
         assert find_genus1_certificate([[1, 0], [0, 1]], 1) is None
     records = [r for r in caplog.records if r.name == "knotgenus.curve_search"]
     assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
-    # a = (0, 0, 1, 0) is the sixth normalized a-vector; [-1, 1]^2 holds four
-    assert "dim 4, bound 4, found, 6 a-vectors" in records[0].getMessage()
-    assert "dim 2, bound 1, absent, 4 a-vectors" in records[1].getMessage()
+    # a = (0, 0, 1, 0) is the sixth normalized a-vector, and the first pair
+    # that passes both int64 filters is the certificate; [-1, 1]^2 holds
+    # four, and a symmetric matrix intersects every pair in 0
+    assert (
+        "dim 4, bound 4, found, 6 a-vectors, "
+        "5400 pairs with intersection +-1, 1 verified, " in records[0].getMessage()
+    )
+    assert (
+        "dim 2, bound 1, absent, 4 a-vectors, "
+        "0 pairs with intersection +-1, 0 verified, " in records[1].getMessage()
+    )
 
 
 def test_default_search_bound():
@@ -222,6 +264,18 @@ def test_search_matches_naive_double_loop():
             assert fast is None
         else:
             assert fast == slow
+    # odd dimensions: dim 1 splits into an empty and a one-coordinate half,
+    # and intersects every pair in 0
+    assert find_genus1_certificate([[1]], 2) is None
+    assert find_genus1_certificate([[0]], 2) is None
+    # small entries in dim 5 leave a certificate, large ones often none
+    verdicts = []
+    for dim, r in [(1, 2), (1, 9), (5, 2), (5, 2), (5, 9), (5, 9), (5, 9)]:
+        mat = [[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)]
+        cert = find_genus1_certificate(mat, 1)
+        assert cert == naive_double_loop(mat, 1), mat
+        verdicts.append(cert is not None)
+    assert verdicts[:2] == [False, False] and set(verdicts[2:]) == {False, True}
 
 
 def _wide_entry_matrices(rng):
@@ -265,6 +319,15 @@ def test_wrap64_is_the_int64_residue():
         assert -(2**63) <= w < 2**63 and (w - x) % 2**64 == 0
 
 
+def test_split_box_passes_the_full_box_pairs():
+    # same certificate, a-vectors scanned, and pairs passed by each filter
+    cases = _wide_entry_matrices(random.Random(47))
+    cases += [(seifert_matrix(KnotParams(m, n)), 3) for m, n in product(range(4), repeat=2)]
+    for mat, bound in cases:
+        mat = as_matrix(mat)
+        assert _search(mat, bound) == full_box_search(mat, bound), mat
+
+
 def test_search_matches_naive_double_loop_beyond_int64():
     rng = random.Random(47)
     present = 0
@@ -277,7 +340,7 @@ def test_search_matches_naive_double_loop_beyond_int64():
 
 # (a, b) of the lex-first certificate at the default bound, recorded with the
 # earlier chunked numpy search: the 121 knots of the grid m, n <= 10, then
-# K(30,30) and K(40,40).
+# K(30,30) and K(40,40); K(60,60) with the full-box int64 search.
 FIRST_CERTIFICATES = {
     (0, 0): ((0, 0, 1, 0), (-1, -1, -4, -2)),
     (0, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
@@ -402,6 +465,7 @@ FIRST_CERTIFICATES = {
     (10, 10): ((0, 1, 0, -1), (-3, 4, -2, 5)),
     (30, 30): ((0, 1, -3, 4), (-1, 0, 4, -4)),
     (40, 40): ((0, 0, 5, 8), (-1, -1, -3, -6)),
+    (60, 60): ((0, 1, 1, -7), (-5, 1, -1, 5)),
 }
 
 
