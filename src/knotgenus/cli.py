@@ -10,7 +10,8 @@ budget >= 1, and each embedding search gets the whole of both.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
 verdict, node count and time, and every curve search its dimension, bound,
-verdict, a-vectors scanned and time.  Stdout does not change.
+verdict, a-vectors scanned, pairs with intersection +-1, pairs verified and
+time.  Stdout does not change.
 """
 
 from __future__ import annotations

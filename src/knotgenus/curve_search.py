@@ -11,12 +11,17 @@ destroys a certificate, so nothing is lost).  Within that space the
 enumeration is exhaustive in lexicographic order and the first valid pair
 is returned, so results are deterministic.
 
-The filters run in int64 on the box [-bound, bound]^dim, split into the
-box of the first dim // 2 coordinates and the box of the rest.  Every
-bilinear form in b is then a sum of one product over each half, and bMb is
-one table per matrix.  All of it is ring arithmetic mod 2^64, so the split
-passes exactly the pairs one product over the whole box would; the exact
-check is verify_certificate's.
+The b of a certificate is normalized too: (a, b) is a certificate exactly
+when (a, -b) is, so only the first half of the box [-bound, bound]^dim in
+lex order is scanned, the b with negative first nonzero coordinate, and the
+lex-first certificate of the whole box is found there.
+
+The filters run in int64 on that half, split into rows of the box of the
+first dim // 2 coordinates and of the box of the rest.  Every bilinear form
+in b is then a sum of one product over each part, and bMb is one table per
+matrix.  All of it is ring arithmetic mod 2^64, so the split passes exactly
+the pairs one product over the whole box would; the exact check is
+verify_certificate's.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from .two_bridge import KnotParams
 
 log = logging.getLogger(__name__)
 
-# The box of b-vectors and its intersection columns are materialized as int64
-# arrays; each may hold at most this many entries (64 MB).
+# The half box of b-vectors, its bMb table and, per a-vector, one outer sum
+# over the half box are materialized as int64 arrays; the box guard allows
+# at most this many entries in the whole box (64 MB).
 MAX_BOX_ENTRIES = 1 << 23
 
 
@@ -100,18 +106,23 @@ def _box(bound: int, k: int):
 
 
 def _cached_boxes(bound: int, dim: int):
-    """The box [-bound, bound]^dim, the normalized a-vectors in it, and the
-    boxes of its first dim // 2 and of its other coordinates.  All are in lex
-    order, so row i * len(lo) + j of the box is hi[i] followed by lo[j].  A
-    vector has positive first nonzero coordinate iff it comes after the zero
-    vector, the middle of the box."""
+    """The first half of the box [-bound, bound]^dim, the normalized
+    a-vectors, and the boxes hi of the first dim // 2 and lo of the other
+    coordinates, hi cut to the rows that begin a vector of the half.  All
+    are in lex order, so row i * len(lo) + j of the box is hi[i] followed by
+    lo[j], and the half is built that way without the box.  The box is
+    symmetric, row len - 1 - r being minus row r, and its middle row is the
+    zero vector; so its first half holds the vectors with negative first
+    nonzero coordinate, and the a-vectors are the primitive rows of the
+    half negated and reversed."""
     key = (bound, dim)
     if key not in _BOX_CACHE:
-        bvecs = _box(bound, dim)
-        positive = bvecs[len(bvecs) // 2 + 1 :]
-        avecs = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
-        h = dim // 2
-        _BOX_CACHE[key] = (bvecs, avecs, _box(bound, h), _box(bound, dim - h))
+        n = (2 * bound + 1) ** dim // 2
+        lo = _box(bound, dim - dim // 2)
+        hi = _box(bound, dim // 2)[: n // len(lo) + 1]
+        half = np.hstack((np.repeat(hi, len(lo), axis=0)[:n], np.tile(lo, (len(hi), 1))[:n]))
+        primitive = np.gcd.reduce(np.abs(half), axis=1) == 1
+        _BOX_CACHE[key] = (half, -half[primitive][::-1], hi, lo)
     return _BOX_CACHE[key]
 
 
@@ -125,10 +136,18 @@ def _search(mat: IntMatrix, bound: int) -> tuple[CurveCertificate | None, int, i
     the number of (a, b) pairs that passed the intersection filter and the
     number of them that verify_certificate checked.
 
-    The box is split into the halves hi and lo of the first dim // 2 and the
-    other coordinates.  For each a, the intersection a(M - M^T)b is an outer
-    sum of one product over hi and one over lo, and so is aMb on the pairs
-    that pass; bMb is a table over the box, computed once per matrix.
+    Only the first half of the box is scanned: the b with negative first
+    nonzero coordinate.  Negating b negates aMb, bMa and the intersection
+    and keeps bMb, so (a, b) passes each filter and verify_certificate
+    exactly when (a, -b) does, and the lex-first b that passes for an a lies
+    in the half.  The counts are those of the whole box: twice the half's,
+    except that for the a of the certificate the pairs checked end at the
+    certificate, so all of them lie in the half.
+
+    The half is split into the rows of hi and lo of the first dim // 2 and
+    the other coordinates.  For each a, the intersection a(M - M^T)b is an
+    outer sum of one product over hi and one over lo, and so is aMb on the
+    pairs that pass; bMb is a table over the half, computed once per matrix.
     bMa = aMb - a(M - M^T)b, so the Alexander test aMa bMb == aMb bMa needs
     no product over b beyond these.
 
@@ -136,34 +155,34 @@ def _search(mat: IntMatrix, bound: int) -> tuple[CurveCertificate | None, int, i
     equality of ring expressions, which reduction mod 2^64 preserves, so no
     true pair is dropped; a pair that only passes mod 2^64 is rejected by
     verify_certificate, which runs on the exact Python integers.  Splitting
-    the sums changes no residue, so every filter passes the same pairs as
-    one product over the whole box.
+    the sums and negating b change no residue, so every filter passes the
+    same pairs as one product over the whole box.
     """
     dim = len(mat)
     h = dim // 2
     m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
     anti = m - m.T
-    bvecs, avecs, hi, lo = _cached_boxes(bound, dim)
-    bmb = np.einsum("ij,ij->i", bvecs @ m, bvecs)
+    half, avecs, hi, lo = _cached_boxes(bound, dim)
+    bmb = np.einsum("ij,ij->i", half @ m, half)
     hits = checked = 0
     for scanned, a in enumerate(avecs, 1):
         w = a @ anti
-        p = ((hi @ w[:h])[:, None] + lo @ w[h:]).ravel()  # a (M - M^T) b
+        p = ((hi @ w[:h])[:, None] + lo @ w[h:]).ravel()[: len(half)]  # a (M - M^T) b
         cols = np.flatnonzero(np.abs(p) == 1)
         if not len(cols):
             continue
-        hits += len(cols)
+        hits += 2 * len(cols)
         u = a @ m
         i, j = np.divmod(cols, len(lo))
         x = (hi @ u[:h])[i] + (lo @ u[h:])[j]  # a M b
         ok = cols[np.flatnonzero((u @ a) * bmb[cols] == x * (x - p[cols]))]
         at = tuple(int(v) for v in a)
-        for c in ok:
-            checked += 1
-            b = tuple(int(v) for v in bvecs[c])
+        for n, c in enumerate(ok, 1):
+            b = tuple(int(v) for v in half[c])
             cert = CurveCertificate(at, b, restricted_form(mat, at, b))
             if verify_certificate(mat, cert):
-                return cert, scanned, hits, checked
+                return cert, scanned, hits, checked + n
+        checked += 2 * len(ok)
     return None, len(avecs), hits, checked
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from knotgenus.curve_search import (
     MAX_BOX_ENTRIES,
     CurveCertificate,
+    _box,
     _cached_boxes,
     _search,
     _wrap64,
@@ -50,10 +51,13 @@ def full_box_search(mat, bound):
     """The earlier int64 search: one product over the whole box per a, then
     the Alexander test on the gathered hit columns.  Returns the certificate,
     the a-vectors scanned, the pairs with intersection +-1 and the pairs
-    that went to verify_certificate."""
+    that went to verify_certificate.  It builds its own box and a-vectors,
+    independent of the search's cache."""
     dim = len(mat)
     m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
-    bvecs, avecs = _cached_boxes(bound, dim)[:2]
+    bvecs = _box(bound, dim)
+    positive = bvecs[len(bvecs) // 2 + 1 :]
+    avecs = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
     inter = (m - m.T) @ bvecs.T  # column j holds (M - M^T) b_j
     hits = checked = 0
     for scanned, a in enumerate(avecs, 1):
@@ -323,9 +327,65 @@ def test_split_box_passes_the_full_box_pairs():
     # same certificate, a-vectors scanned, and pairs passed by each filter
     cases = _wide_entry_matrices(random.Random(47))
     cases += [(seifert_matrix(KnotParams(m, n)), 3) for m, n in product(range(4), repeat=2)]
+    for m, n in product(range(11), repeat=2):
+        k = KnotParams(m, n)
+        cases.append((seifert_matrix(k), default_search_bound(k)))
     for mat, bound in cases:
         mat = as_matrix(mat)
         assert _search(mat, bound) == full_box_search(mat, bound), mat
+    # odd dimensions, where the half box ends inside the middle row of hi
+    rng = random.Random(53)
+    verdicts = {1: set(), 3: set(), 5: set()}
+    for dim, bound, r, _ in product((1, 3, 5), (1, 2), (2, 9), range(4)):
+        mat = as_matrix([[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)])
+        result = _search(mat, bound)
+        assert result == full_box_search(mat, bound), mat
+        verdicts[dim].add(result[0] is not None)
+    assert verdicts == {1: {False}, 3: {False, True}, 5: {False, True}}
+
+
+def test_half_box_cache():
+    # the half is the box's first half, the a-vectors are the normalized
+    # rows of the whole box, and hi is a prefix of the box of dim // 2
+    for bound, dim in [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (1, 5)]:
+        full = _box(bound, dim)
+        half, avecs, hi, lo = _cached_boxes(bound, dim)
+        positive = full[len(full) // 2 + 1 :]
+        assert np.array_equal(half, full[: len(full) // 2])
+        assert not full[len(full) // 2].any()
+        assert np.array_equal(-half[::-1], positive)
+        expected = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
+        assert np.array_equal(avecs, expected)
+        assert np.array_equal(hi, _box(bound, dim // 2)[: len(hi)])
+        assert np.array_equal(lo, _box(bound, dim - dim // 2))
+        assert len(hi) * len(lo) >= len(half)
+
+
+def test_certificates_are_symmetric_in_the_sign_of_b():
+    # verify_certificate accepts (a, b) iff it accepts (a, -b) with the
+    # off-diagonal of the form negated, also with entries beyond int64
+    rng = random.Random(59)
+    mats = [_random_seifert_like(rng) for _ in range(10)]
+    mats += [mat for mat, _ in _wide_entry_matrices(random.Random(47))]
+    accepted = 0
+    for mat in mats:
+        dim = len(mat)
+        cert = find_genus1_certificate(mat, 2 if dim < 4 else 1)
+        pairs = [tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in "ab") for _ in range(20)]
+        if cert is not None:
+            a, b = cert.a, cert.b
+            pairs += [(a, tuple(y + t * x for x, y in zip(a, b))) for t in range(-3, 4)]
+        for a, b in pairs:
+            (p, q), (r, s) = form = restricted_form(mat, a, b)
+            minus_b = tuple(-x for x in b)
+            assert restricted_form(mat, a, minus_b) == ((p, -q), (-r, s))
+            ok = verify_certificate(mat, CurveCertificate(a, b, form))
+            assert ok == verify_certificate(mat, CurveCertificate(a, minus_b, ((p, -q), (-r, s))))
+            accepted += ok
+    assert accepted > 100
+    # so the lex-first b lies in the half box scanned
+    for a, b in FIRST_CERTIFICATES.values():
+        assert next(x for x in b if x) < 0
 
 
 def test_search_matches_naive_double_loop_beyond_int64():
