@@ -24,7 +24,6 @@ from .pipeline import (
     full_report,
     genus_bounds,
     obstruction_dim,
-    signature_from_goeritz,
     verify_theorem,
 )
 from .seifert import (
@@ -42,7 +41,6 @@ from .two_bridge import (
     fraction_to_cf,
     knot_fraction,
     plumbing_weights,
-    positive_crossings,
     qmn_gram,
     seifert_matrix,
 )

@@ -7,15 +7,17 @@ reads the minors off its pivots in one pass.  The text format is: first
 line the size r, then r lines of r space-separated integers.  Lines
 starting with '#' are comments.
 
-The elimination skips zero entries by deferring a scale.  Without swaps,
-entry (i, j) after step k is the minor on rows 0..k, i and columns 0..k, j,
-and the pivot p_k is the (k+1)-th leading principal minor (p_-1 = 1).  If
-row i is 0 in column k, step k only multiplies the row by p_k / p_(k-1).
-So such a row is left as it is, with the pivot p_s it was last exact at;
-its true entries after step k are stored x p_k / p_s, an exact division
-since each is a minor.  A stored zero is an exact zero, since every scale
-is a nonzero pivot, so the zero tests and the swap choice read the stored
-entries.  A row swap swaps the remembered pivots with the rows.  On a
+The elimination skips zero entries.  Without swaps, entry (i, j) after step
+k is the minor on rows 0..k, i and columns 0..k, j, and the pivot p_k is
+the (k+1)-th leading principal minor (p_-1 = 1).  If row i is 0 in column
+k, step k only multiplies the row by p_k / p_(k-1), so the row is left as
+it is.  Each row keeps the pivot p_s its stored entries are exact at (1 at
+the start, p_k once step k updates it): its true entries are the stored
+ones x p_k / p_s.  An update divides by p_s in place of p_(k-1), and a
+pivot row is first multiplied by p_(k-1) and divided by p_s, exact since
+each true entry is a minor.  A stored zero is an exact zero, since every
+scale is a nonzero pivot, so the zero tests and the swap choice read the
+stored entries.  A row swap swaps the kept pivots with the rows.  On a
 tridiagonal (path) Gram matrix each step updates one row, so the pass costs
 O(n^2); on dense input it is still O(n^3).
 """
@@ -83,24 +85,21 @@ def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
     """
     n = len(m)
     a = [list(row) for row in m]
+    # at[i]: the pivot that row i's stored entries are exact at
+    at = [1] * n
     sign = 1
     prev = 1
-    # row index -> the pivot its stored entries are exact at, for every row
-    # whose rescaling is deferred; empty on a matrix without zeros
-    skipped = {}
     for k in range(n):
         if swap_rows and a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
-                    # the remembered pivots move with the rows; a row that
-                    # is exact now is exact at prev
-                    skipped[k], skipped[i] = skipped.get(i, prev), skipped.get(k, prev)
+                    at[k], at[i] = at[i], at[k]
                     sign = -sign
                     break
         row_k = a[k]
-        if skipped and k in skipped:
-            s = skipped.pop(k)
+        if at[k] != prev:
+            s = at[k]
             for j in range(k, n):
                 row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
@@ -112,12 +111,9 @@ def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
             row_i = a[i]
             aik = row_i[k]
             if aik == 0:
-                if i not in skipped:
-                    skipped[i] = prev
                 continue
-            # a deferred row divides by the pivot it is exact at, which
-            # applies its scale and this step's update in one pass
-            d = skipped.pop(i, prev) if skipped else prev
+            d = at[i]
+            at[i] = pivot
             for j in cols:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // d
         prev = pivot

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,6 @@ from .two_bridge import (
     continued_fraction,
     crossing_count,
     knot_fraction,
-    positive_crossings,
     qmn_gram,
     seifert_matrix,
 )
@@ -85,13 +85,6 @@ def obstruction_dim(rank: int, sigma: int) -> int:
     return rank - sigma
 
 
-def signature_from_goeritz(rank: int, n_plus: int) -> int:
-    """Signature from Goeritz rank and positive crossing count: rank - n_+."""
-    if n_plus < 0:
-        raise ValueError("positive crossing count must be >= 0")
-    return rank - n_plus
-
-
 def _is_square(x: int) -> bool:
     return x >= 0 and isqrt(x) ** 2 == x
 
@@ -116,10 +109,6 @@ def _family_notes(k: KnotParams) -> list[str]:
             f"stated-condition discrepancy: n + 2 = {n + 2} is a perfect square "
             "but n + 3 is not; certificate presence is determined empirically"
         )
-    notes.append(
-        f"positive crossing count n+ = {positive_crossings(k)} is inferred from "
-        "the signature formula sigma = rank - n+, not counted on a diagram"
-    )
     return notes
 
 
@@ -199,15 +188,6 @@ def full_report(
     )
 
 
-def _report_row(args):
-    m, n, curve_bound, embed_cap_seconds = args
-    return full_report(
-        KnotParams(m, n),
-        curve_bound=curve_bound,
-        embed_cap_seconds=embed_cap_seconds,
-    )
-
-
 def verify_theorem(
     m_max: int,
     n_max: int,
@@ -224,15 +204,14 @@ def verify_theorem(
         raise ValueError("jobs must be >= 1")
     if m_max < 0 or n_max < 0:
         raise ValueError("ranges must be >= 0")
-    grid = [
-        (m, n, curve_bound, embed_cap_seconds)
-        for m in range(m_max + 1)
-        for n in range(n_max + 1)
-    ]
+    grid = [KnotParams(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
+    report = functools.partial(
+        full_report, curve_bound=curve_bound, embed_cap_seconds=embed_cap_seconds
+    )
     if jobs is not None and jobs > 1 and len(grid) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_report_row, grid))
-    return [_report_row(row) for row in grid]
+            return list(pool.map(report, grid))
+    return [report(k) for k in grid]
 
 
 # ---------------------------------------------------------------------------

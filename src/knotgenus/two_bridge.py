@@ -124,13 +124,3 @@ def crossing_count(k: KnotParams) -> int:
     """Crossing number of the standard alternating diagram: sum of the CF
     coefficients, 2m+2n+12."""
     return sum(continued_fraction(k))
-
-
-def positive_crossings(k: KnotParams) -> int:
-    """Positive crossings of the standard diagram: 2m+2n+10.
-
-    Inferred, not read off the diagram: the Goeritz signature formula
-    sigma = rank - n_+ with sigma = -2 and rank = 2m+2n+8 forces this value.
-    Reports should flag it as derived.
-    """
-    return 2 * k.m + 2 * k.n + 10

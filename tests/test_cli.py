@@ -145,9 +145,11 @@ def test_lattice_no_embedding_message_names_the_library_default_cap(
     assert lattice.min_embedding_dim(lattice.GramLattice([[2, -1], [-1, 2]])) is None
 
 
-def test_verify_json_matches_the_reference(capsys):
-    reference = Path(__file__).parent / "reference" / "verify_m3_n3.json"
-    code, out, _ = run(capsys, ["verify", "--m-max", "3", "--n-max", "3", "--format", "json"])
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_verify_json_matches_the_reference(capsys, fmt):
+    suffix = {"json": "json", "human": "txt"}[fmt]
+    reference = Path(__file__).parent / "reference" / f"verify_m3_n3.{suffix}"
+    code, out, _ = run(capsys, ["verify", "--m-max", "3", "--n-max", "3", "--format", fmt])
     assert code == 0
     assert out == reference.read_text()
 

@@ -125,7 +125,7 @@ def test_leading_principal_minors_stop_at_first_nonpositive():
     assert leading_principal_minors(((0, 1), (1, 1))) == [0]
 
 
-# Row 3 is 0 in column 1 after step 0, so its scale is deferred at p_0 = 2.
+# Row 3 is 0 in column 1 after step 0, so it stays exact at p_0 = 2.
 # Row 2 is 0 in columns 0-2, so at step 2 a swap moves row 3 into the pivot
 # position, where it is materialized with the scale p_1 / p_0 = 4 / 2.
 SKIPPED_ROW_SWAPPED_IN = ((2, 2, 0, 0), (1, 3, 1, 0), (0, 0, 0, 1), (1, 1, 1, 0))
@@ -165,7 +165,7 @@ def _row_updates(mat):
     divisor of a row about to be updated, while the leading minors of mat
     are computed."""
     lines, start = inspect.getsourcelines(_bareiss_pivots)
-    [offset] = [i for i, line in enumerate(lines) if "skipped.pop(i, prev)" in line]
+    [offset] = [i for i, line in enumerate(lines) if "d = at[i]" in line]
     target = start + offset
     count = 0
 

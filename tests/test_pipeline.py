@@ -13,7 +13,6 @@ from knotgenus.pipeline import (
     render_json,
     report_to_dict,
     reports_to_csv,
-    signature_from_goeritz,
     verify_theorem,
 )
 from knotgenus.two_bridge import KnotParams, knot_fraction, qmn_gram, seifert_matrix
@@ -47,14 +46,6 @@ def test_obstruction_dim():
     assert obstruction_dim(5, 0) == 5
     with pytest.raises(ValueError, match="sigma <= 0"):
         obstruction_dim(5, 2)
-
-
-def test_signature_from_goeritz():
-    assert signature_from_goeritz(8, 10) == -2
-    assert signature_from_goeritz(7, 7) == 0
-    for m in range(4):
-        for n in range(4):
-            assert signature_from_goeritz(2 * m + 2 * n + 8, 2 * m + 2 * n + 10) == -2
 
 
 def test_full_report_k00():

@@ -204,6 +204,39 @@ def test_alexander_against_sympy_oracle():
         assert _obeys_canonical_rule(got)
 
 
+def _two_bridge_signs(k):
+    """(-1)^floor(i q / p) for i = 1..p-1, where p/q is the fraction of k
+    with q replaced by q + p: the same 2-bridge knot, with q odd as the
+    classical formulas below require."""
+    f = knot_fraction(k)
+    p, q = f.numerator, f.denominator + f.numerator
+    assert q % 2 == 1
+    return [(-1) ** (i * q // p) for i in range(1, p)]
+
+
+def test_signature_matches_the_two_bridge_sum():
+    # sigma = sum of the signs, read off p/q alone
+    for m in range(12):
+        for n in range(12):
+            k = KnotParams(m, n)
+            expected = sum(_two_bridge_signs(k))
+            assert signature(symmetrize(seifert_matrix(k))) == expected
+
+
+def test_alexander_matches_the_two_bridge_formula():
+    # Hartley, Topology 22 (1983): Delta = sum_(i=0..p-1) (-1)^i t^(s_i) up
+    # to +-t^k, with s_0 = 0 and s_i the partial sums of the signs
+    for m in range(12):
+        for n in range(12):
+            k = KnotParams(m, n)
+            expected, s = {0: 1}, 0
+            for i, sign in enumerate(_two_bridge_signs(k), start=1):
+                s += sign
+                expected[s] = expected.get(s, 0) + (-1) ** i
+            got = alexander(seifert_matrix(k))
+            assert _units_normal(got.coeffs) == _units_normal(expected)
+
+
 def test_alexander_multiplicative_on_block_sum():
     # the block sum is a Seifert matrix of the connected sum of four K(m,n)
     params = [KnotParams(0, 0), KnotParams(1, 2), KnotParams(3, 0), KnotParams(2, 5)]

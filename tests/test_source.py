@@ -66,12 +66,10 @@ def test_public_names_are_the_contract():
         "obstruction_dim",
         "parse_matrix_text",
         "plumbing_weights",
-        "positive_crossings",
         "qmn_gram",
         "restricted_form",
         "seifert_matrix",
         "signature",
-        "signature_from_goeritz",
         "verify_certificate",
         "verify_embedding",
         "verify_theorem",

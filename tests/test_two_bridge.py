@@ -11,7 +11,6 @@ from knotgenus.two_bridge import (
     fraction_to_cf,
     knot_fraction,
     plumbing_weights,
-    positive_crossings,
     qmn_gram,
     seifert_matrix,
 )
@@ -146,13 +145,6 @@ def test_crossing_count():
             k = KnotParams(m, n)
             assert crossing_count(k) == 2 * m + 2 * n + 12
             assert qmn_gram(k).rank == crossing_count(k) - 4
-
-
-def test_positive_crossings_inferred_value():
-    for m in range(8):
-        for n in range(8):
-            k = KnotParams(m, n)
-            assert qmn_gram(k).rank - positive_crossings(k) == -2
 
 
 def test_params_validation():
