@@ -2,12 +2,26 @@
 
 The decision procedure is a complete backtracking search: basis vectors are
 assigned integer M-vectors in order, constrained by every pairwise dot
-product against the vectors already placed.  Ambient coordinate
-permutations and sign flips are quotiented by first-use canonicalization:
-coordinates enter the search in ascending index order, and the block of
-coordinates first touched by a given vector carries positive, non-increasing
-values.  Every embedding is equivalent to a canonical one under the ambient
-symmetries, so absence results are exhaustive.
+product against the vectors already placed.  Ambient symmetries (coordinate
+permutations and sign flips) are quotiented by keeping, for each vector, only
+the lex-first candidate of its orbit under the symmetries that fix every
+vector already placed:
+
+- Fresh coordinates enter the search in ascending index order, and the block
+  of coordinates first touched by a given vector carries positive,
+  non-increasing values (the unused coordinates are one class, with signs).
+- Two used coordinates are interchangeable when every placed vector has the
+  same entry on both.  Swapping them fixes every placed vector, so the
+  candidates and their completions are closed under permutations within
+  each class of interchangeable coordinates, and a candidate is kept only if
+  its entries are non-decreasing along each class, in coordinate order.
+
+Canonicalizing the first vector by an ambient symmetry, the second by the
+stabilizer of the first, and so on, turns every embedding into one the
+search enumerates, so absence results are exhaustive.  The first witness is
+the one the unquotiented search finds: each of its vectors is lex-first in
+its orbit, since permuting a class of the whole completion otherwise gives
+an earlier one.
 
 The search keeps its own stack, one entry per basis vector and one per
 coordinate of the vector being built, so its depth is not bounded by the
@@ -19,6 +33,9 @@ search keeps a coordinate -> placed-vector index, pushed and popped with each
 vector, whose entries carry the vector's suffix norm past that coordinate,
 computed once when the vector is placed.  Building a candidate then costs
 work only where a placed vector is nonzero, not rank x coordinates per node.
+The classes are linked lists over the coordinates, split by each placed
+vector on the classes it is nonzero on, and restored on backing up from a
+log of the links that the split rewrote.
 """
 
 from __future__ import annotations
@@ -86,41 +103,91 @@ class _EmbedSearch:
         # than the trace of the Gram matrix are ever live.
         live = min(ambient_dim, sum(gram[i][i] for i in range(self.rank)))
         self.touching: list[list[tuple[int, int, int]]] = [[] for _ in range(live)]
+        # the classes of interchangeable used coordinates, as linked lists in
+        # coordinate order: same[c] / nxt[c] is the previous / next
+        # coordinate of c's class, or -1
+        self.same = [-1] * live
+        self.nxt = [-1] * live
+        # per placed vector: (c, same[c], nxt[c]) before its push, for each
+        # coordinate c of the classes the push split
+        self.undo: list[list[tuple[int, int, int]]] = []
 
-    def _push(self, vec: list[int]):
-        """Place vec as the next basis vector and index its nonzero entries,
-        each with the suffix norm after it (fixed once the vector is placed)."""
+    def _push(self, head: tuple[int, ...], fresh: tuple[int, ...]):
+        """Place head + fresh as the next basis vector, head over the used
+        coordinates.  Index its nonzero entries, each with the suffix norm
+        after it (fixed once the vector is placed), and split each class it
+        is nonzero on by its entries, logging the links it rewrites."""
+        vec = list(head) + list(fresh)
         j = len(self.assigned)
         self.assigned.append(vec)
+        touching, same, nxt = self.touching, self.same, self.nxt
+        used = len(head)
+        heads = set()  # the first coordinates of the classes to split
         tail = 0
         for c in range(len(vec) - 1, -1, -1):
             e = vec[c]
             if e:
-                self.touching[c].append((j, e, tail))
+                touching[c].append((j, e, tail))
                 tail += e * e
+                if c < used:
+                    h = c
+                    while same[h] >= 0:
+                        h = same[h]
+                    heads.add(h)
+        log = []
+        for c in heads:
+            # link each member to the previous member with the same entry
+            last = {}  # entry -> its latest member so far
+            while c >= 0:
+                log.append((c, same[c], nxt[c]))
+                following = nxt[c]
+                p = same[c] = last.get(vec[c], -1)
+                if p >= 0:
+                    nxt[p] = c
+                last[vec[c]] = c
+                c = following
+            for c in last.values():
+                nxt[c] = -1
+        self.undo.append(log)
+        # the fresh block, positive and non-increasing: a class per run of
+        # equal values
+        for c in range(used, len(vec)):
+            same[c] = c - 1 if c > used and vec[c - 1] == vec[c] else -1
+            nxt[c] = c + 1 if c + 1 < len(vec) and vec[c + 1] == vec[c] else -1
 
     def _pop(self):
         for c, e in enumerate(self.assigned.pop()):
             if e:
                 self.touching[c].pop()
+        same, nxt = self.same, self.nxt
+        for c, s, n in self.undo.pop():
+            same[c], nxt[c] = s, n
 
     def _candidates(self, i: int, used: int):
         """All canonical vectors for basis index i given the current partial
         assignment: a part over the `used` live coordinates satisfying every
         dot constraint, plus leftover norm placed on fresh coordinates.
 
-        Values go in ascending order at each coordinate.  At coordinate c only
-        the placed vectors nonzero there (`touching[c]`) update their residual
-        dot (`needs`, undone on backing up) and are checked by Cauchy-Schwarz
-        against their suffix norm past c; a vector that is zero at c keeps
-        both.  At its last nonzero coordinate a vector's suffix norm is 0, so
+        A part is canonical when its values are non-decreasing along each
+        class of interchangeable coordinates: the lex-first member of its
+        orbit under the permutations of the classes, which fix every placed
+        vector and so map candidates and their completions to candidates and
+        completions.  Values go in ascending order at each coordinate,
+        starting at the value of the previous coordinate of its class
+        (`same`).  When the norm is spent before the last used coordinate,
+        the trailing zeros must not follow a positive value of their class.
+
+        At coordinate c only the placed vectors nonzero there (`touching[c]`)
+        update their residual dot (`needs`, undone on backing up) and are
+        checked by Cauchy-Schwarz against their suffix norm past c; a vector
+        that is zero at c keeps both.  At its last nonzero coordinate a vector's suffix norm is 0, so
         the check forces its residual to 0 there.  Once the norm is spent only
         zeros remain, and the candidate stands iff every residual is 0.  Every
-        prune is sound, so the list is exactly the one an unpruned scan in the
-        same order gives."""
+        prune is sound, so the list is exactly the one an unpruned scan of the
+        canonical parts in the same order gives."""
         d = self.g[i][i]
         max_entry = isqrt(d)
-        touching = self.touching
+        touching, same = self.touching, self.same
         out = []
         x = [0] * used  # the value chosen at each coordinate
         left = [d] + [0] * used  # the norm left before each coordinate
@@ -146,11 +213,13 @@ class _EmbedSearch:
                             needs[j] -= val * e
                         x[c] = val
                     left[c + 1] = rest
-                    c, val = c + 1, -max_entry
+                    c += 1
+                    val = x[s] if c < used and (s := same[c]) >= 0 else -max_entry
                     continue
-            elif not any(needs):
+            elif not any(needs) and all(s < 0 or x[s] <= 0 for s in same[c:used]):
+                head = tuple(x)
                 for part in _square_partitions(norm_left, max_entry, self.M - used):
-                    out.append((tuple(x), part))
+                    out.append((head, part))
             # back up to the previous coordinate and its next value
             c -= 1
             if c < 0:
@@ -183,7 +252,7 @@ class _EmbedSearch:
                     return None
                 self._pop()
             head, fresh = nxt
-            self._push(list(head) + list(fresh))
+            self._push(head, fresh)
             used = stack[-1][1] + len(fresh)
 
 

@@ -57,11 +57,6 @@ def symmetrize(m: IntMatrix) -> IntMatrix:
     return add(m, transpose(m))
 
 
-def antisymmetrize(m: IntMatrix) -> IntMatrix:
-    n = len(m)
-    return tuple(tuple(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
-
-
 def mat_vec(m: IntMatrix, v) -> tuple[int, ...]:
     return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
 

@@ -19,9 +19,15 @@ from knotgenus.curve_search import (
     restricted_form,
     verify_certificate,
 )
-from knotgenus.matrices import antisymmetrize, as_matrix, bilinear, det, dot
+from knotgenus.matrices import as_matrix, bilinear, det, dot
 from knotgenus.seifert import alexander_trivial_2x2
 from knotgenus.two_bridge import KnotParams, seifert_matrix
+
+
+def antisymmetrize(m):
+    """m - m^T."""
+    n = len(m)
+    return tuple(tuple(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
 
 
 def naive_double_loop(mat, bound):

@@ -243,8 +243,9 @@ def test_embedding_holds_a_tuple_of_ints_without_copying():
 
 def dense_candidates(gram, ambient_dim, assigned, i, used):
     """The earlier candidate generator, kept as the reference for the
-    canonical order: it rebuilds every placed vector's suffix norms and
-    checks every placed vector at every coordinate."""
+    canonical order: it rebuilds every placed vector's suffix norms, checks
+    every placed vector at every coordinate, and quotients only by the
+    first use of fresh coordinates, not by the classes of used ones."""
     d = gram[i][i]
     max_entry = isqrt(d)
     assigned = [list(v) + [0] * (ambient_dim - len(v)) for v in assigned]
@@ -284,13 +285,69 @@ def dense_candidates(gram, ambient_dim, assigned, i, used):
     return out
 
 
+def column_keys(assigned, used):
+    """The entries of the placed vectors on each used coordinate: two used
+    coordinates are interchangeable iff their keys are equal."""
+    return [tuple(v[c] if c < len(v) else 0 for v in assigned) for c in range(used)]
+
+
+def class_links(assigned, used):
+    """The classes of interchangeable used coordinates, from the placed
+    vectors alone: (same, nxt), the previous and the next coordinate c' < used
+    of c's class, or -1."""
+    keys = column_keys(assigned, used)
+    same, nxt, last = [-1] * used, [-1] * used, {}
+    for c, key in enumerate(keys):
+        if key in last:
+            same[c] = last[key]
+            nxt[last[key]] = c
+        last[key] = c
+    return same, nxt
+
+
+def canonical_candidates(gram, ambient_dim, assigned, i, used):
+    """dense_candidates, less every candidate whose head decreases along a
+    class of interchangeable used coordinates."""
+    same, _ = class_links(assigned, used)
+    return [
+        (head, part)
+        for head, part in dense_candidates(gram, ambient_dim, assigned, i, used)
+        if all(s < 0 or head[s] <= head[c] for c, s in enumerate(same))
+    ]
+
+
 class _CheckedSearch(_EmbedSearch):
-    """The search, with every node's candidate list compared to the reference."""
+    """The search, with every node's candidate list compared to the
+    reference, and every push and pop of the classes checked: a push logs
+    exactly the members of the classes its head is nonzero on, with their
+    links before it, and a pop restores them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.saved = []
 
     def _candidates(self, i, used):
+        assert (self.same[:used], self.nxt[:used]) == class_links(self.assigned, used)
         got = super()._candidates(i, used)
-        assert got == dense_candidates(self.g, self.M, self.assigned, i, used)
+        assert got == canonical_candidates(self.g, self.M, self.assigned, i, used)
         return got
+
+    def _push(self, head, fresh):
+        used = len(head)
+        before = (self.same[:used], self.nxt[:used])
+        keys = column_keys(self.assigned, used)
+        split = {keys[c] for c, e in enumerate(head) if e}
+        super()._push(head, fresh)
+        log = self.undo[-1]
+        assert sorted(c for c, _, _ in log) == [c for c in range(used) if keys[c] in split]
+        assert all((s, n) == (before[0][c], before[1][c]) for c, s, n in log)
+        self.saved.append(before)
+
+    def _pop(self):
+        super()._pop()
+        same, nxt = self.saved.pop()
+        used = len(same)
+        assert (self.same[:used], self.nxt[:used]) == (same, nxt)
 
 
 def _checked_run(gram, dim):
@@ -301,26 +358,99 @@ def _checked_run(gram, dim):
     return search.nodes
 
 
+class _ReferenceSearch(_EmbedSearch):
+    """The search without the class rule: its candidates are the unpruned
+    dense_candidates, quotiented only by the first use of fresh coordinates."""
+
+    def _candidates(self, i, used):
+        return dense_candidates(self.g, self.M, self.assigned, i, used)
+
+
+def _against_reference(gram, dim, max_nodes=None):
+    """The verdict and first witness of the search equal the reference's,
+    in no more nodes.  Raises SearchBudgetExceeded when the reference
+    needs more than max_nodes."""
+    reference = _ReferenceSearch(gram, dim, max_nodes=max_nodes)
+    expected = reference.run()
+    search = _EmbedSearch(gram, dim)
+    assert search.run() == expected
+    assert search.nodes <= reference.nodes
+    return expected
+
+
+def _random_gram(rng, r):
+    """A Gram of {-1,0,1} vectors, a PD-checked one with diagonal <= 5, or a
+    signed plumbing with weights 2-4; None if not positive definite."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        # Gram of random vectors: embeddable, so witness paths are covered
+        k = rng.randint(r, r + 2)
+        vs = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(r)]
+        rows = [[dot(u, v) for v in vs] for u in vs]
+    elif kind == 1:
+        rows = [[0] * r for _ in range(r)]
+        for a in range(r):
+            rows[a][a] = rng.randint(1, 5)
+            for b in range(a):
+                rows[a][b] = rows[b][a] = rng.randint(-2, 2)
+    else:
+        return _signed_plumbing(rng, [rng.randint(2, 4) for _ in range(r)])
+    try:
+        return GramLattice(rows)
+    except ValueError:  # not positive definite
+        return None
+
+
+def _signed_plumbing(rng, weights):
+    signs = [rng.choice((1, -1)) for _ in weights]
+    base = path_gram(weights).gram
+    return GramLattice(
+        [[signs[i] * signs[j] * base[i][j] for j in range(len(base))] for i in range(len(base))]
+    )
+
+
+def test_search_matches_the_reference_without_the_class_rule():
+    # 300 lattices of rank 1-6, each at dimensions rank..rank+3; a search
+    # the reference cannot finish in 2,000 nodes is left out, to bound the
+    # test's time, and such searches must stay rare
+    rng = random.Random(79)
+    lattices = over_budget = 0
+    verdicts = {True: 0, False: 0}
+    while lattices < 300:
+        r = rng.randint(1, 6)
+        g = _random_gram(rng, r)
+        if g is None:
+            continue
+        for dim in range(r, r + 4):
+            try:
+                verdicts[_against_reference(g.gram, dim, max_nodes=2000) is not None] += 1
+            except SearchBudgetExceeded:
+                over_budget += 1
+        lattices += 1
+    assert over_budget <= 12
+    # both verdicts are well covered
+    assert min(verdicts.values()) > 300
+
+
+def test_search_matches_the_reference_on_the_plumbing_catalogue():
+    # the benchmark's plumbing catalogue (seed 2015, ranks 6-8) with seeded
+    # basis signs, at every dimension from the rank to the minimal one
+    catalogue, rng = random.Random(2015), random.Random(83)
+    for rank in (6,) * 14 + (7,) * 13 + (8,) * 13:
+        g = _signed_plumbing(rng, [catalogue.randint(2, 4) for _ in range(rank)])
+        dim = rank
+        while _against_reference(g.gram, dim) is None:
+            dim += 1
+        assert dim == min_embedding_dim(g)
+
+
 def test_candidate_order_matches_dense_reference():
     rng = random.Random(61)
     nodes = 0
     cases = 0
     while cases < 250:
-        r = rng.randint(1, 5)
-        if rng.random() < 0.5:
-            # Gram of random vectors: embeddable, so witness paths are covered
-            k = rng.randint(r, r + 2)
-            vs = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(r)]
-            rows = [[dot(u, v) for v in vs] for u in vs]
-        else:
-            rows = [[0] * r for _ in range(r)]
-            for a in range(r):
-                rows[a][a] = rng.randint(1, 5)
-                for b in range(a):
-                    rows[a][b] = rows[b][a] = rng.randint(-2, 2)
-        try:
-            g = GramLattice(rows)
-        except ValueError:  # not positive definite
+        g = _random_gram(rng, rng.randint(1, 5))
+        if g is None:
             continue
         for dim in range(1, 8):
             nodes += _checked_run(g.gram, dim)
@@ -331,27 +461,46 @@ def test_candidate_order_matches_dense_reference():
 def test_candidate_order_matches_dense_reference_on_signed_plumbings():
     rng = random.Random(67)
     for _ in range(16):
-        weights = [rng.randint(2, 4) for _ in range(rng.randint(2, 7))]
-        signs = [rng.choice((1, -1)) for _ in weights]
-        base = path_gram(weights).gram
-        gram = [[signs[i] * signs[j] * base[i][j] for j in range(len(base))] for i in range(len(base))]
-        for dim in range(len(weights), len(weights) + 4):
-            _checked_run(gram, dim)
+        g = _signed_plumbing(rng, [rng.randint(2, 4) for _ in range(rng.randint(2, 7))])
+        for dim in range(g.rank, g.rank + 4):
+            _checked_run(g.gram, dim)
+
+
+class _FreshOnlySearch(_EmbedSearch):
+    """The search with every used coordinate in a class of its own:
+    quotiented only by the first use of fresh coordinates."""
+
+    def _candidates(self, i, used):
+        classes, self.same = self.same, [-1] * used
+        try:
+            return super()._candidates(i, used)
+        finally:
+            self.same = classes
+
+
+# (m, n, nodes of the fresh-only search, nodes of the search); a case's id
+# is m-n-(fresh-only nodes)
+OBSTRUCTIONS = [
+    (0, 0, 36, 14), (1, 0, 32, 12), (0, 1, 48, 18), (3, 7, 96, 30), (5, 5, 88, 30),
+    (10, 10, 148, 50), (20, 20, 268, 90), (60, 60, 748, 250), (240, 0, 988, 490),
+    (120, 115, 1428, 480),
+]
 
 
 @pytest.mark.parametrize(
-    "m, n, nodes",
-    [
-        (0, 0, 36), (1, 0, 32), (0, 1, 48), (3, 7, 96), (5, 5, 88), (10, 10, 148), (20, 20, 268),
-        (60, 60, 748), (240, 0, 988), (120, 115, 1428),
-    ],
+    "m, n, fresh_only, nodes",
+    [pytest.param(*case, id="-".join(map(str, case[:3]))) for case in OBSTRUCTIONS],
 )
-def test_obstruction_node_counts(m, n, nodes):
-    # Q(m,n) has no embedding at rank + 2; the node counts pin the search order
+def test_obstruction_node_counts(m, n, fresh_only, nodes):
+    # Q(m,n) has no embedding at rank + 2; the node counts pin the search
+    # order, with and without the classes of interchangeable coordinates
     g = qmn_gram(KnotParams(m, n))
     search = _EmbedSearch(g.gram, g.rank + 2)
     assert search.run() is None
     assert search.nodes == nodes
+    reference = _FreshOnlySearch(g.gram, g.rank + 2)
+    assert reference.run() is None
+    assert reference.nodes == fresh_only
 
 
 def test_search_depth_not_bound_by_recursion_limit():
@@ -384,12 +533,7 @@ def test_verify_embedding_rejects_every_unit_change():
     # that vector's norm by 2x +- 1, never by 0
     catalogue, rng = random.Random(2015), random.Random(71)
     for _ in range(10):
-        weights = [catalogue.randint(2, 4) for _ in range(6)]
-        signs = [rng.choice((1, -1)) for _ in weights]
-        base = path_gram(weights).gram
-        g = GramLattice(
-            [[signs[i] * signs[j] * base[i][j] for j in range(len(base))] for i in range(len(base))]
-        )
+        g = _signed_plumbing(rng, [catalogue.randint(2, 4) for _ in range(6)])
         dim = min_embedding_dim(g)
         e = find_embedding(g, dim)
         assert verify_embedding(g, e) and dense_verify_embedding(g, e)
@@ -409,5 +553,5 @@ def test_find_embedding_logs_one_info_record(caplog):
         assert find_embedding(g, 11) is not None
     records = [r for r in caplog.records if r.name == "knotgenus.lattice"]
     assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
-    assert "rank 8, dim 10, absent, 36 nodes" in records[0].getMessage()
+    assert "rank 8, dim 10, absent, 14 nodes" in records[0].getMessage()
     assert "rank 8, dim 11, found" in records[1].getMessage()

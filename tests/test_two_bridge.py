@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotgenus.matrices import antisymmetrize, det
+from knotgenus.matrices import det
 from knotgenus.two_bridge import (
     KnotParams,
     cf_to_fraction,
@@ -80,6 +80,12 @@ def test_seifert_matrix_examples():
         (0, 0, -1, 0),
         (0, 0, -1, 1),
     )
+
+
+def antisymmetrize(m):
+    """m - m^T."""
+    n = len(m)
+    return tuple(tuple(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
 
 
 def test_seifert_antisymmetrization_unimodular():
