@@ -41,7 +41,9 @@ log = logging.getLogger(__name__)
 
 # The half box of b-vectors, its bMb table and, per a-vector, one outer sum
 # over the half box are materialized as int64 arrays; the box guard allows
-# at most this many entries in the whole box (64 MB).
+# at most this many entries in the whole box.  At the largest box it accepts
+# (dim 4, bound 18, 7,496,644 entries) `knot curve --matrix` peaks at 127 MB
+# RSS, against 30 MB for the import alone (measured on 2-core x86-64).
 MAX_BOX_ENTRIES = 1 << 23
 
 

@@ -88,6 +88,15 @@ def _square_partitions(n: int, max_part: int, max_len: int):
         p -= 1
 
 
+def _with_fresh_parts(heads, max_part: int, max_len: int):
+    """Each (head, norm left) of `heads` with each fresh part of that norm,
+    in order.  A function of its own: a generator expression in
+    _candidates would turn max_entry, read in its hot loop, into a cell."""
+    for head, rest in heads:
+        for part in _square_partitions(rest, max_part, max_len):
+            yield head, part
+
+
 class _EmbedSearch:
     def __init__(self, gram, ambient_dim, max_nodes=None, deadline=None):
         self.g = gram
@@ -183,12 +192,15 @@ class _EmbedSearch:
         that is zero at c keeps both.  At its last nonzero coordinate a vector's suffix norm is 0, so
         the check forces its residual to 0 there.  Once the norm is spent only
         zeros remain, and the candidate stands iff every residual is 0.  Every
-        prune is sound, so the list is exactly the one an unpruned scan of the
-        canonical parts in the same order gives."""
+        prune is sound, so the candidates are exactly the ones an unpruned scan
+        of the canonical parts gives, in the same order.  They are returned as
+        an iterator that generates the fresh parts of each head only as the
+        search takes them, so a budget stops a node with many fresh parts
+        after the first."""
         d = self.g[i][i]
         max_entry = isqrt(d)
         touching, same = self.touching, self.same
-        out = []
+        heads = []  # (part over the used coordinates, norm left for fresh ones)
         x = [0] * used  # the value chosen at each coordinate
         left = [d] + [0] * used  # the norm left before each coordinate
         needs = [self.g[i][j] for j in range(i)]
@@ -217,13 +229,13 @@ class _EmbedSearch:
                     val = x[s] if c < used and (s := same[c]) >= 0 else -max_entry
                     continue
             elif not any(needs) and all(s < 0 or x[s] <= 0 for s in same[c:used]):
-                head = tuple(x)
-                for part in _square_partitions(norm_left, max_entry, self.M - used):
-                    out.append((head, part))
+                heads.append((tuple(x), norm_left))
             # back up to the previous coordinate and its next value
             c -= 1
             if c < 0:
-                return out
+                # the heads read the search state, so they are listed now; the
+                # fresh parts read none and are generated as the search asks
+                return _with_fresh_parts(heads, max_entry, self.M - used)
             val = x[c]
             if val:
                 for j, e, _ in touching[c]:

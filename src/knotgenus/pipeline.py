@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
@@ -46,28 +47,37 @@ class EmbeddingVerdict:
 
 @dataclass(frozen=True)
 class SliceReport:
+    """The invariants and search results of one knot.  The genus bounds are
+    derived from them, here and nowhere else."""
+
     params: KnotParams
     fraction: Fraction
     signature: int
     determinant: int
     alexander: LaurentPolynomial
-    gtop_lower: int
-    gtop_upper: int
-    gsm_lower: int
-    gsm_upper: int
     curve_certificate: CurveCertificate | None = None
     embedding_verdict: EmbeddingVerdict | None = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-    def __post_init__(self):
-        ok = (
-            self.gtop_lower <= self.gtop_upper <= self.gsm_upper
-            and self.gsm_lower <= self.gsm_upper
-        )
-        if not ok:
-            raise ValueError("inconsistent genus bounds")
-        if self.curve_certificate is not None and self.gtop_upper > 1:
-            raise ValueError("certificate present but gtop_upper > 1")
+    gsm_upper = 2  # the genus-2 Seifert surface
+
+    @property
+    def gtop_lower(self) -> int:
+        """The signature bound |sigma| <= 2 g_top."""
+        return (abs(self.signature) + 1) // 2
+
+    @property
+    def gtop_upper(self) -> int:
+        """1 with a genus-1 certificate, else the Seifert surface's genus."""
+        return 1 if self.curve_certificate is not None else self.gsm_upper
+
+    @property
+    def gsm_lower(self) -> int:
+        """1 - sigma/2 once the Goeritz lattice misses Z^(rank - sigma)."""
+        v = self.embedding_verdict
+        if v is not None and v.embeddable is False:
+            return 1 - self.signature // 2
+        return self.gtop_lower
 
     @property
     def conclusive(self) -> bool:
@@ -89,16 +99,21 @@ def _is_square(x: int) -> bool:
     return x >= 0 and isqrt(x) ** 2 == x
 
 
+def _certificate_families(k: KnotParams) -> list[str]:
+    """The cases of the paper's certificate families that k lies in."""
+    m, n = k.m, k.n
+    cases = [
+        ("m = n = 0", m == 0 and n == 0),
+        (f"m + 2 = {m + 2} is a perfect square", _is_square(m + 2)),
+        (f"n + 3 = {n + 3} is a perfect square", _is_square(n + 3)),
+    ]
+    return [case for case, holds in cases if holds]
+
+
 def _family_notes(k: KnotParams) -> list[str]:
     m, n = k.m, k.n
-    notes = []
-    if m == 0 and n == 0:
-        notes.append("appears in knot tables as 12a255")
-        notes.append("certificate family case: m = n = 0")
-    if _is_square(m + 2):
-        notes.append(f"certificate family case: m + 2 = {m + 2} is a perfect square")
-    if _is_square(n + 3):
-        notes.append(f"certificate family case: n + 3 = {n + 3} is a perfect square")
+    notes = ["appears in knot tables as 12a255"] if m == 0 and n == 0 else []
+    notes += [f"certificate family case: {case}" for case in _certificate_families(k)]
     if _is_square(m + 3) and not _is_square(m + 2):
         notes.append(
             f"stated-condition discrepancy: m + 3 = {m + 3} is a perfect square "
@@ -115,19 +130,12 @@ def _family_notes(k: KnotParams) -> list[str]:
 def genus_bounds(k: KnotParams) -> SliceReport:
     """Invariants and a-priori bounds only; no searches."""
     mat = seifert_matrix(k)
-    sigma = signature(symmetrize(mat))
-    gtop_lower = (-sigma + 1) // 2 if sigma < 0 else (sigma + 1) // 2
-    gsm_upper = 2  # genus-2 Seifert surface
     return SliceReport(
         params=k,
         fraction=knot_fraction(k),
-        signature=sigma,
+        signature=signature(symmetrize(mat)),
         determinant=knot_determinant(mat),
         alexander=alexander(mat),
-        gtop_lower=gtop_lower,
-        gtop_upper=gsm_upper,
-        gsm_lower=gtop_lower,
-        gsm_upper=gsm_upper,
         notes=tuple(_family_notes(k)),
     )
 
@@ -146,14 +154,10 @@ def full_report(
         curve_bound = default_search_bound(k)
     mat = seifert_matrix(k)
     cert = find_genus1_certificate(mat, curve_bound)
-    gtop_upper = base.gtop_upper
     if cert is not None:
         if not verify_certificate(mat, cert):
             raise RuntimeError(f"curve search returned an invalid certificate for {k}")
-        gtop_upper = 1
-        if not (
-            (k.m == 0 and k.n == 0) or _is_square(k.m + 2) or _is_square(k.n + 3)
-        ):
+        if not _certificate_families(k):
             notes.append("certificate found by exhaustive search only")
         notes.append(f"curve search: certificate found within bound {curve_bound}")
     else:
@@ -161,7 +165,6 @@ def full_report(
 
     g = qmn_gram(k)
     dim = obstruction_dim(g.rank, base.signature)
-    gsm_lower = base.gsm_lower
     try:
         witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:
@@ -170,7 +173,6 @@ def full_report(
     else:
         if witness is None:
             verdict = EmbeddingVerdict(dim, False, None)
-            gsm_lower = 1 - base.signature // 2  # = 2 when sigma = -2
             notes.append(f"embedding search at dim {dim} exhaustive: no embedding")
         else:
             if not verify_embedding(g, witness):
@@ -178,14 +180,7 @@ def full_report(
             verdict = EmbeddingVerdict(dim, True, witness)
             notes.append(f"embedding search at dim {dim}: witness found")
 
-    return replace(
-        base,
-        gtop_upper=gtop_upper,
-        gsm_lower=gsm_lower,
-        curve_certificate=cert,
-        embedding_verdict=verdict,
-        notes=tuple(notes),
-    )
+    return replace(base, curve_certificate=cert, embedding_verdict=verdict, notes=tuple(notes))
 
 
 def verify_theorem(
@@ -197,8 +192,8 @@ def verify_theorem(
 ) -> list[SliceReport]:
     """One report per (m, n) <= (m_max, n_max), in lexicographic order.
 
-    Rows are independent; with jobs > 1 they run in a process pool, and the
-    table is assembled in deterministic order regardless of worker count.
+    Rows are independent; with jobs > 1 they run in a pool of at most jobs
+    workers (and no more than the rows or the CPUs), in deterministic order.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -208,8 +203,10 @@ def verify_theorem(
     report = functools.partial(
         full_report, curve_bound=curve_bound, embed_cap_seconds=embed_cap_seconds
     )
-    if jobs is not None and jobs > 1 and len(grid) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at the first submit
+    workers = min(jobs or 1, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(report, grid))
     return [report(k) for k in grid]
 

@@ -154,6 +154,15 @@ def test_verify_json_matches_the_reference(capsys, fmt):
     assert out == reference.read_text()
 
 
+@pytest.mark.parametrize("fmt, suffix", [("human", "txt"), ("json", "json"), ("csv", "csv")])
+def test_info_matches_the_reference(capsys, fmt, suffix):
+    # the a-priori bounds of K(1,2), byte for byte, with its discrepancy notes
+    reference = Path(__file__).parent / "reference" / f"info_m1_n2.{suffix}"
+    code, out, _ = run(capsys, ["info", "--m", "1", "--n", "2", "--format", fmt])
+    assert code == 0
+    assert out == reference.read_text()
+
+
 def test_lattice_budget_exceeded_exits_two(capsys, q00_file):
     for budget in (["--max-nodes", "3"], ["--cap-seconds", "1e-9"]):
         for mode in (["--dim", "10"], ["--mindim"]):

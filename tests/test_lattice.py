@@ -203,6 +203,24 @@ def test_budget_raises():
         find_embedding(g, g.rank + 4, max_nodes=3)
 
 
+def test_budget_stops_a_node_with_many_fresh_parts(monkeypatch):
+    # 200 has 27,482 partitions into squares; a search that listed them all
+    # before reading its budget would build every one at the first node
+    square_partitions = lattice._square_partitions
+    yielded = []
+
+    def counted(n, max_part, max_len):
+        for part in square_partitions(n, max_part, max_len):
+            yielded.append(n)
+            yield part
+
+    # the recursion goes through the wrapper too, so count the parts of 200
+    monkeypatch.setattr(lattice, "_square_partitions", counted)
+    with pytest.raises(SearchBudgetExceeded):
+        find_embedding(GramLattice(((200,),)), 200, max_nodes=1)
+    assert 1 <= yielded.count(200) <= 2
+
+
 @pytest.mark.parametrize(
     "budget, message",
     [
@@ -328,7 +346,7 @@ class _CheckedSearch(_EmbedSearch):
 
     def _candidates(self, i, used):
         assert (self.same[:used], self.nxt[:used]) == class_links(self.assigned, used)
-        got = super()._candidates(i, used)
+        got = list(super()._candidates(i, used))
         assert got == canonical_candidates(self.g, self.M, self.assigned, i, used)
         return got
 

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import os
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,8 @@ from knotgenus import pipeline
 from knotgenus.curve_search import CurveCertificate
 from knotgenus.lattice import Embedding
 from knotgenus.pipeline import (
+    EmbeddingVerdict,
+    SliceReport,
     full_report,
     genus_bounds,
     obstruction_dim,
@@ -38,6 +43,36 @@ def test_gtop_lower_always_one():
     for m in range(0, 11, 5):
         for n in range(0, 11, 5):
             assert genus_bounds(KnotParams(m, n)).gtop_lower == 1
+
+
+# the certificate that the curve search finds for K(0,0)
+CERT = CurveCertificate((0, 0, 1, 0), (-1, -1, -4, -2), ((-1, 4), (5, -20)))
+
+
+@pytest.mark.parametrize("cert", [None, CERT])
+@pytest.mark.parametrize("embeddable", [None, False, True, "inconclusive"])
+def test_genus_bounds_follow_the_evidence(cert, embeddable):
+    # sigma = -2: g_top >= 1, a certificate gives g_top <= 1, the genus-2
+    # surface g_sm <= 2, and only an exhaustive non-embedding g_sm >= 2
+    verdict = None if embeddable is None else EmbeddingVerdict(10, embeddable)
+    r = replace(genus_bounds(KnotParams(0, 0)), curve_certificate=cert, embedding_verdict=verdict)
+    gtop_upper = 2 if cert is None else 1
+    gsm_lower = 2 if embeddable is False else 1
+    assert (r.gtop_lower, r.gtop_upper, r.gsm_lower, r.gsm_upper) == (1, gtop_upper, gsm_lower, 2)
+    assert r.conclusive == (embeddable in (False, True))
+
+
+def test_slice_report_stores_only_evidence():
+    assert [f.name for f in fields(SliceReport)] == [
+        "params",
+        "fraction",
+        "signature",
+        "determinant",
+        "alexander",
+        "curve_certificate",
+        "embedding_verdict",
+        "notes",
+    ]
 
 
 def test_obstruction_dim():
@@ -117,6 +152,37 @@ def test_verify_theorem_jobs_deterministic():
     seq = verify_theorem(1, 0)
     par = verify_theorem(1, 0, jobs=2)
     assert [report_to_dict(r) for r in seq] == [report_to_dict(r) for r in par]
+
+
+def test_verify_theorem_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
+    # the pool starts all its workers at the first submit, so --jobs is an
+    # upper bound; a fake pool records its size and starts no process
+    serial = [report_to_dict(r) for r in verify_theorem(1, 1)]
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    reports = verify_theorem(1, 1, jobs=10**6)
+    assert all(w <= min(4, os.cpu_count()) for w in started)
+    assert [report_to_dict(r) for r in reports] == serial
+    for cpus, expected in [(None, []), (1, []), (3, [3]), (64, [4])]:
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        started.clear()
+        reports = verify_theorem(1, 1, jobs=10**6)
+        assert started == expected
+        assert [report_to_dict(r) for r in reports] == serial
 
 
 def test_cross_invariant_consistency():
