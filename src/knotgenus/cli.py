@@ -6,7 +6,8 @@ search.  Every input error is a ValueError, raised by the function that
 consumes the value, which `main` turns into one stderr line and exit 1; an
 option that a command would ignore is refused the same way.  Budgets are per
 search and checked by the library: a seconds budget must be > 0 and a node
-budget >= 1, and each embedding search gets the whole of both.  The KNOT_LOG
+budget >= 1; each embedding search gets the whole of both, and the curve
+search of `knot curve` its own seconds budget.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
 verdict, node count and time, and every curve search its dimension, bound,
@@ -176,7 +177,11 @@ def cmd_curve(args) -> int:
         bound = args.bound if args.bound is not None else default_search_bound(k)
     else:
         raise ValueError("provide either --matrix or both --m and --n")
-    cert = find_genus1_certificate(mat, bound)
+    try:
+        cert = find_genus1_certificate(mat, bound, cap_seconds=args.cap_seconds)
+    except SearchBudgetExceeded as exc:
+        print(f"knot: search stopped: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     if cert is None:
         print(f"NONE within bound {bound}")
     else:
@@ -226,6 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--cap-seconds", type=float, default=None, help="time budget of the search")
     p.set_defaults(func=cmd_curve)
 
     return parser

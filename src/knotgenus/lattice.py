@@ -51,7 +51,24 @@ log = logging.getLogger(__name__)
 
 
 class SearchBudgetExceeded(Exception):
-    """Raised when an embedding search hits its node or time budget."""
+    """Raised when a search runs out of its budget: the node or time budget
+    of an embedding search, or the time budget of a curve search."""
+
+
+def search_deadline(cap_seconds: float | None) -> float | None:
+    """The time.monotonic() reading past which a search with a budget of
+    cap_seconds from now stops, or None without a budget.  Raises ValueError
+    unless cap_seconds > 0."""
+    # `not cap_seconds > 0` also rejects nan, a deadline no clock reading passes
+    if cap_seconds is not None and not cap_seconds > 0:
+        raise ValueError("time budget must be > 0")
+    return None if cap_seconds is None else time.monotonic() + cap_seconds
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise SearchBudgetExceeded when the clock is past the deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchBudgetExceeded("time budget exceeded")
 
 
 @dataclass(frozen=True)
@@ -251,8 +268,7 @@ class _EmbedSearch:
             self.nodes += 1
             if self.max_nodes is not None and self.nodes > self.max_nodes:
                 raise SearchBudgetExceeded(f"node budget exceeded at {self.nodes}")
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SearchBudgetExceeded("time budget exceeded")
+            check_deadline(self.deadline)
             i = len(stack)
             if i == self.rank:
                 return tuple(tuple(v) + (0,) * (self.M - len(v)) for v in self.assigned)
@@ -295,10 +311,7 @@ def find_embedding(
         )
     if max_nodes is not None and max_nodes < 1:
         raise ValueError("node budget must be >= 1")
-    # `not cap_seconds > 0` also rejects nan, a deadline no clock reading passes
-    if cap_seconds is not None and not cap_seconds > 0:
-        raise ValueError("time budget must be > 0")
-    deadline = None if cap_seconds is None else time.monotonic() + cap_seconds
+    deadline = search_deadline(cap_seconds)
     start = time.perf_counter()
     vectors, nodes = None, 0
     if ambient_dim >= g.rank:

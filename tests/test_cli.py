@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -280,6 +281,24 @@ def test_curve_box_too_large_is_usage_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("knot: error: curve search box too large") and err.count("\n") == 1
     assert peak < 1 << 20  # refused before the 7^8-vector box is built
+
+
+def test_curve_budget_exceeded_exits_two(capsys, tmp_path):
+    # an absent search: the identity intersects every pair in 0
+    path = tmp_path / "id4.txt"
+    path.write_text(format_matrix_text([[int(i == j) for j in range(4)] for i in range(4)]))
+    argv = ["curve", "--matrix", str(path), "--bound", "9", "--cap-seconds", "0.2"]
+    start = time.monotonic()
+    code, out, err = run(capsys, argv)
+    assert time.monotonic() - start < 5  # the whole search takes about 8 s
+    assert code == 2 and out == ""
+    assert err.startswith("knot: search stopped:") and err.count("\n") == 1
+    for cap in ("0", "-1", "nan"):
+        code, out, err = run(capsys, ["curve", "--matrix", str(path), "--cap-seconds", cap])
+        assert code == 1 and out == ""
+        assert err.startswith("knot: error: time budget must be") and err.count("\n") == 1
+    code, out, _ = run(capsys, ["curve", "--m", "2", "--n", "0", "--cap-seconds", "60"])
+    assert code == 0 and out.startswith("a = (")
 
 
 def test_verify_curve_box_too_large_is_usage_error(capsys):

@@ -7,18 +7,21 @@ import pytest
 
 import numpy as np
 
+from knotgenus import curve_search
 from knotgenus.curve_search import (
     MAX_BOX_ENTRIES,
     CurveCertificate,
     _box,
-    _cached_boxes,
+    _boxes,
     _search,
+    _stored_entries,
     _wrap64,
     default_search_bound,
     find_genus1_certificate,
     restricted_form,
     verify_certificate,
 )
+from knotgenus.lattice import SearchBudgetExceeded
 from knotgenus.matrices import as_matrix, bilinear, det, dot
 from knotgenus.seifert import alexander_trivial_2x2
 from knotgenus.two_bridge import KnotParams, seifert_matrix
@@ -329,25 +332,120 @@ def test_wrap64_is_the_int64_residue():
         assert -(2**63) <= w < 2**63 and (w - x) % 2**64 == 0
 
 
-def test_split_box_passes_the_full_box_pairs():
-    # same certificate, a-vectors scanned, and pairs passed by each filter
+def _odd_dim_cases():
+    """Seeded odd-dimensional matrices, where the half box ends inside the
+    middle row of hi, with a bound for each."""
+    rng = random.Random(53)
+    return [
+        (as_matrix([[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)]), bound)
+        for dim, bound, r, _ in product((1, 3, 5), (1, 2), (2, 9), range(4))
+    ]
+
+
+def _split_box_cases():
+    """(matrix, bound) cases for the comparison with full_box_search."""
     cases = _wide_entry_matrices(random.Random(47))
     cases += [(seifert_matrix(KnotParams(m, n)), 3) for m, n in product(range(4), repeat=2)]
     for m, n in product(range(11), repeat=2):
         k = KnotParams(m, n)
         cases.append((seifert_matrix(k), default_search_bound(k)))
-    for mat, bound in cases:
-        mat = as_matrix(mat)
-        assert _search(mat, bound) == full_box_search(mat, bound), mat
-    # odd dimensions, where the half box ends inside the middle row of hi
-    rng = random.Random(53)
+    return [(as_matrix(mat), bound) for mat, bound in cases] + _odd_dim_cases()
+
+
+@pytest.fixture(scope="module")
+def full_box_cases():
+    """Each case of _split_box_cases with the result of full_box_search."""
+    return [(mat, bound, full_box_search(mat, bound)) for mat, bound in _split_box_cases()]
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """An empty box and hit cache for the test, the module's one restored after it."""
+    monkeypatch.setattr(curve_search, "_CACHE", {})
+
+
+def test_split_box_passes_the_full_box_pairs(full_box_cases, monkeypatch):
+    # same certificate, a-vectors scanned, and pairs passed by each filter,
+    # with the memo cleared before each case, then warm with its own hits
+    for mat, bound, expected in full_box_cases:
+        monkeypatch.setattr(curve_search, "_CACHE", {})
+        assert _search(mat, bound) == expected, mat
+        assert _search(mat, bound) == expected, mat
     verdicts = {1: set(), 3: set(), 5: set()}
-    for dim, bound, r, _ in product((1, 3, 5), (1, 2), (2, 9), range(4)):
-        mat = as_matrix([[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)])
-        result = _search(mat, bound)
-        assert result == full_box_search(mat, bound), mat
-        verdicts[dim].add(result[0] is not None)
+    for mat, bound in _odd_dim_cases():
+        verdicts[len(mat)].add(_search(mat, bound)[0] is not None)
     assert verdicts == {1: {False}, 3: {False, True}, 5: {False, True}}
+
+
+def test_every_knot_has_the_same_intersection_form():
+    # the premise of the memo: M - M^T does not depend on (m, n)
+    base = antisymmetrize(seifert_matrix(KnotParams(0, 0)))
+    for m, n in product(range(12), repeat=2):
+        assert antisymmetrize(seifert_matrix(KnotParams(m, n))) == base, (m, n)
+
+
+def test_memo_is_shared_across_the_grid_in_any_order(full_box_cases, empty_cache):
+    expected = {(mat, bound): result for mat, bound, result in full_box_cases}
+    knots = list(product(range(11), repeat=2))
+    random.Random(61).shuffle(knots)
+    for m, n in knots:
+        k = KnotParams(m, n)
+        mat, bound = seifert_matrix(k), default_search_bound(k)
+        assert _search(mat, bound) == expected[mat, bound], (m, n)
+    # one M - M^T for the whole grid: one memo key per bound
+    assert sorted(curve_search._CACHE) == [(4, 4), (5, 4)]
+    assert all(len(box.memo) == 1 for box in curve_search._CACHE.values())
+    # every case, warm from the grid and from the cases before it
+    for mat, bound, result in full_box_cases:
+        assert _search(mat, bound) == result, mat
+
+
+def test_memo_key_is_the_int64_residue(empty_cache):
+    # a matrix and its entries reduced mod 2^64 share one memo key, and the
+    # search on the first reuses the hit blocks stored by the second
+    for mat, bound in _wide_entry_matrices(random.Random(47)):
+        mat = as_matrix(mat)
+        twin = as_matrix([[_wrap64(x) for x in row] for row in mat])
+        assert mat != twin
+        _search(twin, bound)
+        box = curve_search._CACHE[bound, len(mat)]
+        keys = len(box.memo)
+        blocks = {key: list(stored) for key, stored in box.memo.items()}
+        assert _search(mat, bound) == full_box_search(mat, bound), mat
+        assert len(box.memo) == keys
+        for key, stored in blocks.items():  # extended, never recomputed
+            assert len(box.memo[key]) >= len(stored)
+            assert all(x is y for x, y in zip(stored, box.memo[key]))
+
+
+def test_memo_cap(full_box_cases, empty_cache, monkeypatch):
+    # past the cap blocks are computed and not stored; results do not change
+    monkeypatch.setattr(curve_search, "MAX_STORED_HITS", 400)
+    for _ in range(2):
+        for mat, bound, expected in full_box_cases:
+            assert _search(mat, bound) == expected, mat
+            assert _stored_entries() <= 400
+    assert _stored_entries() > 0
+    counted = sum(
+        len(block) + curve_search._BLOCK_HEADER
+        for box in curve_search._CACHE.values()
+        for blocks in box.memo.values()
+        for block in blocks
+    )
+    assert counted == _stored_entries()
+
+
+def test_curve_search_time_budget():
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    for cap in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="time budget must be > 0"):
+            find_genus1_certificate(identity, 2, cap_seconds=cap)
+    with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+        find_genus1_certificate(identity, 9, cap_seconds=1e-9)
+    # a budget that lasts changes nothing
+    k = KnotParams(3, 4)
+    cert = find_genus1_certificate(seifert_matrix(k), default_search_bound(k), cap_seconds=60)
+    assert (cert.a, cert.b) == FIRST_CERTIFICATES[3, 4]
 
 
 def test_half_box_cache():
@@ -355,7 +453,8 @@ def test_half_box_cache():
     # rows of the whole box, and hi is a prefix of the box of dim // 2
     for bound, dim in [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (1, 5)]:
         full = _box(bound, dim)
-        half, avecs, hi, lo = _cached_boxes(bound, dim)
+        box = _boxes(bound, dim)
+        half, avecs, hi, lo = box.half, box.avecs, box.hi, box.lo
         positive = full[len(full) // 2 + 1 :]
         assert np.array_equal(half, full[: len(full) // 2])
         assert not full[len(full) // 2].any()

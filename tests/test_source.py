@@ -20,8 +20,9 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_only_the_embedding_search_reads_the_budget_clock():
-    # find_embedding alone turns a seconds budget into a time.monotonic deadline
+def test_only_the_search_budget_reads_the_clock():
+    # lattice's budget helpers alone turn a seconds budget into a
+    # time.monotonic deadline and read it; both searches go through them
     calls = {
         path.name
         for path in SOURCES
