@@ -10,9 +10,11 @@ budget >= 1; each embedding search gets the whole of both, and the curve
 search of `knot curve` its own seconds budget.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
-verdict, node count and time, and every curve search its dimension, bound,
+verdict, node count and time, every curve search its dimension, bound,
 verdict, a-vectors scanned, pairs with intersection +-1, pairs verified and
-time.  Stdout does not change.
+time, every positive-definiteness check its rank, verdict and time, and
+every signature and Alexander polynomial its matrix size and time.  Stdout
+does not change.
 """
 
 from __future__ import annotations

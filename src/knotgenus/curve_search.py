@@ -291,6 +291,17 @@ def _search(
     return None, len(avecs), hits, checked
 
 
+def _check_box_entries(dim: int, bound: int) -> None:
+    """Raise ValueError when the box of a search in dimension dim at this
+    bound holds more than MAX_BOX_ENTRIES entries."""
+    entries = (2 * bound + 1) ** dim * dim
+    if entries > MAX_BOX_ENTRIES:
+        raise ValueError(
+            f"curve search box too large: dimension {dim} at bound {bound} "
+            f"holds {entries} entries, more than {MAX_BOX_ENTRIES}"
+        )
+
+
 def find_genus1_certificate(
     mat, bound: int, cap_seconds: float | None = None
 ) -> CurveCertificate | None:
@@ -312,12 +323,7 @@ def find_genus1_certificate(
     deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
     dim = len(mat)
-    entries = (2 * bound + 1) ** dim * dim
-    if entries > MAX_BOX_ENTRIES:
-        raise ValueError(
-            f"curve search box too large: dimension {dim} at bound {bound} "
-            f"holds {entries} entries, more than {MAX_BOX_ENTRIES}"
-        )
+    _check_box_entries(dim, bound)
     start = time.perf_counter()
     cert, scanned, hits, checked = _search(mat, bound, deadline)
     log.info(

@@ -28,11 +28,15 @@ coordinate of the vector being built, so its depth is not bounded by the
 interpreter's recursion limit.
 
 The constraints are local: a Goeritz lattice is tridiagonal and its vectors
-have norm 2 or 3, so each placed vector is nonzero on a few coordinates.  The
-search keeps a coordinate -> placed-vector index, pushed and popped with each
-vector, whose entries carry the vector's suffix norm past that coordinate,
-computed once when the vector is placed.  Building a candidate then costs
-work only where a placed vector is nonzero, not rank x coordinates per node.
+have norm 2 or 3, so each placed vector is nonzero on a few coordinates, and
+a search node works only where its constraints reach.  A placed vector is
+kept as its nonzero entries, pushed and popped as them, and indexed by
+coordinate with its suffix norm past each one.  A node's residuals start from
+the nonzero entries of its Gram row, listed once per basis vector.  Its walk
+over the used coordinates starts at the jump target that each placed vector
+keeps, when the norm and the residuals allow it (see
+_EmbedSearch._candidates), and at each coordinate it reads only the placed
+vectors nonzero there.  Dense vectors are built only for a returned witness.
 The classes are linked lists over the coordinates, split by each placed
 vector on the classes it is nonzero on, and restored on backing up from a
 log of the links that the split rewrote.
@@ -43,6 +47,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 from .matrices import GramLattice
@@ -91,10 +96,22 @@ class Embedding:
 MAX_WITNESS_ENTRIES = 1 << 23
 
 
+def _check_witness_entries(rank: int, ambient_dim: int) -> None:
+    """Raise ValueError when a witness of rank vectors in Z^ambient_dim
+    holds more than MAX_WITNESS_ENTRIES entries."""
+    if rank * ambient_dim > MAX_WITNESS_ENTRIES:
+        raise ValueError(
+            f"embedding too large: rank {rank} in dimension {ambient_dim} "
+            f"needs {rank * ambient_dim} witness entries, more than {MAX_WITNESS_ENTRIES}"
+        )
+
+
 def _square_partitions(n: int, max_part: int, max_len: int):
     """Partitions of n into non-increasing positive squares, as part values."""
-    if n == 0:
-        yield ()
+    if n < 4:
+        # 1 is the only square below 4: n ones, if they fit
+        if n <= max_len:
+            yield (1,) * n
         return
     if max_len == 0:
         return
@@ -105,11 +122,13 @@ def _square_partitions(n: int, max_part: int, max_len: int):
         p -= 1
 
 
-def _with_fresh_parts(heads, max_part: int, max_len: int):
-    """Each (head, norm left) of `heads` with each fresh part of that norm,
-    in order.  A function of its own: a generator expression in
+def _with_fresh_parts(heads, start: int, max_part: int, max_len: int):
+    """Each (values, norm left) of `heads` as its nonzero entries (c, value),
+    the values read from coordinate `start` on, with each fresh part of that
+    norm, in order.  A function of its own: a generator expression in
     _candidates would turn max_entry, read in its hot loop, into a cell."""
-    for head, rest in heads:
+    for values, rest in heads:
+        head = tuple(compress(enumerate(values, start), values))
         for part in _square_partitions(rest, max_part, max_len):
             yield head, part
 
@@ -122,7 +141,14 @@ class _EmbedSearch:
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.nodes = 0
-        self.assigned: list[list[int]] = []
+        # per placed vector: its nonzero entries (c, e) in coordinate order,
+        # and its jump target: the first coordinate of its own support or of
+        # any placed vector's support that meets it
+        self.assigned: list[tuple[tuple[int, int], ...]] = []
+        self.target: list[int] = []
+        # per basis vector i: (j, g[i][j]) for each j < i with g[i][j] != 0,
+        # listed when the search first reaches i
+        self.rows: list[list[tuple[int, int]] | None] = [None] * self.rank
         # coordinate c -> [(j, assigned[j][c], norm of assigned[j] past c)]
         # for every placed vector j that is nonzero at c, in placement order.
         # A vector of norm d enters at most d fresh coordinates, so no more
@@ -135,56 +161,88 @@ class _EmbedSearch:
         self.same = [-1] * live
         self.nxt = [-1] * live
         # per placed vector: (c, same[c], nxt[c]) before its push, for each
-        # coordinate c of the classes the push split
+        # coordinate c of the classes the push split; and (j, target[j])
+        # before its push, for each placed vector j whose target it moved
         self.undo: list[list[tuple[int, int, int]]] = []
+        self.moved: list[list[tuple[int, int]]] = []
+        # the walk of _candidates: the value at each used coordinate and the
+        # residual of each placed vector (the dot product still owed to it),
+        # both all 0 between nodes, and the norm left before each coordinate,
+        # written before it is read
+        self.x = [0] * live
+        self.left = [0] * (live + 1)
+        self.needs = [0] * self.rank
 
-    def _push(self, head: tuple[int, ...], fresh: tuple[int, ...]):
-        """Place head + fresh as the next basis vector, head over the used
-        coordinates.  Index its nonzero entries, each with the suffix norm
-        after it (fixed once the vector is placed), and split each class it
-        is nonzero on by its entries, logging the links it rewrites."""
-        vec = list(head) + list(fresh)
-        j = len(self.assigned)
-        self.assigned.append(vec)
-        touching, same, nxt = self.touching, self.same, self.nxt
-        used = len(head)
+    def _push(self, head: tuple[tuple[int, int], ...], fresh: tuple[int, ...], used: int):
+        """Place head + fresh as the next basis vector: head its nonzero
+        entries (c, e) over the `used` coordinates, fresh its part on the
+        coordinates from `used` on.  Index its entries, each with the suffix
+        norm after it (fixed once the vector is placed); set its jump target
+        and move those of the vectors it meets; and split each class it is
+        nonzero on by its entries, logging the links and targets it
+        rewrites."""
+        entries = head + tuple(enumerate(fresh, used))
+        assigned = self.assigned
+        j = len(assigned)
+        assigned.append(entries)
+        touching, same, nxt, target = self.touching, self.same, self.nxt, self.target
+        first = reach = entries[0][0]
+        moved = []
         heads = set()  # the first coordinates of the classes to split
+        for c, _ in head:
+            for k, _, _ in touching[c]:
+                if assigned[k][0][0] < reach:
+                    reach = assigned[k][0][0]
+                if target[k] > first:
+                    moved.append((k, target[k]))
+                    target[k] = first
+            h = c
+            while same[h] >= 0:
+                h = same[h]
+            heads.add(h)
+        target.append(reach)
+        self.moved.append(moved)
         tail = 0
-        for c in range(len(vec) - 1, -1, -1):
-            e = vec[c]
-            if e:
-                touching[c].append((j, e, tail))
-                tail += e * e
-                if c < used:
-                    h = c
-                    while same[h] >= 0:
-                        h = same[h]
-                    heads.add(h)
+        for c, e in reversed(entries):
+            touching[c].append((j, e, tail))
+            tail += e * e
         log = []
-        for c in heads:
-            # link each member to the previous member with the same entry
-            last = {}  # entry -> its latest member so far
-            while c >= 0:
-                log.append((c, same[c], nxt[c]))
-                following = nxt[c]
-                p = same[c] = last.get(vec[c], -1)
-                if p >= 0:
-                    nxt[p] = c
-                last[vec[c]] = c
-                c = following
-            for c in last.values():
-                nxt[c] = -1
+        if heads:
+            values = dict(head)
+            for c in heads:
+                # link each member to the previous member with the same entry
+                last = {}  # entry -> its latest member so far
+                while c >= 0:
+                    log.append((c, same[c], nxt[c]))
+                    following = nxt[c]
+                    e = values.get(c, 0)
+                    p = same[c] = last.get(e, -1)
+                    if p >= 0:
+                        nxt[p] = c
+                    last[e] = c
+                    c = following
+                for c in last.values():
+                    nxt[c] = -1
         self.undo.append(log)
         # the fresh block, positive and non-increasing: a class per run of
         # equal values
-        for c in range(used, len(vec)):
-            same[c] = c - 1 if c > used and vec[c - 1] == vec[c] else -1
-            nxt[c] = c + 1 if c + 1 < len(vec) and vec[c + 1] == vec[c] else -1
+        previous = 0
+        for c, e in enumerate(fresh, used):
+            if e == previous:
+                same[c] = c - 1
+                nxt[c - 1] = c
+            else:
+                same[c] = -1
+            nxt[c] = -1
+            previous = e
 
     def _pop(self):
-        for c, e in enumerate(self.assigned.pop()):
-            if e:
-                self.touching[c].pop()
+        for c, _ in self.assigned.pop():
+            self.touching[c].pop()
+        target = self.target
+        target.pop()
+        for k, t in reversed(self.moved.pop()):
+            target[k] = t
         same, nxt = self.same, self.nxt
         for c, s, n in self.undo.pop():
             same[c], nxt[c] = s, n
@@ -192,7 +250,9 @@ class _EmbedSearch:
     def _candidates(self, i: int, used: int):
         """All canonical vectors for basis index i given the current partial
         assignment: a part over the `used` live coordinates satisfying every
-        dot constraint, plus leftover norm placed on fresh coordinates.
+        dot constraint, plus leftover norm placed on fresh coordinates.  A
+        part is listed as its nonzero entries (c, value); the walk keeps it
+        as its values from the walk's start on until the search takes it.
 
         A part is canonical when its values are non-decreasing along each
         class of interchangeable coordinates: the lex-first member of its
@@ -204,24 +264,66 @@ class _EmbedSearch:
         the trailing zeros must not follow a positive value of their class.
 
         At coordinate c only the placed vectors nonzero there (`touching[c]`)
-        update their residual dot (`needs`, undone on backing up) and are
-        checked by Cauchy-Schwarz against their suffix norm past c; a vector
-        that is zero at c keeps both.  At its last nonzero coordinate a vector's suffix norm is 0, so
-        the check forces its residual to 0 there.  Once the norm is spent only
-        zeros remain, and the candidate stands iff every residual is 0.  Every
-        prune is sound, so the candidates are exactly the ones an unpruned scan
-        of the canonical parts gives, in the same order.  They are returned as
-        an iterator that generates the fresh parts of each head only as the
-        search takes them, so a budget stops a node with many fresh parts
-        after the first."""
+        update their residual (`needs`, the dot product still owed, undone
+        on backing up) and are checked by Cauchy-Schwarz against their
+        suffix norm past c; a vector that is zero at c keeps both.  At its
+        last nonzero coordinate a vector's suffix norm is 0, so the check
+        forces its residual to 0 there.
+
+        The walk jumps.  Let the norm d be at most 2, so that every entry is
+        0 or +-1 and at most two are nonzero, and let R be the placed
+        vectors whose residual g[i][j] is not 0.  If R is not empty, the
+        first nonzero coordinate c of a candidate is on the support of a
+        placed vector that meets the support of a vector of R.  Suppose not,
+        and take j in R.  The candidate is nonzero somewhere on j's support,
+        since fresh coordinates meet no placed vector, and c is not there;
+        so its only other nonzero coordinate c' > c is on j's support.
+        Every used coordinate is a fresh one of some placed vector, so some
+        k is nonzero at c.  k is not in R, else c would be on k's own
+        support; so k's dot product g[i][k] = 0 gets a nonzero term at c,
+        which only a term at c' can cancel, and k meets j's support at c',
+        a contradiction.  So c is at or after the least jump target of R,
+        where the walk starts, and the coordinates it skips are 0.  They
+        precede every value, so no skipped 0 follows a positive value of its
+        class.  With R empty no jump is sound: the norm may go on fresh
+        coordinates alone, or on two coordinates c < c' of any placed
+        vector k with k[c] x[c] = -k[c'] x[c'].  With d >= 3 a third
+        nonzero coordinate may cancel k's term instead, so the walk starts
+        at coordinate 0.  A node pays one lookup of the target per vector
+        of R; _push and _pop keep the targets.
+
+        A walk that reaches the end of the used coordinates owes nothing.  A
+        vector with a coordinate at or after the start had its residual
+        forced to 0 at its last one.  Any other vector was never touched,
+        and it is not in R, since a vector of R has its support at or after
+        its jump target, so at or after the start.  When the norm is spent
+        before the end, at c, the rest is 0.  The vectors that may
+        still owe something then are those of R and those nonzero at a
+        value, all placed no earlier than the vector that made the start
+        coordinate (the first in `touching[start]`), so the candidate stands
+        iff those owe nothing and no trailing 0 breaks the class rule.
+
+        Every prune and the jump are sound, so the candidates are exactly
+        the ones an unpruned scan of the canonical parts gives, in the same
+        order.  They are returned as an iterator that generates the fresh
+        parts of each head only as the search takes them, so a budget
+        stops a node with many fresh parts after the first."""
         d = self.g[i][i]
         max_entry = isqrt(d)
-        touching, same = self.touching, self.same
-        heads = []  # (part over the used coordinates, norm left for fresh ones)
-        x = [0] * used  # the value chosen at each coordinate
-        left = [d] + [0] * used  # the norm left before each coordinate
-        needs = [self.g[i][j] for j in range(i)]
-        c, val = 0, -max_entry
+        touching, same, target = self.touching, self.same, self.target
+        x, left, needs = self.x, self.left, self.needs
+        row = self.rows[i]
+        if row is None:
+            gi = self.g[i]
+            row = self.rows[i] = [(j, gi[j]) for j in compress(range(i), gi)]
+        start = used if row and d <= 2 else 0
+        for j, gij in row:
+            needs[j] = gij
+            if target[j] < start:
+                start = target[j]
+        heads = []  # (values from `start` on, norm left for fresh coordinates)
+        left[start] = d
+        c, val = start, -max_entry
         while True:
             norm_left = left[c]
             if c < used and norm_left:
@@ -245,14 +347,19 @@ class _EmbedSearch:
                     c += 1
                     val = x[s] if c < used and (s := same[c]) >= 0 else -max_entry
                     continue
-            elif not any(needs) and all(s < 0 or x[s] <= 0 for s in same[c:used]):
-                heads.append((tuple(x), norm_left))
+            elif c == used or (
+                not any(needs[touching[start][0][0] : i])
+                and all(s < 0 or x[s] <= 0 for s in same[c:used])
+            ):
+                heads.append((tuple(x[start:c]), norm_left))
             # back up to the previous coordinate and its next value
             c -= 1
-            if c < 0:
+            if c < start:
+                for j, _ in row:
+                    needs[j] = 0
                 # the heads read the search state, so they are listed now; the
                 # fresh parts read none and are generated as the search asks
-                return _with_fresh_parts(heads, max_entry, self.M - used)
+                return _with_fresh_parts(heads, start, max_entry, self.M - used)
             val = x[c]
             if val:
                 for j, e, _ in touching[c]:
@@ -271,7 +378,8 @@ class _EmbedSearch:
             check_deadline(self.deadline)
             i = len(stack)
             if i == self.rank:
-                return tuple(tuple(v) + (0,) * (self.M - len(v)) for v in self.assigned)
+                # the only dense vectors the search builds
+                return tuple(_dense(entries, self.M) for entries in self.assigned)
             stack.append((iter(self._candidates(i, used)), used))
             # back up past exhausted vectors, lifting each parent's placed candidate
             while (nxt := next(stack[-1][0], None)) is None:
@@ -280,8 +388,17 @@ class _EmbedSearch:
                     return None
                 self._pop()
             head, fresh = nxt
-            self._push(head, fresh)
-            used = stack[-1][1] + len(fresh)
+            used = stack[-1][1]
+            self._push(head, fresh, used)
+            used += len(fresh)
+
+
+def _dense(entries, dim: int) -> tuple[int, ...]:
+    """The vector of Z^dim with the given nonzero entries (c, e)."""
+    v = [0] * dim
+    for c, e in entries:
+        v[c] = e
+    return tuple(v)
 
 
 def find_embedding(
@@ -304,11 +421,7 @@ def find_embedding(
     """
     if ambient_dim <= 0:
         raise ValueError("ambient dimension must be positive")
-    if g.rank * ambient_dim > MAX_WITNESS_ENTRIES:
-        raise ValueError(
-            f"embedding too large: rank {g.rank} in dimension {ambient_dim} "
-            f"needs {g.rank * ambient_dim} witness entries, more than {MAX_WITNESS_ENTRIES}"
-        )
+    _check_witness_entries(g.rank, ambient_dim)
     if max_nodes is not None and max_nodes < 1:
         raise ValueError("node budget must be >= 1")
     deadline = search_deadline(cap_seconds)

@@ -21,11 +21,18 @@ from math import isqrt
 
 from .curve_search import (
     CurveCertificate,
+    _check_box_entries,
     default_search_bound,
     find_genus1_certificate,
     verify_certificate,
 )
-from .lattice import Embedding, SearchBudgetExceeded, find_embedding, verify_embedding
+from .lattice import (
+    Embedding,
+    SearchBudgetExceeded,
+    _check_witness_entries,
+    find_embedding,
+    verify_embedding,
+)
 from .matrices import symmetrize
 from .seifert import LaurentPolynomial, alexander, knot_determinant, signature
 from .two_bridge import (
@@ -194,11 +201,20 @@ def verify_theorem(
 
     Rows are independent; with jobs > 1 they run in a pool of at most jobs
     workers (and no more than the rows or the CPUs), in deterministic order.
+    Raises the ValueError of the curve-search box guard or of the witness
+    guard before any row runs when the last row, K(m_max, n_max), would
+    raise it: both guards grow with m and n.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
     if m_max < 0 or n_max < 0:
         raise ValueError("ranges must be >= 0")
+    last = KnotParams(m_max, n_max)
+    mat = seifert_matrix(last)
+    _check_box_entries(len(mat), default_search_bound(last) if curve_bound is None else curve_bound)
+    # Q(m,n) has rank 2m + 2n + 8 (see two_bridge); it is not built here
+    rank = 2 * m_max + 2 * n_max + 8
+    _check_witness_entries(rank, obstruction_dim(rank, signature(symmetrize(mat))))
     grid = [KnotParams(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
     report = functools.partial(
         full_report, curve_bound=curve_bound, embed_cap_seconds=embed_cap_seconds

@@ -6,12 +6,18 @@ gives at t = 0..n.  The Alexander polynomial is det(M - t M^T), returned as
 its canonical representative up to units.  The signature of a symmetric S
 is read from the sign changes of its characteristic polynomial
 det(t I - S).  The determinant is one Bareiss determinant.  No floating
-point.
+point.  Each signature and Alexander polynomial logs one INFO record on the
+"knotgenus.seifert" logger with the matrix size and the time.
 """
 
 from __future__ import annotations
 
+import logging
+import time
+
 from .matrices import IntMatrix, as_matrix, det, is_symmetric, symmetrize
+
+log = logging.getLogger(__name__)
 
 
 class LaurentPolynomial:
@@ -92,13 +98,16 @@ def signature(mat) -> int:
     mat = as_matrix(mat)
     if not is_symmetric(mat):
         raise ValueError("signature requires a symmetric matrix")
+    start = time.perf_counter()
     n = len(mat)
     p = _det_polynomial(
         tuple(tuple(-x for x in row) for row in mat),
         tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
     )
     p_neg = [-c if e % 2 else c for e, c in enumerate(p)]
-    return _sign_changes(p) - _sign_changes(p_neg)
+    sigma = _sign_changes(p) - _sign_changes(p_neg)
+    log.info("signature: size %d, %.3f s", n, time.perf_counter() - start)
+    return sigma
 
 
 def knot_determinant(mat) -> int:
@@ -121,8 +130,10 @@ def alexander(mat) -> LaurentPolynomial:
     matrices).
     """
     mat = as_matrix(mat)
+    start = time.perf_counter()
     n = len(mat)
     poly = _det_polynomial(mat, tuple(tuple(-mat[j][i] for j in range(n)) for i in range(n)))
+    log.info("alexander: size %d, %.3f s", n, time.perf_counter() - start)
     nonzero = [e for e, x in enumerate(poly) if x]
     if not nonzero:
         return LaurentPolynomial({})

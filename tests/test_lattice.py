@@ -1,6 +1,7 @@
 import logging
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from math import isqrt
 
 import pytest
@@ -10,6 +11,7 @@ from knotgenus.lattice import (
     MAX_WITNESS_ENTRIES,
     Embedding,
     SearchBudgetExceeded,
+    _dense,
     _EmbedSearch,
     _square_partitions,
     find_embedding,
@@ -203,6 +205,22 @@ def test_budget_raises():
         find_embedding(g, g.rank + 4, max_nodes=3)
 
 
+def test_square_partitions_against_brute_force():
+    # every non-increasing tuple of values 1..max_part whose squares sum to
+    # n, of length <= max_len, in descending lex order
+    for n, max_part, max_len in product(range(30), range(1, 6), range(8)):
+        expected = sorted(
+            (
+                tuple(sorted(parts, reverse=True))
+                for k in range(max_len + 1)
+                for parts in combinations_with_replacement(range(1, max_part + 1), k)
+                if sum(v * v for v in parts) == n
+            ),
+            reverse=True,
+        )
+        assert list(_square_partitions(n, max_part, max_len)) == expected, (n, max_part, max_len)
+
+
 def test_budget_stops_a_node_with_many_fresh_parts(monkeypatch):
     # 200 has 27,482 partitions into squares; a search that listed them all
     # before reading its budget would build every one at the first node
@@ -334,28 +352,49 @@ def canonical_candidates(gram, ambient_dim, assigned, i, used):
     ]
 
 
+def placed(search):
+    """The search's placed vectors, as dense vectors of its dimension."""
+    return [_dense(entries, search.M) for entries in search.assigned]
+
+
+def jump_targets(assigned):
+    """Per placed vector, the first coordinate of any placed vector's
+    support that meets its own, from the placed vectors alone."""
+    supports = [{c for c, e in enumerate(v) if e} for v in assigned]
+    return [min(min(t) for t in supports if t & s) for s in supports]
+
+
+def sparse(head):
+    """A dense head's nonzero entries (c, value), as the search lists them."""
+    return tuple((c, e) for c, e in enumerate(head) if e)
+
+
 class _CheckedSearch(_EmbedSearch):
     """The search, with every node's candidate list compared to the
-    reference, and every push and pop of the classes checked: a push logs
-    exactly the members of the classes its head is nonzero on, with their
-    links before it, and a pop restores them."""
+    reference, every node's jump targets to their definition, and every
+    push and pop of the classes checked: a push logs exactly the members of
+    the classes its head is nonzero on, with their links before it, and a
+    pop restores them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.saved = []
 
     def _candidates(self, i, used):
-        assert (self.same[:used], self.nxt[:used]) == class_links(self.assigned, used)
+        assigned = placed(self)
+        assert (self.same[:used], self.nxt[:used]) == class_links(assigned, used)
+        assert self.target == jump_targets(assigned)
         got = list(super()._candidates(i, used))
-        assert got == canonical_candidates(self.g, self.M, self.assigned, i, used)
+        assert all(head == sparse(_dense(head, used)) for head, _ in got)
+        dense_got = [(_dense(head, used), part) for head, part in got]
+        assert dense_got == canonical_candidates(self.g, self.M, assigned, i, used)
         return got
 
-    def _push(self, head, fresh):
-        used = len(head)
+    def _push(self, head, fresh, used):
         before = (self.same[:used], self.nxt[:used])
-        keys = column_keys(self.assigned, used)
-        split = {keys[c] for c, e in enumerate(head) if e}
-        super()._push(head, fresh)
+        keys = column_keys(placed(self), used)
+        split = {keys[c] for c, _ in head}
+        super()._push(head, fresh, used)
         log = self.undo[-1]
         assert sorted(c for c, _, _ in log) == [c for c in range(used) if keys[c] in split]
         assert all((s, n) == (before[0][c], before[1][c]) for c, s, n in log)
@@ -381,7 +420,10 @@ class _ReferenceSearch(_EmbedSearch):
     dense_candidates, quotiented only by the first use of fresh coordinates."""
 
     def _candidates(self, i, used):
-        return dense_candidates(self.g, self.M, self.assigned, i, used)
+        return [
+            (sparse(head), part)
+            for head, part in dense_candidates(self.g, self.M, placed(self), i, used)
+        ]
 
 
 def _against_reference(gram, dim, max_nodes=None):
@@ -482,6 +524,87 @@ def test_candidate_order_matches_dense_reference_on_signed_plumbings():
         g = _signed_plumbing(rng, [rng.randint(2, 4) for _ in range(rng.randint(2, 7))])
         for dim in range(g.rank, g.rank + 4):
             _checked_run(g.gram, dim)
+
+
+def _direct_sum(a, b):
+    """The Gram matrix of the orthogonal sum of two lattices."""
+    n = len(a)
+    return tuple(tuple(row) + (0,) * len(b) for row in a) + tuple(
+        (0,) * n + tuple(row) for row in b
+    )
+
+
+class _JumpCases(_CheckedSearch):
+    """_CheckedSearch that counts, from the placed vectors alone, the nodes
+    where each case of the walk's jump arises:
+
+    - no_residual: norm 2 and no nonzero residual, and a candidate nonzero
+      on a used coordinate, which a jump past it would lose;
+    - early_target: norm <= 2 and a residual vector whose jump target is
+      the first used coordinate, on a norm-3 vector that meets it, before
+      every residual vector's own support, and a candidate that starts
+      before those supports;
+    - class_skip: a candidate rejected by the class rule only at a 0 that a
+      jump made after a nonzero value would skip: the norm left after that
+      value is at most 2, a residual is nonzero, and every nonzero residual
+      vector's target lies past the 0."""
+
+    def __init__(self, *args, counts, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counts = counts
+
+    def _candidates(self, i, used):
+        got = super()._candidates(i, used)
+        g, d = self.g, self.g[i][i]
+        assigned = placed(self)
+        supports = [{c for c, e in enumerate(v) if e} for v in assigned]
+        firsts = [min(s) for s in supports]
+        targets = jump_targets(assigned)
+        residual = [j for j in range(i) if g[i][j]]
+        starts = [head[0][0] for head, _ in got if head]
+        if d == 2 and not residual and starts:
+            self.counts["no_residual"] += 1
+        if d <= 2 and residual:
+            own = min(firsts[j] for j in residual)
+            reach = [k for k in range(i) if any(supports[k] & supports[j] for j in residual)]
+            if (
+                min(targets[j] for j in residual) == 0 < own
+                and any(g[k][k] == 3 and 0 in supports[k] for k in reach)
+                and min(starts, default=own) < own
+            ):
+                self.counts["early_target"] += 1
+        same, _ = class_links(assigned, used)
+        for head, _ in dense_candidates(g, self.M, assigned, i, used):
+            zeros = [z for z in range(used) if not head[z] and same[z] >= 0 and head[same[z]] > 0]
+            if not zeros or any(head[c] < head[s] for c, s in enumerate(same) if s >= 0 and head[c]):
+                continue
+            z = zeros[0]
+            before = [c for c in range(z) if head[c]]
+            left = d - sum(head[c] ** 2 for c in before)
+            owed = [
+                j for j in range(i) if g[i][j] != sum(head[c] * assigned[j][c] for c in before)
+            ]
+            if 0 < left <= 2 and owed and min(targets[j] for j in owed) > z:
+                self.counts["class_skip"] += 1
+                break
+        return got
+
+
+def test_jump_cases_match_the_reference():
+    # seeded orthogonal sums of two signed plumbings: the second summand's
+    # first vector owes nothing to the first summand's, and norm-3 and
+    # norm-4 vectors give early targets and classes of several coordinates
+    rng, counts = random.Random(109), Counter()
+    for _ in range(60):
+        a = _signed_plumbing(rng, [rng.randint(2, 4) for _ in range(rng.randint(1, 4))])
+        b = _signed_plumbing(rng, [rng.randint(2, 3) for _ in range(rng.randint(1, 3))])
+        gram = _direct_sum(a.gram, b.gram)
+        for dim in range(len(gram), len(gram) + 3):
+            search = _JumpCases(gram, dim, counts=counts)
+            plain = _EmbedSearch(gram, dim)
+            assert search.run() == plain.run() and search.nodes == plain.nodes
+    # each case really occurs
+    assert counts == {"no_residual": 102, "early_target": 8, "class_skip": 5}
 
 
 class _FreshOnlySearch(_EmbedSearch):

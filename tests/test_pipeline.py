@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from knotgenus import pipeline
-from knotgenus.curve_search import CurveCertificate
+from knotgenus.curve_search import CurveCertificate, default_search_bound, find_genus1_certificate
 from knotgenus.lattice import Embedding
 from knotgenus.pipeline import (
     EmbeddingVerdict,
@@ -116,6 +116,33 @@ def test_full_report_rejects_bad_time_budget(seconds):
 def test_verify_theorem_rejects_bad_jobs(jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         verify_theorem(0, 0, jobs=jobs)
+
+
+def test_verify_theorem_refuses_an_oversized_range_before_any_row(monkeypatch):
+    # both guards grow with m and n, so the last row decides before the grid
+    # is built; a row that ran would fail here
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row ran before the range was refused")
+
+    monkeypatch.setattr(pipeline, "full_report", no_row)
+    # the default curve bound of K(288,0) is 19: (2 * 19 + 1)^4 * 4 entries
+    last = seifert_matrix(KnotParams(288, 0))
+    with pytest.raises(ValueError) as refused:
+        find_genus1_certificate(last, default_search_bound(KnotParams(288, 0)))
+    with pytest.raises(ValueError, match="curve search box too large") as early:
+        verify_theorem(288, 0)
+    assert str(early.value) == str(refused.value)
+    # Q(1444,0) has rank 2896, and its witness in Z^2898 more than 2^23 entries
+    with pytest.raises(ValueError, match="embedding too large: rank 2896 in dimension 2898"):
+        verify_theorem(1444, 0, curve_bound=3)
+    with pytest.raises(ValueError, match="embedding too large"):
+        verify_theorem(0, 1444, curve_bound=3)
+    # one row less passes both guards, and every row runs
+    ran = []
+    monkeypatch.setattr(pipeline, "full_report", lambda k, **options: ran.append(k))
+    assert len(verify_theorem(287, 0)) == 288
+    assert len(verify_theorem(1443, 0, curve_bound=3)) == 1444
+    assert ran[-1] == KnotParams(1443, 0)
 
 
 def test_full_report_rechecks_search_results(monkeypatch):

@@ -1,3 +1,4 @@
+import logging
 import random
 from pathlib import Path
 
@@ -384,3 +385,21 @@ def test_laurent_polynomial_is_a_value():
     p.coeffs[0] = 5  # a copy
     assert p.coeffs[0] == -1
     assert L({0: 0}).is_zero() and str(L({})) == "0:0"
+
+
+def test_invariants_log_one_info_record_each(caplog):
+    mat = seifert_matrix(KnotParams(1, 2))
+    with caplog.at_level(logging.INFO, logger="knotgenus.seifert"):
+        assert signature(symmetrize(mat)) == -2
+        alexander(mat)
+        signature(((2, 1, 0), (1, 2, 1), (0, 1, 2)))
+        # a refused matrix computes nothing and logs nothing
+        with pytest.raises(ValueError, match="symmetric"):
+            signature(((0, 1), (0, 0)))
+    records = [r for r in caplog.records if r.name == "knotgenus.seifert"]
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    messages = [r.getMessage() for r in records]
+    assert messages[0].startswith("signature: size 4, ")
+    assert messages[1].startswith("alexander: size 4, ")
+    assert messages[2].startswith("signature: size 3, ")
+    assert all(m.endswith(" s") for m in messages)
