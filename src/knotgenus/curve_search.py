@@ -16,12 +16,14 @@ when (a, -b) is, so only the first half of the box [-bound, bound]^dim in
 lex order is scanned, the b with negative first nonzero coordinate, and the
 lex-first certificate of the whole box is found there.
 
-The filters run in int64 on that half, split into rows of the box of the
-first dim // 2 coordinates and of the box of the rest.  Every bilinear form
-in b is then a sum of one product over each part, and bMb is one table per
-matrix.  All of it is ring arithmetic mod 2^64, so the split passes exactly
-the pairs one product over the whole box would; the exact check is
-verify_certificate's.
+The filters run in int64, and neither the half nor the a-vectors are
+materialized: each b of the half is a row of the box hi of the first
+dim // 2 coordinates followed by a row of the box lo of the rest, and the
+a-vectors are kept as the indices of such rows.  Every bilinear form in b
+is then a sum of one product over each part, and bMb is one outer sum over
+hi and lo per matrix.  All of it is ring arithmetic mod 2^64, so the split
+passes exactly the pairs one product over the whole box would; the exact
+check is verify_certificate's.
 
 The pairs with intersection a(M - M^T)b = +-1 are the costly filter, and
 they depend on nothing but the bound, the dimension and M - M^T mod 2^64.
@@ -32,8 +34,11 @@ M - M^T.  The memo holds, in blocks of consecutive a-vectors in scan order,
 each a's hit count and hits, so it is extended only as far as a search has
 scanned, and a search that reads it scans the same pairs in the same order
 as one that computes them; the Alexander filter and the exact check run per
-search, on its own M.  Each a's hit count keeps the search statistics
-those of the scan one a at a time.
+search, on its own M, and read only the hits.  A hit is stored as its hi
+row, with the sign of the intersection folded in, and its lo row: two int16
+entries, 4 bytes, in every box of dim >= 2 that the box guard admits.  Each
+a's hit count keeps the search statistics those of the scan one a at a
+time.  The hits are found mod 2^16 first, in int16, and confirmed in int64.
 """
 
 from __future__ import annotations
@@ -46,20 +51,23 @@ from math import isqrt
 import numpy as np
 
 from .lattice import check_deadline, search_deadline
-from .matrices import IntMatrix, as_matrix, bilinear
+from .matrices import IntMatrix, as_matrix, dot, mat_vec
 from .seifert import alexander_trivial_2x2
 from .two_bridge import KnotParams
 
 log = logging.getLogger(__name__)
 
-# The half box of b-vectors, its bMb table and, per a-vector, one outer sum
-# over the half box are materialized as int64 arrays; the box guard allows
-# at most this many entries in the whole box.  At the largest box it accepts
-# (dim 4, bound 18, 7,496,644 entries) `knot curve --matrix` peaks at 127 MB
-# RSS, against 30 MB for the import alone, and an absent search there
-# stopped by a 20 s budget at 126 MB: the box, not the hit memo, sets the
-# peak.  `knot curve --m 100 --n 100` (bound 12), whose memo fills
-# MAX_STORED_HITS, peaks at 54 MB (measured on 2-core x86-64).
+# The box is never built, but the search materializes int64 and int16
+# arrays over its first half: the bMb table, once per matrix, and the int16
+# intersection sum, once per a-vector; the box guard allows at most this
+# many entries in the whole box.  At the largest box it accepts (dim 4,
+# bound 18, 7,496,644 entries) `knot curve --matrix` on the Seifert matrix
+# of K(0,0) peaks at 63.6 MB RSS, against 30 MB for the import alone: the
+# bMb table (7.5 MB) and the int64 arrays of the first block's 135,309 hits
+# sit on top of it.  An absent search there (the identity) stopped by a
+# 20 s budget at 47.2 MB.
+# `knot curve --m 100 --n 100` (bound 12), whose memo fills MAX_STORED_HITS,
+# peaks at 43.8 MB (measured on 2-core x86-64).
 MAX_BOX_ENTRIES = 1 << 23
 
 
@@ -78,10 +86,8 @@ class CurveCertificate:
 def restricted_form(mat, a, b) -> IntMatrix:
     """Seifert form restricted to span(a, b): [[aMa, aMb], [bMa, bMb]]."""
     mat = as_matrix(mat)
-    return (
-        (bilinear(a, mat, a), bilinear(a, mat, b)),
-        (bilinear(b, mat, a), bilinear(b, mat, b)),
-    )
+    ma, mb = mat_vec(mat, a), mat_vec(mat, b)
+    return ((dot(a, ma), dot(a, mb)), (dot(b, ma), dot(b, mb)))
 
 
 def verify_certificate(mat, cert: CurveCertificate) -> bool:
@@ -117,11 +123,13 @@ def default_search_bound(k: KnotParams) -> int:
 # generated one a at a time.
 _A_BLOCK = 16
 
-# The hit memo stores at most this many int32 entries over all its keys: one
-# hit count per a-vector, one entry per hit, and _BLOCK_HEADER per block for
-# its array header.  Past it, blocks are computed and not stored.  The 121
-# knots K(m,n), m, n <= 10, need about 73,000 entries, the 961 of m, n <= 30
-# about 2.8 million, and `knot curve --m 100 --n 100` about 7 million.
+# The hit memo stores at most this many 4-byte entries over all its keys: one
+# hit count per a-vector, one entry per hit (its two int16 row indices, see
+# _Box.index_type), and _BLOCK_HEADER per block for its array header.  Past
+# it, blocks are computed and not stored.  The 121 knots K(m,n), m, n <= 10,
+# need about 73,000 entries, the 961 of m, n <= 30 about 2.8 million, and
+# `knot curve --m 100 --n 100` about 7 million; with the memo full at this
+# cap, that run peaks at 43.8 MB RSS.
 MAX_STORED_HITS = 1 << 19
 _BLOCK_HEADER = 32
 
@@ -130,14 +138,21 @@ _BLOCK_HEADER = 32
 class _Box:
     """The boxes of one (bound, dim), see _boxes, and the hit memo of every
     M - M^T searched in them: per int64 residue of M - M^T (its bytes), the
-    hit blocks of the first a-vectors in scan order."""
+    hit blocks of the first a-vectors in scan order, see _hit_block."""
 
-    half: np.ndarray
-    avecs: np.ndarray
     hi: np.ndarray
     lo: np.ndarray
+    n: int  # the length of the box's first half
+    arows: np.ndarray  # the half row of each a-vector, in scan order
     memo: dict[bytes, list[np.ndarray]] = field(default_factory=dict)
     stored: int = 0
+
+    @property
+    def index_type(self):
+        """The dtype of a stored hit's two row indices: int16, so that a hit
+        takes 4 bytes, when hi and lo both have fewer than 2^15 rows, which
+        every box of dim >= 2 that the box guard admits does."""
+        return np.int16 if max(len(self.hi), len(self.lo)) < 1 << 15 else np.int32
 
 
 # The module's one cache: per (bound, dim), its boxes and their hit memo.
@@ -153,23 +168,25 @@ def _box(bound: int, k: int):
 
 
 def _boxes(bound: int, dim: int) -> _Box:
-    """The first half of the box [-bound, bound]^dim, the normalized
-    a-vectors, and the boxes hi of the first dim // 2 and lo of the other
-    coordinates, hi cut to the rows that begin a vector of the half.  All
-    are in lex order, so row i * len(lo) + j of the box is hi[i] followed by
-    lo[j], and the half is built that way without the box.  The box is
-    symmetric, row len - 1 - r being minus row r, and its middle row is the
-    zero vector; so its first half holds the vectors with negative first
-    nonzero coordinate, and the a-vectors are the primitive rows of the
-    half negated and reversed."""
+    """The boxes hi of the first dim // 2 and lo of the other coordinates of
+    [-bound, bound]^dim, the length n of the box's first half, and the
+    a-vectors as rows of that half.  All are in lex order, so row
+    i * len(lo) + j of the box is hi[i] followed by lo[j]; hi is cut to the
+    rows that begin a row of the half, and neither the half nor the
+    a-vectors are built.  The box is symmetric, row len - 1 - r being minus
+    row r, and its middle row is the zero vector; so its first half holds
+    the vectors with negative first nonzero coordinate, and the a-vectors
+    are the primitive rows of the half negated and reversed.  Row
+    i * len(lo) + j is primitive when the gcd of hi[i] and the gcd of lo[j]
+    are coprime."""
     key = (bound, dim)
     if key not in _CACHE:
         n = (2 * bound + 1) ** dim // 2
         lo = _box(bound, dim - dim // 2)
         hi = _box(bound, dim // 2)[: n // len(lo) + 1]
-        half = np.hstack((np.repeat(hi, len(lo), axis=0)[:n], np.tile(lo, (len(hi), 1))[:n]))
-        primitive = np.gcd.reduce(np.abs(half), axis=1) == 1
-        _CACHE[key] = _Box(half, -half[primitive][::-1], hi, lo)
+        gcds = np.gcd.outer(np.gcd.reduce(np.abs(hi), axis=1), np.gcd.reduce(np.abs(lo), axis=1))
+        arows = np.flatnonzero(gcds.ravel()[:n] == 1)[::-1].astype(np.int32)
+        _CACHE[key] = _Box(hi, lo, n, arows)
     return _CACHE[key]
 
 
@@ -185,19 +202,43 @@ def _stored_entries() -> int:
 
 def _hit_block(box: _Box, anti, avecs):
     """The pairs of the a-vectors avecs and the b of the half box with
-    |a (M - M^T) b| = 1, in scan order: one int32 array that holds the hit
-    count of each a, then each hit as (r + 1) p for half-box row r and
-    intersection p."""
+    |a (M - M^T) b| = 1, in scan order, as one int32 array: the hit count of
+    each a, then two runs of box.index_type entries, one holding each hit's
+    (i + 1) p and one its j, for its half row i * len(lo) + j and its
+    intersection p.
+
+    The intersection is an outer sum of one product over hi and one over
+    lo.  The sum is first taken mod 2^16, in int16, and only the pairs where
+    it is +-1 there are summed in int64: +-1 mod 2^64 is +-1 mod 2^16, so no
+    hit is lost, and the int64 test drops the others."""
     h = len(anti) // 2
-    counts, hits = [], []
+    counts, codes, cols = [], [], []
     for a in avecs:
         w = a @ anti
-        p = ((box.hi @ w[:h])[:, None] + box.lo @ w[h:]).ravel()[: len(box.half)]
-        cols = np.flatnonzero(np.abs(p) == 1)
-        counts.append(len(cols))
-        if len(cols):
-            hits.append((cols + 1) * p[cols])
-    return np.concatenate([counts] + hits).astype(np.int32)
+        ph, pl = box.hi @ w[:h], box.lo @ w[h:]
+        low = (ph.astype(np.int16)[:, None] + pl.astype(np.int16)).ravel()[: box.n]
+        i, j = np.divmod(np.flatnonzero(np.abs(low) == 1), len(box.lo))
+        p = ph[i] + pl[j]
+        hit = np.abs(p) == 1
+        counts.append(np.count_nonzero(hit))
+        codes.append((i[hit] + 1) * p[hit])
+        cols.append(j[hit])
+    t = box.index_type
+    runs = [np.array(counts, np.int32).view(t), np.concatenate(codes), np.concatenate(cols)]
+    return np.concatenate(runs, dtype=t, casting="unsafe").view(np.int32)
+
+
+def _bmb_table(box: _Box, m) -> np.ndarray:
+    """bMb mod 2^64 for each b of the half box, for the int64 matrix m.  For
+    b = hi[i] followed by lo[j] it is hi[i] M_hh hi[i] + lo[j] M_ll lo[j] +
+    hi[i] (M + M^T)_hl lo[j], with M split into the blocks of the first
+    dim // 2 (h) and the other (l) coordinates: an outer sum of two tables
+    and one product, cut at the half."""
+    hi, lo, h = box.hi, box.lo, len(m) // 2
+    table = hi @ ((m + m.T)[:h, h:] @ lo.T)
+    table += np.einsum("ij,ij->i", lo @ m[h:, h:], lo)
+    table += np.einsum("ij,ij->i", hi @ m[:h, :h], hi)[:, None]
+    return table.ravel()[: box.n]
 
 
 def _search(
@@ -215,10 +256,11 @@ def _search(
     except that for the a of the certificate the pairs checked end at the
     certificate, so all of them lie in the half.
 
-    The half is split into the rows of hi and lo of the first dim // 2 and
-    the other coordinates.  For each a, the intersection a(M - M^T)b is an
-    outer sum of one product over hi and one over lo, and so is aMb on the
-    pairs that pass; bMb is a table over the half, computed once per call.
+    Every b of the half is hi[i] followed by lo[j], for the boxes hi and lo
+    of the first dim // 2 and the other coordinates, and every product runs
+    on hi and lo alone.  For each a, the intersection a(M - M^T)b is an
+    outer sum of one product over hi and one over lo, and so is aMb, taken
+    at the pairs that pass; bMb is one table per call, see _bmb_table.
     bMa = aMb - a(M - M^T)b, so the Alexander test aMa bMb == aMb bMa needs
     no product over b beyond these.
 
@@ -237,7 +279,8 @@ def _search(
     MAX_STORED_HITS entries.  A block holds the hit count of each of its
     a-vectors, so the counts stay those of the scan one a at a time, even
     where the block runs past the a of the certificate.  The Alexander
-    filter runs on a block's hits at once, and the pairs that pass it go to
+    filter runs on a block's hits at once, reading the products and the
+    bMb table with flat takes, and the pairs that pass it go to
     verify_certificate in scan order.  With a deadline (a time.monotonic
     reading), check_deadline raises SearchBudgetExceeded before the first
     block that starts past it.
@@ -247,13 +290,15 @@ def _search(
     m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
     anti = m - m.T
     box = _boxes(bound, dim)
-    half, avecs, hi, lo = box.half, box.avecs, box.hi, box.lo
+    hi, lo = box.hi, box.lo
     memo = box.memo.setdefault(anti.tobytes(), [])
-    bmb = np.einsum("ij,ij->i", half @ m, half)
+    bmb = _bmb_table(box, m)
     hits = checked = 0
-    for k, start in enumerate(range(0, len(avecs), _A_BLOCK)):
+    for k, start in enumerate(range(0, len(box.arows), _A_BLOCK)):
         check_deadline(deadline)
-        block = avecs[start : start + _A_BLOCK]
+        ai, aj = np.divmod(box.arows[start : start + _A_BLOCK], len(lo))
+        block = -np.concatenate((hi.take(ai, axis=0), lo.take(aj, axis=0)), axis=1)
+        nb = len(block)
         if k < len(memo):
             stored = memo[k]
         else:
@@ -262,21 +307,23 @@ def _search(
             if k == len(memo) and _stored_entries() + cost <= MAX_STORED_HITS:
                 memo.append(stored)
                 box.stored += cost
-        counts, code = stored[: len(block)], stored[len(block) :]
-        if not len(code):
+        counts, runs = stored[:nb], stored[nb:].view(box.index_type)
+        if not len(runs):
             continue
-        al = np.repeat(np.arange(len(block)), counts)  # the a of each hit
-        cols = np.abs(code) - 1
+        code, j = runs.astype(np.int64).reshape(2, -1)
+        al = np.repeat(np.arange(nb), counts)  # the a of each hit
+        i = np.abs(code) - 1
         p = np.sign(code)
         u = block @ m
-        i, j = np.divmod(cols, len(lo))
-        x = (hi @ u[:, :h].T)[i, al] + (lo @ u[:, h:].T)[j, al]  # a M b
+        # a M b: the hi part at flat row i * nb + a, plus the lo part
+        x = (hi @ u[:, :h].T).ravel().take(i * nb + al)
+        x += (lo @ u[:, h:].T).ravel().take(j * nb + al)
         ama = np.einsum("ij,ij->i", u, block)
-        ok = np.flatnonzero(ama[al] * bmb[cols] == x * (x - p))
+        ok = np.flatnonzero(ama.take(al) * bmb.take(i * len(lo) + j) == x * (x - p))
         for n, t in enumerate(ok):
             r = al[t]
             at = tuple(int(v) for v in block[r])
-            b = tuple(int(v) for v in half[cols[t]])
+            b = tuple(int(v) for v in hi[i[t]]) + tuple(int(v) for v in lo[j[t]])
             cert = CurveCertificate(at, b, restricted_form(mat, at, b))
             if verify_certificate(mat, cert):
                 first = int(np.searchsorted(al[ok], r))  # passes of the block's earlier a
@@ -288,7 +335,7 @@ def _search(
                 )
         hits += 2 * len(code)
         checked += 2 * len(ok)
-    return None, len(avecs), hits, checked
+    return None, len(box.arows), hits, checked
 
 
 def _check_box_entries(dim: int, bound: int) -> None:

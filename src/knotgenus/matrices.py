@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from operator import mul
 
 log = logging.getLogger(__name__)
 
@@ -58,16 +59,16 @@ def symmetrize(m: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(m: IntMatrix, v) -> tuple[int, ...]:
-    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def bilinear(a, m: IntMatrix, b) -> int:
     """a^T m b."""
-    return sum(ai * x for ai, x in zip(a, mat_vec(m, b)))
+    return dot(a, mat_vec(m, b))
 
 
 def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
@@ -200,7 +201,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
                 raise ValueError(f"line {lineno}: matrix size must be positive")
             continue
         try:
-            row = tuple(int(tok) for tok in line.split())
+            row = tuple(map(int, line.split()))
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {line!r}")
         if len(row) != size:

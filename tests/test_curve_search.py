@@ -11,8 +11,10 @@ from knotgenus import curve_search
 from knotgenus.curve_search import (
     MAX_BOX_ENTRIES,
     CurveCertificate,
+    _bmb_table,
     _box,
     _boxes,
+    _check_box_entries,
     _search,
     _stored_entries,
     _wrap64,
@@ -426,12 +428,20 @@ def test_memo_cap(full_box_cases, empty_cache, monkeypatch):
             assert _search(mat, bound) == expected, mat
             assert _stored_entries() <= 400
     assert _stored_entries() > 0
-    counted = sum(
-        len(block) + curve_search._BLOCK_HEADER
-        for box in curve_search._CACHE.values()
-        for blocks in box.memo.values()
-        for block in blocks
-    )
+    # recounted from the stored arrays: a block of nb a-vectors holds their
+    # nb hit counts, then 4 bytes per hit (two int16 row indices)
+    counted = 0
+    for (bound, dim), box in curve_search._CACHE.items():
+        if dim >= 2:
+            assert box.index_type == np.int16
+        width = np.dtype(box.index_type).itemsize // 2  # int32 entries per hit
+        step = curve_search._A_BLOCK
+        for blocks in box.memo.values():
+            for k, block in enumerate(blocks):
+                nb = len(box.arows[k * step : (k + 1) * step])
+                assert block.dtype == np.int32
+                assert len(block) == nb + width * int(block[:nb].sum())
+                counted += len(block) + curve_search._BLOCK_HEADER
     assert counted == _stored_entries()
 
 
@@ -448,22 +458,109 @@ def test_curve_search_time_budget():
     assert (cert.a, cert.b) == FIRST_CERTIFICATES[3, 4]
 
 
+def _split_half(box):
+    """The first half of the box, built from hi and lo: row i * len(lo) + j
+    is hi[i] followed by lo[j]."""
+    hi, lo = box.hi, box.lo
+    rows = np.hstack((np.repeat(hi, len(lo), axis=0), np.tile(lo, (len(hi), 1))))
+    return rows[: box.n]
+
+
 def test_half_box_cache():
-    # the half is the box's first half, the a-vectors are the normalized
-    # rows of the whole box, and hi is a prefix of the box of dim // 2
+    # the a-vectors, built from hi, lo and their half rows, are the
+    # normalized rows of the whole box in scan order; hi is a prefix of the
+    # box of dim // 2, cut to the rows that begin a row of the half, and lo
+    # is the box of the rest
     for bound, dim in [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (1, 5)]:
         full = _box(bound, dim)
         box = _boxes(bound, dim)
-        half, avecs, hi, lo = box.half, box.avecs, box.hi, box.lo
-        positive = full[len(full) // 2 + 1 :]
-        assert np.array_equal(half, full[: len(full) // 2])
-        assert not full[len(full) // 2].any()
-        assert np.array_equal(-half[::-1], positive)
+        hi, lo = box.hi, box.lo
+        assert box.n == len(full) // 2
+        assert not full[box.n].any()
+        positive = full[box.n + 1 :]
+        assert np.array_equal(-_split_half(box)[::-1], positive)
         expected = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
-        assert np.array_equal(avecs, expected)
+        assert box.arows.dtype == np.int32
+        i, j = np.divmod(box.arows, len(lo))
+        assert np.array_equal(-np.hstack((hi[i], lo[j])), expected)
         assert np.array_equal(hi, _box(bound, dim // 2)[: len(hi)])
         assert np.array_equal(lo, _box(bound, dim - dim // 2))
-        assert len(hi) * len(lo) >= len(half)
+        assert (len(hi) - 1) * len(lo) < box.n <= len(hi) * len(lo)
+
+
+def test_split_bmb_table(empty_cache):
+    # the table from hi and lo is bMb over the half, mod 2^64 for the wide
+    # entries too
+    for mat, bound in _split_box_cases():
+        m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
+        box = _boxes(bound, len(mat))
+        half = _split_half(box)
+        assert np.array_equal(_bmb_table(box, m), np.einsum("ij,ij->i", half @ m, half)), mat
+
+
+def test_wide_row_indices(full_box_cases, empty_cache, monkeypatch):
+    # hits stored with int32 row indices give the same results as with
+    # int16, cold and warm
+    monkeypatch.setattr(curve_search._Box, "index_type", property(lambda box: np.int32))
+    for mat, bound, expected in full_box_cases:
+        assert _search(mat, bound) == expected, mat
+        assert _search(mat, bound) == expected, mat
+
+
+def _wide_mod_2_16_matrices(rng):
+    """Seeded dim 2-4 matrices whose entries are small mod 2^16 and not in
+    int64, with a bound for each: many pairs have intersection +-1 mod 2^16
+    but not mod 2^64, and some have it in both."""
+    cases = []
+    for dim in (2, 3, 4, 2, 3, 4):
+        mat = [
+            [rng.randint(-2, 2) + (rng.randint(-3, 3) << 16) for _ in range(dim)]
+            for _ in range(dim)
+        ]
+        cases.append((as_matrix(mat), 2 if dim < 4 else 1))
+    return cases
+
+
+def test_hits_found_mod_2_16_are_checked_in_int64(empty_cache):
+    # the hits are the pairs that _hit_block finds with intersection +-1 mod
+    # 2^16 and then confirms in int64; the cases hold many pairs that pass
+    # the first test and fail the second, and some true hits
+    passed_mod_2_16 = hits = 0
+    for mat, bound in _wide_mod_2_16_matrices(random.Random(71)):
+        expected = full_box_search(mat, bound)
+        assert _search(mat, bound) == expected, mat
+        assert _search(mat, bound) == expected, mat
+        m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
+        bvecs = _box(bound, len(mat))
+        positive = bvecs[len(bvecs) // 2 + 1 :]
+        avecs = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
+        inter = avecs @ (m - m.T) @ bvecs.T
+        passed_mod_2_16 += np.count_nonzero(np.abs(inter.astype(np.int16)) == 1)
+        hits += np.count_nonzero(np.abs(inter) == 1)
+    assert 0 < hits < passed_mod_2_16 // 2
+
+
+def test_boxes_at_the_row_index_limits(empty_cache):
+    # dim 1 at bound 2^14: lo has 2^15 + 1 rows, past int16; dims 2 and 3 at
+    # the largest bound the box guard admits, where lo has 2,047 and 19,321
+    # rows and a hit still takes two int16 row indices
+    cases = [
+        ([[3]], 1 << 14, np.int32),
+        ([[0, 1], [0, 0]], 1023, np.int16),
+        ([[3, -3, 0], [-2, -2, -2], [-2, 2, -3]], 69, np.int16),
+    ]
+    for mat, bound, index_type in cases:
+        mat = as_matrix(mat)
+        _check_box_entries(len(mat), bound)
+        if len(mat) > 1:
+            with pytest.raises(ValueError, match="box too large"):
+                _check_box_entries(len(mat), bound + 1)
+        expected = full_box_search(mat, bound)
+        assert _search(mat, bound) == expected, mat
+        assert _search(mat, bound) == expected, mat
+        assert _boxes(bound, len(mat)).index_type == index_type
+    # the dim-3 search scans 54 a-vectors, past three blocks of the memo
+    assert expected[1:] == (54, 13738, 1)
 
 
 def test_certificates_are_symmetric_in_the_sign_of_b():
