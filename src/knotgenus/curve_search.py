@@ -51,7 +51,7 @@ from math import isqrt
 import numpy as np
 
 from .lattice import check_deadline, search_deadline
-from .matrices import IntMatrix, as_matrix, dot, mat_vec
+from .matrices import IntMatrix, as_matrix, bilinear
 from .seifert import alexander_trivial_2x2
 from .two_bridge import KnotParams
 
@@ -86,8 +86,10 @@ class CurveCertificate:
 def restricted_form(mat, a, b) -> IntMatrix:
     """Seifert form restricted to span(a, b): [[aMa, aMb], [bMa, bMb]]."""
     mat = as_matrix(mat)
-    ma, mb = mat_vec(mat, a), mat_vec(mat, b)
-    return ((dot(a, ma), dot(a, mb)), (dot(b, ma), dot(b, mb)))
+    return (
+        (bilinear(a, mat, a), bilinear(a, mat, b)),
+        (bilinear(b, mat, a), bilinear(b, mat, b)),
+    )
 
 
 def verify_certificate(mat, cert: CurveCertificate) -> bool:
@@ -125,7 +127,7 @@ _A_BLOCK = 16
 
 # The hit memo stores at most this many 4-byte entries over all its keys: one
 # hit count per a-vector, one entry per hit (its two int16 row indices, see
-# _Box.index_type), and _BLOCK_HEADER per block for its array header.  Past
+# _boxes), and _BLOCK_HEADER per block for its array header.  Past
 # it, blocks are computed and not stored.  The 121 knots K(m,n), m, n <= 10,
 # need about 73,000 entries, the 961 of m, n <= 30 about 2.8 million, and
 # `knot curve --m 100 --n 100` about 7 million; with the memo full at this
@@ -146,13 +148,6 @@ class _Box:
     arows: np.ndarray  # the half row of each a-vector, in scan order
     memo: dict[bytes, list[np.ndarray]] = field(default_factory=dict)
     stored: int = 0
-
-    @property
-    def index_type(self):
-        """The dtype of a stored hit's two row indices: int16, so that a hit
-        takes 4 bytes, when hi and lo both have fewer than 2^15 rows, which
-        every box of dim >= 2 that the box guard admits does."""
-        return np.int16 if max(len(self.hi), len(self.lo)) < 1 << 15 else np.int32
 
 
 # The module's one cache: per (bound, dim), its boxes and their hit memo.
@@ -178,7 +173,12 @@ def _boxes(bound: int, dim: int) -> _Box:
     the vectors with negative first nonzero coordinate, and the a-vectors
     are the primitive rows of the half negated and reversed.  Row
     i * len(lo) + j is primitive when the gcd of hi[i] and the gcd of lo[j]
-    are coprime."""
+    are coprime.
+
+    A stored hit holds its two row indices as int16, see _hit_block: every
+    box of dim >= 2 that the box guard admits has fewer than 2^15 hi and lo
+    rows (at most 2,047 at dim 2, 19,321 at dim 3), and at dim 1 M - M^T is
+    zero, so no hit is stored."""
     key = (bound, dim)
     if key not in _CACHE:
         n = (2 * bound + 1) ** dim // 2
@@ -203,7 +203,7 @@ def _stored_entries() -> int:
 def _hit_block(box: _Box, anti, avecs):
     """The pairs of the a-vectors avecs and the b of the half box with
     |a (M - M^T) b| = 1, in scan order, as one int32 array: the hit count of
-    each a, then two runs of box.index_type entries, one holding each hit's
+    each a, then two runs of int16 entries, one holding each hit's
     (i + 1) p and one its j, for its half row i * len(lo) + j and its
     intersection p.
 
@@ -223,9 +223,8 @@ def _hit_block(box: _Box, anti, avecs):
         counts.append(np.count_nonzero(hit))
         codes.append((i[hit] + 1) * p[hit])
         cols.append(j[hit])
-    t = box.index_type
-    runs = [np.array(counts, np.int32).view(t), np.concatenate(codes), np.concatenate(cols)]
-    return np.concatenate(runs, dtype=t, casting="unsafe").view(np.int32)
+    runs = [np.array(counts, np.int32).view(np.int16), np.concatenate(codes), np.concatenate(cols)]
+    return np.concatenate(runs, dtype=np.int16, casting="unsafe").view(np.int32)
 
 
 def _bmb_table(box: _Box, m) -> np.ndarray:
@@ -307,7 +306,7 @@ def _search(
             if k == len(memo) and _stored_entries() + cost <= MAX_STORED_HITS:
                 memo.append(stored)
                 box.stored += cost
-        counts, runs = stored[:nb], stored[nb:].view(box.index_type)
+        counts, runs = stored[:nb], stored[nb:].view(np.int16)
         if not len(runs):
             continue
         code, j = runs.astype(np.int64).reshape(2, -1)

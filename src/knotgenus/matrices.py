@@ -27,7 +27,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from operator import mul
 
 log = logging.getLogger(__name__)
 
@@ -59,16 +58,16 @@ def symmetrize(m: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(m: IntMatrix, v) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in m)
+    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
 
 
 def bilinear(a, m: IntMatrix, b) -> int:
     """a^T m b."""
-    return dot(a, mat_vec(m, b))
+    return sum(ai * x for ai, x in zip(a, mat_vec(m, b)))
 
 
 def dot(a, b) -> int:
-    return sum(map(mul, a, b))
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _bareiss_pivots(m: IntMatrix, swap_rows: bool):

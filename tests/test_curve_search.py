@@ -429,18 +429,16 @@ def test_memo_cap(full_box_cases, empty_cache, monkeypatch):
             assert _stored_entries() <= 400
     assert _stored_entries() > 0
     # recounted from the stored arrays: a block of nb a-vectors holds their
-    # nb hit counts, then 4 bytes per hit (two int16 row indices)
+    # nb hit counts, then 4 bytes, one int32 entry, per hit (two int16 row
+    # indices)
     counted = 0
-    for (bound, dim), box in curve_search._CACHE.items():
-        if dim >= 2:
-            assert box.index_type == np.int16
-        width = np.dtype(box.index_type).itemsize // 2  # int32 entries per hit
-        step = curve_search._A_BLOCK
+    step = curve_search._A_BLOCK
+    for box in curve_search._CACHE.values():
         for blocks in box.memo.values():
             for k, block in enumerate(blocks):
                 nb = len(box.arows[k * step : (k + 1) * step])
                 assert block.dtype == np.int32
-                assert len(block) == nb + width * int(block[:nb].sum())
+                assert len(block) == nb + int(block[:nb].sum())
                 counted += len(block) + curve_search._BLOCK_HEADER
     assert counted == _stored_entries()
 
@@ -478,6 +476,7 @@ def test_half_box_cache():
         assert box.n == len(full) // 2
         assert not full[box.n].any()
         positive = full[box.n + 1 :]
+        assert np.array_equal(_split_half(box), full[: box.n])
         assert np.array_equal(-_split_half(box)[::-1], positive)
         expected = positive[np.gcd.reduce(np.abs(positive), axis=1) == 1]
         assert box.arows.dtype == np.int32
@@ -496,15 +495,6 @@ def test_split_bmb_table(empty_cache):
         box = _boxes(bound, len(mat))
         half = _split_half(box)
         assert np.array_equal(_bmb_table(box, m), np.einsum("ij,ij->i", half @ m, half)), mat
-
-
-def test_wide_row_indices(full_box_cases, empty_cache, monkeypatch):
-    # hits stored with int32 row indices give the same results as with
-    # int16, cold and warm
-    monkeypatch.setattr(curve_search._Box, "index_type", property(lambda box: np.int32))
-    for mat, bound, expected in full_box_cases:
-        assert _search(mat, bound) == expected, mat
-        assert _search(mat, bound) == expected, mat
 
 
 def _wide_mod_2_16_matrices(rng):
@@ -541,15 +531,15 @@ def test_hits_found_mod_2_16_are_checked_in_int64(empty_cache):
 
 
 def test_boxes_at_the_row_index_limits(empty_cache):
-    # dim 1 at bound 2^14: lo has 2^15 + 1 rows, past int16; dims 2 and 3 at
-    # the largest bound the box guard admits, where lo has 2,047 and 19,321
-    # rows and a hit still takes two int16 row indices
+    # dim 1 at bound 2^14: lo has 2^15 + 1 rows, past int16, and no hit is
+    # stored; dims 2 and 3 at the largest bound the box guard admits, where
+    # lo has 2,047 and 19,321 rows and a hit takes two int16 row indices
     cases = [
-        ([[3]], 1 << 14, np.int32),
-        ([[0, 1], [0, 0]], 1023, np.int16),
-        ([[3, -3, 0], [-2, -2, -2], [-2, 2, -3]], 69, np.int16),
+        ([[3]], 1 << 14),
+        ([[0, 1], [0, 0]], 1023),
+        ([[3, -3, 0], [-2, -2, -2], [-2, 2, -3]], 69),
     ]
-    for mat, bound, index_type in cases:
+    for mat, bound in cases:
         mat = as_matrix(mat)
         _check_box_entries(len(mat), bound)
         if len(mat) > 1:
@@ -558,7 +548,6 @@ def test_boxes_at_the_row_index_limits(empty_cache):
         expected = full_box_search(mat, bound)
         assert _search(mat, bound) == expected, mat
         assert _search(mat, bound) == expected, mat
-        assert _boxes(bound, len(mat)).index_type == index_type
     # the dim-3 search scans 54 a-vectors, past three blocks of the memo
     assert expected[1:] == (54, 13738, 1)
 
