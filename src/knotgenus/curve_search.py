@@ -62,12 +62,12 @@ log = logging.getLogger(__name__)
 # intersection sum, once per a-vector; the box guard allows at most this
 # many entries in the whole box.  At the largest box it accepts (dim 4,
 # bound 18, 7,496,644 entries) `knot curve --matrix` on the Seifert matrix
-# of K(0,0) peaks at 63.6 MB RSS, against 30 MB for the import alone: the
+# of K(0,0) peaks at 64.2 MB RSS, against 30 MB for the import alone: the
 # bMb table (7.5 MB) and the int64 arrays of the first block's 135,309 hits
 # sit on top of it.  An absent search there (the identity) stopped by a
-# 20 s budget at 47.2 MB.
+# 20 s budget at 47.1 MB.
 # `knot curve --m 100 --n 100` (bound 12), whose memo fills MAX_STORED_HITS,
-# peaks at 43.8 MB (measured on 2-core x86-64).
+# peaks at 43.9-44.5 MB (measured on 2-core x86-64).
 MAX_BOX_ENTRIES = 1 << 23
 
 
@@ -131,7 +131,7 @@ _A_BLOCK = 16
 # it, blocks are computed and not stored.  The 121 knots K(m,n), m, n <= 10,
 # need about 73,000 entries, the 961 of m, n <= 30 about 2.8 million, and
 # `knot curve --m 100 --n 100` about 7 million; with the memo full at this
-# cap, that run peaks at 43.8 MB RSS.
+# cap, that run peaks at 43.9-44.5 MB RSS.
 MAX_STORED_HITS = 1 << 19
 _BLOCK_HEADER = 32
 
