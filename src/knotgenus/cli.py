@@ -34,9 +34,9 @@ from .lattice import (
     min_embedding_dim,
 )
 from .matrices import parse_matrix_text, symmetrize
-from .pipeline import render_json, report_to_dict, reports_to_csv
+from .pipeline import render_json, report_to_dict, report_to_text, reports_to_csv
 from .seifert import alexander, knot_determinant, signature
-from .two_bridge import KnotParams, continued_fraction, crossing_count, seifert_matrix
+from .two_bridge import KnotParams, seifert_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,32 +72,6 @@ def _read_matrix(path: str):
         raise ValueError(f"{path}: {exc}")
 
 
-def _print_report_human(r, out):
-    print(f"K(m={r.params.m}, n={r.params.n})", file=out)
-    cf = continued_fraction(r.params)
-    print(f"  fraction            = {r.fraction.numerator}/{r.fraction.denominator}", file=out)
-    print(f"  continued fraction  = {cf}", file=out)
-    print(f"  crossings           = {crossing_count(r.params)}", file=out)
-    print(f"  sigma = {r.signature}", file=out)
-    print(f"  det = {r.determinant}", file=out)
-    print(f"  alexander           = {r.alexander}", file=out)
-    if r.gtop_lower == r.gtop_upper:
-        print(f"  g_top = {r.gtop_lower}", file=out)
-    else:
-        print(f"  g_top in [{r.gtop_lower}, {r.gtop_upper}]", file=out)
-    if r.gsm_lower == r.gsm_upper:
-        print(f"  g_sm  = {r.gsm_lower}", file=out)
-    else:
-        print(f"  g_sm  in [{r.gsm_lower}, {r.gsm_upper}]", file=out)
-    if r.curve_certificate is not None:
-        print(f"  certificate: {format_certificate(r.curve_certificate)}", file=out)
-    if r.embedding_verdict is not None:
-        v = r.embedding_verdict
-        print(f"  embedding at dim {v.tested_dim}: {v.embeddable}", file=out)
-    for note in r.notes:
-        print(f"  note: {note}", file=out)
-
-
 def cmd_info(args) -> int:
     report = pipeline.genus_bounds(KnotParams(args.m, args.n))
     if args.format == "json":
@@ -105,7 +79,7 @@ def cmd_info(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(reports_to_csv([report]))
     else:
-        _print_report_human(report, sys.stdout)
+        sys.stdout.write(report_to_text(report))
     return EXIT_OK
 
 
@@ -122,9 +96,7 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(reports_to_csv(reports))
     else:
-        for r in reports:
-            _print_report_human(r, sys.stdout)
-            print(file=sys.stdout)
+        sys.stdout.write("".join(report_to_text(r) + "\n" for r in reports))
     if any(not r.conclusive for r in reports):
         return EXIT_INCONCLUSIVE
     return EXIT_OK

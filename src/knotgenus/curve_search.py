@@ -23,7 +23,7 @@ a-vectors are kept as the indices of such rows.  Every bilinear form in b
 is then a sum of one product over each part, and bMb is one outer sum over
 hi and lo per matrix.  All of it is ring arithmetic mod 2^64, so the split
 passes exactly the pairs one product over the whole box would; the exact
-check is verify_certificate's.
+check is the one verify_certificate makes, on the restricted form.
 
 The pairs with intersection a(M - M^T)b = +-1 are the costly filter, and
 they depend on nothing but the bound, the dimension and M - M^T mod 2^64.
@@ -92,22 +92,26 @@ def restricted_form(mat, a, b) -> IntMatrix:
     )
 
 
-def verify_certificate(mat, cert: CurveCertificate) -> bool:
-    """Check all certificate invariants against the Seifert matrix.
+def _certifies(form: IntMatrix) -> bool:
+    """Whether the restricted form of (a, b) makes the pair a certificate.
 
-    The restricted form decides them: the intersection a(M - M^T)b is
+    The form decides it: the intersection a(M - M^T)b is
     form[0][1] - form[1][0], and once it is +-1 the pair is not proportional
     (proportional classes intersect in 0) and the form meets both
     preconditions of alexander_trivial_2x2.
     """
+    return abs(form[0][1] - form[1][0]) == 1 and alexander_trivial_2x2(form)
+
+
+def verify_certificate(mat, cert: CurveCertificate) -> bool:
+    """Check all certificate invariants against the Seifert matrix: the
+    restricted form of (a, b) is the stated one, and it certifies."""
     mat = as_matrix(mat)
     a, b = cert.a, cert.b
     if len(a) != len(mat) or len(b) != len(mat):
         return False
     form = restricted_form(mat, a, b)
-    if form != cert.restricted_form:
-        return False
-    return abs(form[0][1] - form[1][0]) == 1 and alexander_trivial_2x2(form)
+    return form == cert.restricted_form and _certifies(form)
 
 
 def default_search_bound(k: KnotParams) -> int:
@@ -245,7 +249,7 @@ def _search(
 ) -> tuple[CurveCertificate | None, int, int, int]:
     """The lex-first certificate (or None), the number of a-vectors scanned,
     the number of (a, b) pairs that passed the intersection filter and the
-    number of them that verify_certificate checked.
+    number of them whose exact restricted form was checked.
 
     Only the first half of the box is scanned: the b with negative first
     nonzero coordinate.  Negating b negates aMb, bMa and the intersection
@@ -266,7 +270,8 @@ def _search(
     The filters run in int64 on the matrix reduced mod 2^64.  Each is an
     equality of ring expressions, which reduction mod 2^64 preserves, so no
     true pair is dropped; a pair that only passes mod 2^64 is rejected by
-    verify_certificate, which runs on the exact Python integers.  Splitting
+    the exact check: its restricted form, computed once in Python integers,
+    is tested by _certifies, the predicate of verify_certificate.  Splitting
     the sums and negating b change no residue, so every filter passes the
     same pairs as one product over the whole box.
 
@@ -279,8 +284,8 @@ def _search(
     a-vectors, so the counts stay those of the scan one a at a time, even
     where the block runs past the a of the certificate.  The Alexander
     filter runs on a block's hits at once, reading the products and the
-    bMb table with flat takes, and the pairs that pass it go to
-    verify_certificate in scan order.  With a deadline (a time.monotonic
+    bMb table with flat takes, and the pairs that pass it go to the exact
+    check in scan order.  With a deadline (a time.monotonic
     reading), check_deadline raises SearchBudgetExceeded before the first
     block that starts past it.
     """
@@ -323,11 +328,11 @@ def _search(
             r = al[t]
             at = tuple(int(v) for v in block[r])
             b = tuple(int(v) for v in hi[i[t]]) + tuple(int(v) for v in lo[j[t]])
-            cert = CurveCertificate(at, b, restricted_form(mat, at, b))
-            if verify_certificate(mat, cert):
+            form = restricted_form(mat, at, b)
+            if _certifies(form):
                 first = int(np.searchsorted(al[ok], r))  # passes of the block's earlier a
                 return (
-                    cert,
+                    CurveCertificate(at, b, form),
                     start + int(r) + 1,
                     hits + 2 * int(counts[: r + 1].sum()),
                     checked + 2 * first + (n - first) + 1,
@@ -361,8 +366,8 @@ def find_genus1_certificate(
     A finished search logs one INFO record on the "knotgenus.curve_search"
     logger with the dimension, the bound, the verdict, the number of
     a-vectors scanned, the number of (a, b) pairs that passed the
-    intersection filter, how many of them went to verify_certificate, and
-    the time.
+    intersection filter, how many of them went to the exact check of
+    verify_certificate, and the time.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -15,7 +15,7 @@ import functools
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -24,6 +24,7 @@ from .curve_search import (
     _check_box_entries,
     default_search_bound,
     find_genus1_certificate,
+    format_certificate,
     verify_certificate,
 )
 from .lattice import (
@@ -40,6 +41,7 @@ from .two_bridge import (
     continued_fraction,
     crossing_count,
     knot_fraction,
+    plumbing_weights,
     qmn_gram,
     seifert_matrix,
 )
@@ -54,17 +56,17 @@ class EmbeddingVerdict:
 
 @dataclass(frozen=True)
 class SliceReport:
-    """The invariants and search results of one knot.  The genus bounds are
-    derived from them, here and nowhere else."""
+    """The invariants and search results of one knot.  The genus bounds and
+    the notes are derived from them, here and nowhere else."""
 
     params: KnotParams
     fraction: Fraction
     signature: int
     determinant: int
     alexander: LaurentPolynomial
+    curve_bound: int | None = None  # the box the curve search covered, if it ran
     curve_certificate: CurveCertificate | None = None
     embedding_verdict: EmbeddingVerdict | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     gsm_upper = 2  # the genus-2 Seifert surface
 
@@ -92,6 +94,24 @@ class SliceReport:
             self.embedding_verdict is not None
             and self.embedding_verdict.embeddable != "inconclusive"
         )
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The family notes of the params, then what each search that ran found."""
+        notes = _family_notes(self.params)
+        if self.curve_bound is not None:
+            if self.curve_certificate is None:
+                notes.append(f"curve search: no certificate within bound {self.curve_bound}")
+            else:
+                if not _certificate_families(self.params):
+                    notes.append("certificate found by exhaustive search only")
+                notes.append(f"curve search: certificate found within bound {self.curve_bound}")
+        v = self.embedding_verdict
+        if v is not None:
+            outcome = {True: ": witness found", False: " exhaustive: no embedding",
+                       "inconclusive": " hit its budget: inconclusive"}[v.embeddable]
+            notes.append(f"embedding search at dim {v.tested_dim}{outcome}")
+        return tuple(notes)
 
 
 def obstruction_dim(rank: int, sigma: int) -> int:
@@ -143,7 +163,6 @@ def genus_bounds(k: KnotParams) -> SliceReport:
         signature=signature(symmetrize(mat)),
         determinant=knot_determinant(mat),
         alexander=alexander(mat),
-        notes=tuple(_family_notes(k)),
     )
 
 
@@ -155,20 +174,12 @@ def full_report(
     """Run both searches and assemble the final verdicts.  embed_cap_seconds
     is the time budget of the embedding search, checked by find_embedding."""
     base = genus_bounds(k)
-    notes = list(base.notes)
-
     if curve_bound is None:
         curve_bound = default_search_bound(k)
     mat = seifert_matrix(k)
     cert = find_genus1_certificate(mat, curve_bound)
-    if cert is not None:
-        if not verify_certificate(mat, cert):
-            raise RuntimeError(f"curve search returned an invalid certificate for {k}")
-        if not _certificate_families(k):
-            notes.append("certificate found by exhaustive search only")
-        notes.append(f"curve search: certificate found within bound {curve_bound}")
-    else:
-        notes.append(f"curve search: no certificate within bound {curve_bound}")
+    if cert is not None and not verify_certificate(mat, cert):
+        raise RuntimeError(f"curve search returned an invalid certificate for {k}")
 
     g = qmn_gram(k)
     dim = obstruction_dim(g.rank, base.signature)
@@ -176,18 +187,12 @@ def full_report(
         witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:
         verdict = EmbeddingVerdict(dim, "inconclusive", None)
-        notes.append(f"embedding search at dim {dim} hit its budget: inconclusive")
     else:
-        if witness is None:
-            verdict = EmbeddingVerdict(dim, False, None)
-            notes.append(f"embedding search at dim {dim} exhaustive: no embedding")
-        else:
-            if not verify_embedding(g, witness):
-                raise RuntimeError(f"embedding search returned an invalid witness for {k}")
-            verdict = EmbeddingVerdict(dim, True, witness)
-            notes.append(f"embedding search at dim {dim}: witness found")
+        if witness is not None and not verify_embedding(g, witness):
+            raise RuntimeError(f"embedding search returned an invalid witness for {k}")
+        verdict = EmbeddingVerdict(dim, witness is not None, witness)
 
-    return replace(base, curve_certificate=cert, embedding_verdict=verdict, notes=tuple(notes))
+    return replace(base, curve_bound=curve_bound, curve_certificate=cert, embedding_verdict=verdict)
 
 
 def verify_theorem(
@@ -212,8 +217,7 @@ def verify_theorem(
     last = KnotParams(m_max, n_max)
     mat = seifert_matrix(last)
     _check_box_entries(len(mat), default_search_bound(last) if curve_bound is None else curve_bound)
-    # Q(m,n) has rank 2m + 2n + 8 (see two_bridge); it is not built here
-    rank = 2 * m_max + 2 * n_max + 8
+    rank = len(plumbing_weights(last))  # the rank of Q(m_max, n_max), not built here
     _check_witness_entries(rank, obstruction_dim(rank, signature(symmetrize(mat))))
     grid = [KnotParams(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
     report = functools.partial(
@@ -264,6 +268,29 @@ def report_to_dict(r: SliceReport) -> dict:
         "embedding_verdict": verdict,
         "notes": list(r.notes),
     }
+
+
+def report_to_text(r: SliceReport) -> str:
+    """The human form of a report, one line per field and note."""
+    lines = [
+        f"K(m={r.params.m}, n={r.params.n})",
+        f"  fraction            = {r.fraction.numerator}/{r.fraction.denominator}",
+        f"  continued fraction  = {continued_fraction(r.params)}",
+        f"  crossings           = {crossing_count(r.params)}",
+        f"  sigma = {r.signature}",
+        f"  det = {r.determinant}",
+        f"  alexander           = {r.alexander}",
+    ]
+    bounds = (("g_top", r.gtop_lower, r.gtop_upper), ("g_sm ", r.gsm_lower, r.gsm_upper))
+    for name, lo, hi in bounds:
+        lines.append(f"  {name} = {lo}" if lo == hi else f"  {name} in [{lo}, {hi}]")
+    if r.curve_certificate is not None:
+        lines.append(f"  certificate: {format_certificate(r.curve_certificate)}")
+    v = r.embedding_verdict
+    if v is not None:
+        lines.append(f"  embedding at dim {v.tested_dim}: {v.embeddable}")
+    lines += [f"  note: {note}" for note in r.notes]
+    return "".join(line + "\n" for line in lines)
 
 
 def render_json(obj) -> str:

@@ -49,6 +49,19 @@ def test_gtop_lower_always_one():
 CERT = CurveCertificate((0, 0, 1, 0), (-1, -1, -4, -2), ((-1, 4), (5, -20)))
 
 
+K00_FAMILY_NOTES = (
+    "appears in knot tables as 12a255",
+    "certificate family case: m = n = 0",
+)
+
+EMBEDDING_NOTES = {
+    None: (),
+    False: ("embedding search at dim 10 exhaustive: no embedding",),
+    True: ("embedding search at dim 10: witness found",),
+    "inconclusive": ("embedding search at dim 10 hit its budget: inconclusive",),
+}
+
+
 @pytest.mark.parametrize("cert", [None, CERT])
 @pytest.mark.parametrize("embeddable", [None, False, True, "inconclusive"])
 def test_genus_bounds_follow_the_evidence(cert, embeddable):
@@ -60,6 +73,21 @@ def test_genus_bounds_follow_the_evidence(cert, embeddable):
     gsm_lower = 2 if embeddable is False else 1
     assert (r.gtop_lower, r.gtop_upper, r.gsm_lower, r.gsm_upper) == (1, gtop_upper, gsm_lower, 2)
     assert r.conclusive == (embeddable in (False, True))
+    # a curve note only when the search ran, and it says what it found
+    assert r.notes == K00_FAMILY_NOTES + EMBEDDING_NOTES[embeddable]
+    found = "no certificate" if cert is None else "certificate found"
+    curve_note = f"curve search: {found} within bound 4"
+    assert replace(r, curve_bound=4).notes == (
+        K00_FAMILY_NOTES + (curve_note,) + EMBEDDING_NOTES[embeddable]
+    )
+
+
+def test_notes_follow_a_replaced_certificate():
+    r = replace(full_report(KnotParams(0, 0)), curve_certificate=None)
+    assert r.gtop_upper == 2
+    assert "curve search: no certificate within bound 4" in r.notes
+    assert not any("certificate found" in note for note in r.notes)
+    assert report_to_dict(r)["notes"] == list(r.notes)
 
 
 def test_slice_report_stores_only_evidence():
@@ -69,10 +97,13 @@ def test_slice_report_stores_only_evidence():
         "signature",
         "determinant",
         "alexander",
+        "curve_bound",
         "curve_certificate",
         "embedding_verdict",
-        "notes",
     ]
+    report = genus_bounds(KnotParams(0, 0))
+    with pytest.raises(AttributeError):
+        report.notes = ()
 
 
 def test_obstruction_dim():
