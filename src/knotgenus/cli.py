@@ -6,8 +6,9 @@ search.  Every input error is a ValueError, raised by the function that
 consumes the value, which `main` turns into one stderr line and exit 1; an
 option that a command would ignore is refused the same way.  Budgets are per
 search and checked by the library: a seconds budget must be > 0 and a node
-budget >= 1; each embedding search gets the whole of both, and the curve
-search of `knot curve` its own seconds budget.  The KNOT_LOG
+budget >= 1; each embedding search gets the whole of both, the curve
+search of `knot curve` its own seconds budget, and the Alexander polynomial
+of `knot seifert --alex` its own.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
 verdict, node count and time, every curve search its dimension, bound,
@@ -131,13 +132,24 @@ def cmd_lattice(args) -> int:
 def cmd_seifert(args) -> int:
     if not (args.sig or args.det or args.alex):
         raise ValueError("provide at least one of --sig, --det, --alex")
+    if args.cap_seconds is not None and not args.alex:
+        raise ValueError("--cap-seconds applies only with --alex")
     mat = _read_matrix(args.matrix_path)
+    # every value is computed before any is printed, so an error or a spent
+    # budget leaves stdout empty
+    values = []
     if args.sig:
-        print(signature(symmetrize(mat)))
+        values.append(signature(symmetrize(mat)))
     if args.det:
-        print(knot_determinant(mat))
+        values.append(knot_determinant(mat))
     if args.alex:
-        print(alexander(mat))
+        try:
+            values.append(alexander(mat, cap_seconds=args.cap_seconds))
+        except SearchBudgetExceeded as exc:
+            print(f"knot: search stopped: {exc}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+    for value in values:
+        print(value)
     return EXIT_OK
 
 
@@ -198,6 +210,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sig", action="store_true")
     p.add_argument("--det", action="store_true")
     p.add_argument("--alex", action="store_true")
+    p.add_argument("--cap-seconds", type=float, default=None,
+                   help="time budget of the Alexander polynomial")
     p.set_defaults(func=cmd_seifert)
 
     p = sub.add_parser("curve", help="search for a genus-1 reduction certificate")

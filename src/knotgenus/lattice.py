@@ -57,7 +57,8 @@ log = logging.getLogger(__name__)
 
 class SearchBudgetExceeded(Exception):
     """Raised when a search runs out of its budget: the node or time budget
-    of an embedding search, or the time budget of a curve search."""
+    of an embedding search, or the time budget of a curve search or of an
+    Alexander polynomial."""
 
 
 def search_deadline(cap_seconds: float | None) -> float | None:

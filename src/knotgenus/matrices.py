@@ -2,10 +2,13 @@
 
 Matrices are plain tuples of tuples of Python ints; all arithmetic is
 arbitrary precision.  One fraction-free Bareiss elimination serves every
-determinant: `det` runs it with row swaps, `leading_principal_minors`
-reads the minors off its pivots in one pass.  The text format is: first
-line the size r, then r lines of r space-separated integers.  Lines
-starting with '#' are comments.
+determinant and every signature, in one of three pivoting modes: "rows"
+(`det`) swaps rows, "none" (`leading_principal_minors`) reads the minors
+off its pivots in one pass, and "symmetric" (`congruence_pivots`, which
+`seifert.signature` reads) moves rows and columns together, so that the
+matrix eliminated stays congruent to the symmetric input.  The text format
+is: first line the size r, then r lines of r space-separated integers.
+Lines starting with '#' are comments.
 
 The elimination skips zero entries.  Without swaps, entry (i, j) after step
 k is the minor on rows 0..k, i and columns 0..k, j, and the pivot p_k is
@@ -20,6 +23,18 @@ scale is a nonzero pivot, so the zero tests and the swap choice read the
 stored entries.  A row swap swaps the kept pivots with the rows.  On a
 tridiagonal (path) Gram matrix each step updates one row, so the pass costs
 O(n^2); on dense input it is still O(n^3).
+
+The symmetric mode permutes rows and columns of the remaining block alike,
+which permutes its bordered minors, so each pivot is a leading principal
+minor of a symmetric permutation of the input.  When every remaining
+diagonal entry is 0 but some a_ij (i < j) is not, it adds row j to row i
+and column j to column i, a unimodular congruence that makes a_ii =
+2 a_ij.  The remaining entries are bordered minors, linear in their last
+row and in their last column, so after the addition they are the bordered
+minors of the congruent integer matrix, and every later division is still
+exact; rows i and j are first brought to the current pivot's scale, so
+that their stored entries add.  The pass stops when the remaining block is
+all zero.
 """
 
 from __future__ import annotations
@@ -70,13 +85,17 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
+def _bareiss_pivots(m: IntMatrix, pivoting: str):
     """Fraction-free Bareiss elimination of m (Bareiss 1968), pivot by pivot.
 
-    Yields each pivot times the sign of the row swaps so far.  Without swaps
-    the k-th pivot is the k-th leading principal minor; with them the last
-    one yielded is det(m).  Stops after a zero pivot.  A row that is 0 in
-    the pivot column is not rescaled (see the module docstring).
+    pivoting is "rows", "none" or "symmetric" (see the module docstring).
+    Yields each pivot times the sign of the row swaps so far.  With
+    "none" the k-th pivot is the k-th leading principal minor; with "rows"
+    the last one yielded is det(m).  Both stop after a zero pivot.  With
+    "symmetric" (m symmetric) the pivots are the nonzero leading principal
+    minors of a matrix integrally congruent to m whose remaining block is
+    zero, so their number is the rank of m.  A row that is 0 in the pivot
+    column is not rescaled (see the module docstring).
     """
     n = len(m)
     a = [list(row) for row in m]
@@ -85,13 +104,16 @@ def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
     sign = 1
     prev = 1
     for k in range(n):
-        if swap_rows and a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    at[k], at[i] = at[i], at[k]
-                    sign = -sign
-                    break
+        if pivoting != "none" and a[k][k] == 0:
+            if pivoting == "rows":
+                for i in range(k + 1, n):
+                    if a[i][k] != 0:
+                        a[k], a[i] = a[i], a[k]
+                        at[k], at[i] = at[i], at[k]
+                        sign = -sign
+                        break
+            elif not _symmetric_pivot(a, at, k, prev):
+                return
         row_k = a[k]
         if at[k] != prev:
             s = at[k]
@@ -114,10 +136,39 @@ def _bareiss_pivots(m: IntMatrix, swap_rows: bool):
         prev = pivot
 
 
+def _symmetric_pivot(a, at, k: int, prev: int) -> bool:
+    """Bring a nonzero diagonal entry to (k, k) by a congruence of the
+    remaining block of a (rows and columns k..), at step k of the symmetric
+    mode with prev the last pivot.  False when that block is all zero."""
+    n = len(a)
+    i = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+    if i is None:
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None)
+        if pair is None:
+            return False
+        i, j = pair
+        for r in pair:
+            if at[r] != prev:
+                s = at[r]
+                a[r][k:] = [x * prev // s for x in a[r][k:]]
+                at[r] = prev
+        row_i, row_j = a[i], a[j]
+        for c in range(k, n):
+            row_i[c] += row_j[c]
+        for r in range(k, n):
+            a[r][i] += a[r][j]
+    a[k], a[i] = a[i], a[k]
+    at[k], at[i] = at[i], at[k]
+    for r in range(k, n):
+        row = a[r]
+        row[k], row[i] = row[i], row[k]
+    return True
+
+
 def det(m: IntMatrix) -> int:
     """Exact integer determinant (Bareiss elimination with row swaps)."""
     d = 1
-    for d in _bareiss_pivots(m, swap_rows=True):
+    for d in _bareiss_pivots(m, "rows"):
         pass
     return d
 
@@ -127,11 +178,21 @@ def leading_principal_minors(m: IntMatrix) -> list[int]:
     without row swaps.  Stops after the first minor <= 0, so all n minors
     are returned exactly when m is positive definite."""
     minors = []
-    for minor in _bareiss_pivots(m, swap_rows=False):
+    for minor in _bareiss_pivots(m, "none"):
         minors.append(minor)
         if minor <= 0:
             break
     return minors
+
+
+def congruence_pivots(m: IntMatrix) -> list[int]:
+    """Pivots d_1..d_r of the symmetric Bareiss pass over the symmetric m:
+    the nonzero leading principal minors of a matrix integrally congruent
+    to m, r its rank.  By Sylvester's law of inertia and Jacobi's rule, the
+    signature of m is the number of pairs of consecutive terms of
+    1, d_1, ..., d_r with the same sign minus the number with different
+    signs.  When m is nonsingular, d_r = det(m)."""
+    return list(_bareiss_pivots(m, "symmetric"))
 
 
 @dataclass(frozen=True)

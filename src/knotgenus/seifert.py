@@ -1,13 +1,15 @@
 """Invariants computed exactly from Seifert matrices.
 
-Both polynomials take one path: det(A + t B) has degree <= n, so it is
+The Alexander polynomial det(M - t M^T) has degree <= n, so it is
 interpolated exactly from the n + 1 Bareiss determinants `matrices.det`
-gives at t = 0..n.  The Alexander polynomial is det(M - t M^T), returned as
-its canonical representative up to units.  The signature of a symmetric S
-is read from the sign changes of its characteristic polynomial
-det(t I - S).  The determinant is one Bareiss determinant.  No floating
-point.  Each signature and Alexander polynomial logs one INFO record on the
-"knotgenus.seifert" logger with the matrix size and the time.
+gives at t = 0..n, and returned as its canonical representative up to
+units; a time budget is read before each determinant.  The signature of a
+symmetric S comes from one symmetric Bareiss pass, by Sylvester's law of
+inertia and Jacobi's rule (see `signature`): O(n^3) work, against the
+O(n^4) of the n + 1 determinants.  The determinant is one Bareiss
+determinant.  No floating point.  Each signature and Alexander polynomial
+logs one INFO record on the "knotgenus.seifert" logger with the matrix size
+and the time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import logging
 import time
 
-from .matrices import IntMatrix, as_matrix, det, is_symmetric, symmetrize
+from .lattice import check_deadline, search_deadline
+from .matrices import IntMatrix, as_matrix, congruence_pivots, det, is_symmetric, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -57,14 +60,16 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({str(self)!r})"
 
 
-def _det_polynomial(a: IntMatrix, b: IntMatrix) -> list[int]:
-    """Ascending integer coefficients of det(a + t b), n + 1 of them."""
+def _det_polynomial(a: IntMatrix, b: IntMatrix, deadline: float | None = None) -> list[int]:
+    """Ascending integer coefficients of det(a + t b), n + 1 of them.
+    Raises SearchBudgetExceeded when the deadline (see
+    `lattice.search_deadline`) is past before one of the determinants."""
     n = len(a)
     # det(a + t b) has degree <= n: sample it at t = 0..n ...
-    coeffs = [
-        det(tuple(tuple(a[i][j] + t * b[i][j] for j in range(n)) for i in range(n)))
-        for t in range(n + 1)
-    ]
+    coeffs = []
+    for t in range(n + 1):
+        check_deadline(deadline)
+        coeffs.append(det(tuple(tuple(a[i][j] + t * b[i][j] for j in range(n)) for i in range(n))))
     # ... and interpolate in Newton form.  On the nodes 0..n the divided
     # differences of an integer polynomial are integers, so each division
     # by k is exact.
@@ -81,32 +86,29 @@ def _det_polynomial(a: IntMatrix, b: IntMatrix) -> list[int]:
     return poly
 
 
-def _sign_changes(coeffs) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
 def signature(mat) -> int:
     """Signature of a symmetric integer matrix: #positive - #negative
     eigenvalues, with zero eigenvalues contributing 0.
 
-    The characteristic polynomial p(t) = det(t I - S) of a symmetric S has
-    only real roots, so Descartes' rule of signs is exact for it: the sign
-    changes of p count its positive roots, and those of p(-t) its negative
-    roots.  Zero roots are the trailing powers of t and change no sign.
+    The symmetric Bareiss pass (`matrices.congruence_pivots`) turns S into
+    an integrally congruent matrix whose leading principal minors
+    d_1..d_r are nonzero and whose remaining block is zero.  By Sylvester's
+    law of inertia the two have one signature, and that matrix is
+    congruent over Q to diag(d_1/d_0, ..., d_r/d_(r-1), 0, ..., 0) with
+    d_0 = 1.  So by Jacobi's rule each consecutive pair of 1, d_1, ..., d_r
+    with the same sign counts +1 and each with different signs -1, and the
+    n - r zero eigenvalues count 0.
     """
     mat = as_matrix(mat)
     if not is_symmetric(mat):
         raise ValueError("signature requires a symmetric matrix")
     start = time.perf_counter()
-    n = len(mat)
-    p = _det_polynomial(
-        tuple(tuple(-x for x in row) for row in mat),
-        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-    )
-    p_neg = [-c if e % 2 else c for e, c in enumerate(p)]
-    sigma = _sign_changes(p) - _sign_changes(p_neg)
-    log.info("signature: size %d, %.3f s", n, time.perf_counter() - start)
+    sigma = 0
+    prev = 1
+    for pivot in congruence_pivots(mat):
+        sigma += 1 if (pivot > 0) == (prev > 0) else -1
+        prev = pivot
+    log.info("signature: size %d, %.3f s", len(mat), time.perf_counter() - start)
     return sigma
 
 
@@ -115,7 +117,7 @@ def knot_determinant(mat) -> int:
     return abs(det(symmetrize(as_matrix(mat))))
 
 
-def alexander(mat) -> LaurentPolynomial:
+def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
     """Alexander polynomial det(M - t M^T), as its canonical representative
     up to the units +-t^k.
 
@@ -128,11 +130,18 @@ def alexander(mat) -> LaurentPolynomial:
     is symmetric with Delta(1) = +-1.  Returns the zero polynomial if the
     determinant vanishes identically (never the case for knot Seifert
     matrices).
+
+    cap_seconds (> 0, or None for no budget) bounds the time: it is read
+    before each of the n + 1 determinants, and SearchBudgetExceeded is
+    raised when it has run out.  A bad value raises ValueError.
     """
+    deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
     start = time.perf_counter()
     n = len(mat)
-    poly = _det_polynomial(mat, tuple(tuple(-mat[j][i] for j in range(n)) for i in range(n)))
+    poly = _det_polynomial(
+        mat, tuple(tuple(-mat[j][i] for j in range(n)) for i in range(n)), deadline
+    )
     log.info("alexander: size %d, %.3f s", n, time.perf_counter() - start)
     nonzero = [e for e, x in enumerate(poly) if x]
     if not nonzero:

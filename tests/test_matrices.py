@@ -6,24 +6,45 @@ import sys
 import pytest
 import sympy
 
-from knotgenus.matrices import GramLattice, _bareiss_pivots, det, leading_principal_minors
+from knotgenus.matrices import (
+    GramLattice,
+    _bareiss_pivots,
+    congruence_pivots,
+    det,
+    leading_principal_minors,
+)
 from knotgenus.two_bridge import path_gram
 
 
-def dense_bareiss_pivots(m, swap_rows):
+def dense_bareiss_pivots(m, pivoting):
     """Reference: the dense Bareiss loop, which rescales every row below the
-    pivot at every step, zero entries included."""
+    pivot at every step, zero entries included, so every stored entry is a
+    true one.  Its pivot choices are the kernel's."""
     n = len(m)
     a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n):
-        if swap_rows and a[k][k] == 0:
+        if pivoting == "rows" and a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
+        elif pivoting == "symmetric" and a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if i is None:
+                pairs = [(i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0]
+                if not pairs:
+                    return
+                i, j = pairs[0]
+                for c in range(k, n):
+                    a[i][c] += a[j][c]
+                for r in range(k, n):
+                    a[r][i] += a[r][j]
+            a[k], a[i] = a[i], a[k]
+            for row in a[k:]:
+                row[k], row[i] = row[i], row[k]
         row_k = a[k]
         pivot = row_k[k]
         yield sign * pivot
@@ -39,7 +60,7 @@ def dense_bareiss_pivots(m, swap_rows):
 
 def reference_minors(m):
     minors = []
-    for minor in dense_bareiss_pivots(m, swap_rows=False):
+    for minor in dense_bareiss_pivots(m, "none"):
         minors.append(minor)
         if minor <= 0:
             break
@@ -132,8 +153,8 @@ SKIPPED_ROW_SWAPPED_IN = ((2, 2, 0, 0), (1, 3, 1, 0), (0, 0, 0, 1), (1, 1, 1, 0)
 
 
 def test_skipped_row_swapped_into_the_pivot_position():
-    assert list(dense_bareiss_pivots(SKIPPED_ROW_SWAPPED_IN, True)) == [2, 4, -4, -4]
-    assert list(_bareiss_pivots(SKIPPED_ROW_SWAPPED_IN, True)) == [2, 4, -4, -4]
+    assert list(dense_bareiss_pivots(SKIPPED_ROW_SWAPPED_IN, "rows")) == [2, 4, -4, -4]
+    assert list(_bareiss_pivots(SKIPPED_ROW_SWAPPED_IN, "rows")) == [2, 4, -4, -4]
     assert det(SKIPPED_ROW_SWAPPED_IN) == int(sympy.Matrix(SKIPPED_ROW_SWAPPED_IN).det()) == -4
 
 
@@ -151,13 +172,94 @@ def test_zero_skipping_kernel_matches_dense_reference():
         if trial % 8 >= 4:
             mat = [[mat[i][j] + mat[j][i] for j in range(size)] for i in range(size)]
         mat = tuple(map(tuple, mat))
-        for swap_rows in (False, True):
-            expected = list(dense_bareiss_pivots(mat, swap_rows))
-            assert list(_bareiss_pivots(mat, swap_rows)) == expected
-        swapped += expected != list(dense_bareiss_pivots(mat, False))
+        for pivoting in ("none", "rows"):
+            expected = list(dense_bareiss_pivots(mat, pivoting))
+            assert list(_bareiss_pivots(mat, pivoting)) == expected
+        swapped += expected != list(dense_bareiss_pivots(mat, "none"))
         assert det(mat) == expected[-1]
         assert leading_principal_minors(mat) == reference_minors(mat)
     assert swapped >= 500
+
+
+def _random_symmetric_kernel_case(rng, trial):
+    """A symmetric matrix of size 1-8 of one of four kinds: dense, sparse,
+    zero diagonal (the 2x2 step), or a sum of fewer than size terms
+    +-v v^T (a zero block part-way)."""
+    size = rng.randint(1, 8)
+    kind = trial % 4
+    mat = [[0] * size for _ in range(size)]
+    if kind == 3:
+        for _ in range(rng.randint(0, size - 1)):
+            v = [rng.randint(-2, 2) for _ in range(size)]
+            sign = rng.choice((-1, 1))
+            for i in range(size):
+                for j in range(size):
+                    mat[i][j] += sign * v[i] * v[j]
+        return tuple(map(tuple, mat))
+    for i in range(size):
+        for j in range(i + 1):
+            if kind == 1:
+                x = rng.choice((0, 0, 0, 0, 1, -1, 2))
+            elif kind == 2:
+                x = 0 if i == j else rng.choice((0, 0, 1, -1, 3))
+            else:
+                x = rng.randint(-4, 4)
+            mat[i][j] = mat[j][i] = x
+    return tuple(map(tuple, mat))
+
+
+def test_symmetric_mode_matches_dense_reference():
+    # the 2x2 step and the zero-block stop, on rows kept at their own scale
+    rng = random.Random(59)
+    two_by_two = zero_block = 0
+    for trial in range(3000):
+        mat = _random_symmetric_kernel_case(rng, trial)
+        expected = list(dense_bareiss_pivots(mat, "symmetric"))
+        assert list(_bareiss_pivots(mat, "symmetric")) == expected
+        assert congruence_pivots(mat) == expected
+        assert 0 not in expected
+        two_by_two += any(mat[i][j] for i in range(len(mat)) for j in range(i)) and not any(
+            mat[i][i] for i in range(len(mat))
+        )
+        zero_block += len(expected) < len(mat)
+    assert two_by_two >= 300 and zero_block >= 500
+
+
+def test_symmetric_mode_counts_the_rank_and_ends_at_the_determinant():
+    # for nonsingular S the last pivot is det(P^T S P) = det(S), which
+    # checks the congruence steps without counting signs
+    rng = random.Random(61)
+    nonsingular = 0
+    for trial in range(400):
+        mat = _random_symmetric_kernel_case(rng, trial)
+        if trial % 5 == 4:
+            mat = tuple(tuple(x * (2**70 + 1) for x in row) for row in mat)
+        pivots = congruence_pivots(mat)
+        sm = sympy.Matrix(mat)
+        assert len(pivots) == sm.rank()
+        if len(pivots) == len(mat):
+            assert pivots[-1] == det(mat) == int(sm.det())
+            nonsingular += 1
+    assert nonsingular >= 150
+
+
+def test_symmetric_mode_on_hyperbolic_planes():
+    # H(h) = [[0, h], [h, 0]] has a zero diagonal, so each plane needs the
+    # 2x2 step, at depths 0, 2 and 4: d_(2m+1) = 2 h_(m+1) d_(2m), and
+    # d_(2m+2) = -h_(m+1)^2 d_(2m)
+    hs = (3, -1, 2**40)
+    n = 2 * len(hs)
+    mat = [[0] * n for _ in range(n)]
+    for b, h in enumerate(hs):
+        mat[2 * b][2 * b + 1] = mat[2 * b + 1][2 * b] = h
+    mat = tuple(map(tuple, mat))
+    d, expected = 1, []
+    for h in hs:
+        expected += [2 * h * d, -h * h * d]
+        d *= -h * h
+    assert congruence_pivots(mat) == expected == list(dense_bareiss_pivots(mat, "symmetric"))
+    assert expected[-1] == det(mat)
+    assert congruence_pivots(((0, 0), (0, 0))) == [] and congruence_pivots(()) == []
 
 
 def _row_updates(mat):

@@ -1,14 +1,18 @@
 import logging
 import random
+import time
 from pathlib import Path
 
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from knotgenus.matrices import symmetrize
+from knotgenus import matrices
+from knotgenus.lattice import SearchBudgetExceeded
+from knotgenus.matrices import congruence_pivots, symmetrize
 from knotgenus.seifert import (
     LaurentPolynomial,
+    _det_polynomial,
     alexander,
     alexander_trivial_2x2,
     knot_determinant,
@@ -77,6 +81,26 @@ def sympy_signature(mat):
     return sig
 
 
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def descartes_signature(mat):
+    """Second oracle, from the characteristic polynomial p(t) = det(t I - S)
+    that the library's interpolation gives.  A symmetric S has only real
+    eigenvalues, so Descartes' rule of signs is exact for p: the sign
+    changes of p count its positive roots, and those of p(-t) its negative
+    roots.  Zero roots are the trailing powers of t and change no sign."""
+    n = len(mat)
+    p = _det_polynomial(
+        tuple(tuple(-x for x in row) for row in mat),
+        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+    )
+    p_neg = [-c if e % 2 else c for e, c in enumerate(p)]
+    return _sign_changes(p) - _sign_changes(p_neg)
+
+
 def test_signature_identity():
     assert signature([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
@@ -113,7 +137,7 @@ def test_signature_against_sympy_oracle():
     rng = random.Random(23)
     for _ in range(200):
         mat = _random_symmetric(rng, rng.randint(1, 8), lambda: rng.randint(-5, 5))
-        assert signature(mat) == sympy_signature(mat)
+        assert signature(mat) == sympy_signature(mat) == descartes_signature(mat)
 
 
 def _special_symmetric_cases(rng):
@@ -142,13 +166,157 @@ def _special_symmetric_cases(rng):
         yield _random_symmetric(
             rng, size, lambda: rng.choice((-1, 1)) * (2**70 + rng.randint(-(2**20), 2**20))
         )
+    for _ in range(30):
+        # near +-2^70 with zeros on the diagonal and off it: the 2x2 step
+        # and the zero-block stop on wide integers
+        size = rng.randint(2, 8)
+        mat = _random_symmetric(
+            rng, size, lambda: rng.choice((-1, 0, 1)) * (2**70 + rng.randint(-(2**20), 2**20))
+        )
+        for i in range(size):
+            mat[i][i] = 0
+        yield mat
 
 
 def test_signature_against_sympy_oracle_special_shapes():
     assert sympy_signature([[1, 0, 0], [0, 1, 0], [0, 0, -1]]) == 1  # repeated eigenvalue
     rng = random.Random(29)
     for mat in _special_symmetric_cases(rng):
-        assert signature(mat) == sympy_signature(mat)
+        assert signature(mat) == sympy_signature(mat) == descartes_signature(mat)
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _scrambled(mat, rng):
+    """P^T mat P for P = L U, L and U unit triangular with entries in
+    {-1, 0, 1}: a unimodular congruence, drawn as the seifert benchmark
+    workload draws its scramble."""
+    size = len(mat)
+    def entry(i, j, below):
+        return 1 if i == j else rng.choice((-1, 0, 1)) if (i > j) == below else 0
+
+    lower = [[entry(i, j, True) for j in range(size)] for i in range(size)]
+    upper = [[entry(i, j, False) for j in range(size)] for i in range(size)]
+    p = _matmul(lower, upper)
+    pt = [list(col) for col in zip(*p)]
+    return tuple(map(tuple, _matmul(_matmul(pt, mat), p)))
+
+
+def _signed_permuted(mat, rng):
+    """P^T mat P for a signed permutation P, which keeps a zero diagonal."""
+    size = len(mat)
+    perm = rng.sample(range(size), size)
+    signs = [rng.choice((-1, 1)) for _ in range(size)]
+    return tuple(
+        tuple(signs[i] * signs[j] * mat[perm[i]][perm[j]] for j in range(size))
+        for i in range(size)
+    )
+
+
+def _block_sum(blocks):
+    size = sum(len(b) for b in blocks)
+    mat = [[0] * size for _ in range(size)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            mat[at + i][at : at + len(row)] = row
+        at += len(block)
+    return tuple(map(tuple, mat))
+
+
+def _hyperbolic_sums(rng, big=False):
+    """Signed permutations of sums of hyperbolic planes [[0, h], [h, 0]] and
+    1x1 summands [c]: the planes keep a zero diagonal, so each needs the
+    2x2 step, at a depth set by the summands eliminated before it.  The sum
+    of the planes has signature 0."""
+    for _ in range(40):
+        scale = 2**70 + 1 if big else 1
+        planes = [rng.choice((-3, -1, 1, 2)) * scale for _ in range(rng.randint(1, 4))]
+        ones = [rng.choice((-2, -1, 1, 3)) * scale for _ in range(rng.randint(0, 4))]
+        blocks = [((0, h), (h, 0)) for h in planes] + [((c,),) for c in ones]
+        rng.shuffle(blocks)
+        mat = _block_sum(blocks)
+        yield _signed_permuted(mat, rng), sum(1 if c > 0 else -1 for c in ones)
+
+
+def test_signature_needs_the_2x2_step_at_several_depths(monkeypatch):
+    depths = set()
+    kernel_step = matrices._symmetric_pivot
+
+    def recording(a, at, k, prev):
+        if not any(a[i][i] for i in range(k, len(a))) and any(any(row[k:]) for row in a[k:]):
+            depths.add(k)
+        return kernel_step(a, at, k, prev)
+
+    monkeypatch.setattr(matrices, "_symmetric_pivot", recording)
+    rng = random.Random(67)
+    for big in (False, True):
+        for mat, sigma in _hyperbolic_sums(rng, big):
+            assert signature(mat) == sigma == descartes_signature(mat)
+            if not big:
+                assert sigma == sympy_signature(mat)
+            # scrambled further, the diagonal fills in; the signature stays
+            mixed = _scrambled(mat, rng)
+            assert signature(mixed) == sigma == descartes_signature(mixed)
+    assert len(depths) >= 5 and 0 in depths
+
+
+def test_signature_of_a_zero_block_part_way():
+    # A + 0 scrambled: the pass stops with rank A pivots, the rest count 0
+    rng = random.Random(71)
+    for _ in range(60):
+        rank = rng.randint(1, 6)
+        while True:
+            a = _random_symmetric(rng, rank, lambda: rng.randint(-3, 3))
+            if sympy.Matrix(a).det() != 0:
+                break
+        zeros = rng.randint(1, 5)
+        mat = _scrambled(_block_sum([a, [[0] * zeros for _ in range(zeros)]]), rng)
+        assert len(congruence_pivots(mat)) == rank
+        assert signature(mat) == signature(a) == descartes_signature(mat) == sympy_signature(mat)
+
+
+def _scrambled_connected_sum(size, rng):
+    """A scrambled Seifert matrix of a connected sum of K(m,n) and, when size
+    is 2 mod 4, one genus-1 knot [[p, 1], [0, q]]; with its signature and
+    determinant, from the summands."""
+    blocks, sigma, determinant = [], 0, 1
+    for _ in range(size // 4):
+        k = KnotParams(rng.randint(0, 10), rng.randint(0, 10))
+        blocks.append(seifert_matrix(k))
+        sigma -= 2
+        determinant *= knot_fraction(k).numerator
+    if size % 4 == 2:
+        p, q = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+        # [[2p, 1], [1, 2q]] has determinant 4pq - 1
+        blocks.append(((p, 1), (0, q)))
+        sigma += 2 * (1 if p > 0 else -1) if p * q > 0 else 0
+        determinant *= abs(4 * p * q - 1)
+    return _scrambled(_block_sum(blocks), rng), sigma, determinant
+
+
+def test_signature_at_the_benchmark_sizes():
+    rng = random.Random(79)
+    for size in (10, 12, 14) * 4:
+        mat, sigma, determinant = _scrambled_connected_sum(size, rng)
+        sym = symmetrize(mat)
+        assert signature(sym) == sigma == descartes_signature(sym)
+        assert knot_determinant(mat) == determinant
+        assert congruence_pivots(sym)[-1] == matrices.det(sym)
+
+
+def test_signature_of_a_size_120_connected_sum():
+    # 30 scrambled K(m,n) summands: one cubic pass, where the n + 1
+    # characteristic-polynomial determinants took 6 s already at size 80
+    mat, sigma, determinant = _scrambled_connected_sum(120, random.Random(83))
+    sym = symmetrize(mat)
+    start = time.perf_counter()
+    assert signature(sym) == sigma == -60
+    assert knot_determinant(mat) == determinant
+    assert time.perf_counter() - start < 10
 
 
 def test_knot_determinant_examples():
@@ -162,6 +330,18 @@ def test_knot_determinant_matches_fraction_numerator():
         for n in range(6):
             k = KnotParams(m, n)
             assert knot_determinant(seifert_matrix(k)) == knot_fraction(k).numerator
+
+
+def test_alexander_time_budget():
+    rng = random.Random(89)
+    mat = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+        alexander(mat, cap_seconds=1e-9)
+    for cap in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="time budget must be > 0"):
+            alexander(mat, cap_seconds=cap)
+    small = seifert_matrix(KnotParams(1, 2))
+    assert alexander(small, cap_seconds=60) == alexander(small)
 
 
 def test_alexander_trivial_family_form():
