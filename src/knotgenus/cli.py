@@ -7,8 +7,8 @@ consumes the value, which `main` turns into one stderr line and exit 1; an
 option that a command would ignore is refused the same way.  Budgets are per
 search and checked by the library: a seconds budget must be > 0 and a node
 budget >= 1; each embedding search gets the whole of both, the curve
-search of `knot curve` its own seconds budget, and the Alexander polynomial
-of `knot seifert --alex` its own.  The KNOT_LOG
+search of `knot curve` its own seconds budget, and each invariant that
+`knot seifert` computes (--sig, --det, --alex) its own.  The KNOT_LOG
 environment variable (off/info/debug) sets the level of the log records
 written to stderr; at info every embedding search logs its rank, dimension,
 verdict, node count and time, every curve search its dimension, bound,
@@ -132,22 +132,21 @@ def cmd_lattice(args) -> int:
 def cmd_seifert(args) -> int:
     if not (args.sig or args.det or args.alex):
         raise ValueError("provide at least one of --sig, --det, --alex")
-    if args.cap_seconds is not None and not args.alex:
-        raise ValueError("--cap-seconds applies only with --alex")
     mat = _read_matrix(args.matrix_path)
+    cap = args.cap_seconds
     # every value is computed before any is printed, so an error or a spent
     # budget leaves stdout empty
     values = []
-    if args.sig:
-        values.append(signature(symmetrize(mat)))
-    if args.det:
-        values.append(knot_determinant(mat))
-    if args.alex:
-        try:
-            values.append(alexander(mat, cap_seconds=args.cap_seconds))
-        except SearchBudgetExceeded as exc:
-            print(f"knot: search stopped: {exc}", file=sys.stderr)
-            return EXIT_INCONCLUSIVE
+    try:
+        if args.sig:
+            values.append(signature(symmetrize(mat), cap_seconds=cap))
+        if args.det:
+            values.append(knot_determinant(mat, cap_seconds=cap))
+        if args.alex:
+            values.append(alexander(mat, cap_seconds=cap))
+    except SearchBudgetExceeded as exc:
+        print(f"knot: search stopped: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     for value in values:
         print(value)
     return EXIT_OK
@@ -211,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--det", action="store_true")
     p.add_argument("--alex", action="store_true")
     p.add_argument("--cap-seconds", type=float, default=None,
-                   help="time budget of the Alexander polynomial")
+                   help="time budget of each invariant")
     p.set_defaults(func=cmd_seifert)
 
     p = sub.add_parser("curve", help="search for a genus-1 reduction certificate")

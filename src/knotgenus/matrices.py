@@ -4,9 +4,10 @@ Matrices are plain tuples of tuples of Python ints; all arithmetic is
 arbitrary precision.  One fraction-free Bareiss elimination serves every
 determinant and every signature, in one of three pivoting modes: "rows"
 (`det`) swaps rows, "none" (`leading_principal_minors`) reads the minors
-off its pivots in one pass, and "symmetric" (`congruence_pivots`, which
-`seifert.signature` reads) moves rows and columns together, so that the
-matrix eliminated stays congruent to the symmetric input.  The text format
+off its pivots in one pass, and "symmetric" (`seifert.signature`) moves
+rows and columns together, so that the matrix eliminated stays congruent to
+the symmetric input.  The elimination reads no time budget; `seifert` reads
+one between the pivots it yields.  The text format
 is: first line the size r, then r lines of r space-separated integers.
 Lines starting with '#' are comments.
 
@@ -94,8 +95,9 @@ def _bareiss_pivots(m: IntMatrix, pivoting: str):
     the last one yielded is det(m).  Both stop after a zero pivot.  With
     "symmetric" (m symmetric) the pivots are the nonzero leading principal
     minors of a matrix integrally congruent to m whose remaining block is
-    zero, so their number is the rank of m.  A row that is 0 in the pivot
-    column is not rescaled (see the module docstring).
+    zero, so their number is the rank of m, and the last is det(m) when m
+    is nonsingular.  A row that is 0 in the pivot column is not rescaled
+    (see the module docstring).
     """
     n = len(m)
     a = [list(row) for row in m]
@@ -183,16 +185,6 @@ def leading_principal_minors(m: IntMatrix) -> list[int]:
         if minor <= 0:
             break
     return minors
-
-
-def congruence_pivots(m: IntMatrix) -> list[int]:
-    """Pivots d_1..d_r of the symmetric Bareiss pass over the symmetric m:
-    the nonzero leading principal minors of a matrix integrally congruent
-    to m, r its rank.  By Sylvester's law of inertia and Jacobi's rule, the
-    signature of m is the number of pairs of consecutive terms of
-    1, d_1, ..., d_r with the same sign minus the number with different
-    signs.  When m is nonsingular, d_r = det(m)."""
-    return list(_bareiss_pivots(m, "symmetric"))
 
 
 @dataclass(frozen=True)

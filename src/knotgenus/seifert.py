@@ -1,15 +1,15 @@
 """Invariants computed exactly from Seifert matrices.
 
-The Alexander polynomial det(M - t M^T) has degree <= n, so it is
-interpolated exactly from the n + 1 Bareiss determinants `matrices.det`
-gives at t = 0..n, and returned as its canonical representative up to
-units; a time budget is read before each determinant.  The signature of a
-symmetric S comes from one symmetric Bareiss pass, by Sylvester's law of
-inertia and Jacobi's rule (see `signature`): O(n^3) work, against the
-O(n^4) of the n + 1 determinants.  The determinant is one Bareiss
-determinant.  No floating point.  Each signature and Alexander polynomial
-logs one INFO record on the "knotgenus.seifert" logger with the matrix size
-and the time.
+The Alexander polynomial P(t) = det(M - t M^T) comes from floor(n/2) + 1
+Bareiss determinants (`matrices.det`) by the Cayley substitution
+t = (1 + s)/(1 - s) (see `alexander`), and is returned as its canonical
+representative up to units; a time budget is read before each determinant.
+The signature of a symmetric S comes from one symmetric Bareiss pass, by
+Sylvester's law of inertia and Jacobi's rule (see `signature`), and the
+determinant is one Bareiss determinant: O(n^3) work each, against the
+O(n^4) of the determinants of P.  Both read a time budget between pivots.
+No floating point.  Each signature and Alexander polynomial logs one INFO
+record on the "knotgenus.seifert" logger with the matrix size and the time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import logging
 import time
 
 from .lattice import check_deadline, search_deadline
-from .matrices import IntMatrix, as_matrix, congruence_pivots, det, is_symmetric, symmetrize
+from .matrices import IntMatrix, _bareiss_pivots, as_matrix, det, is_symmetric, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -60,61 +60,99 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({str(self)!r})"
 
 
-def _det_polynomial(a: IntMatrix, b: IntMatrix, deadline: float | None = None) -> list[int]:
-    """Ascending integer coefficients of det(a + t b), n + 1 of them.
-    Raises SearchBudgetExceeded when the deadline (see
-    `lattice.search_deadline`) is past before one of the determinants."""
-    n = len(a)
-    # det(a + t b) has degree <= n: sample it at t = 0..n ...
-    coeffs = []
-    for t in range(n + 1):
+def _pivots(m: IntMatrix, pivoting: str, deadline: float | None):
+    """The pivots of `matrices._bareiss_pivots`, with the deadline read
+    after each one, before the elimination step that follows it."""
+    for pivot in _bareiss_pivots(m, pivoting):
         check_deadline(deadline)
-        coeffs.append(det(tuple(tuple(a[i][j] + t * b[i][j] for j in range(n)) for i in range(n))))
-    # ... and interpolate in Newton form.  On the nodes 0..n the divided
-    # differences of an integer polynomial are integers, so each division
-    # by k is exact.
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
-    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...)), ascending powers
-    poly = [coeffs[n]]
+        yield pivot
+
+
+def _alexander_coefficients(mat: IntMatrix, deadline: float | None) -> list[int]:
+    """Ascending integer coefficients of P(t) = det(M - t M^T), n + 1 of
+    them, from floor(n/2) + 1 determinants (the derivation is in
+    `alexander`).  Raises SearchBudgetExceeded when the deadline is past
+    before one of them."""
+    n = len(mat)
+    h, odd = divmod(n, 2)
+    # D(s) = det(A - s B), A = M - M^T, B = M + M^T, is s^odd E(s^2):
+    # sample E at the nodes s^2 for s = 0..h (n even) or 1..h + 1 (n odd)
+    rows = [
+        ([x - y for x, y in zip(row, col)], [x + y for x, y in zip(row, col)])
+        for row, col in zip(mat, zip(*mat))
+    ]
+    nodes, values = [], []
+    for s in range(odd, h + 1 + odd):
+        check_deadline(deadline)
+        d = det([[a - s * b for a, b in zip(ra, rb)] for ra, rb in rows])
+        nodes.append(s * s)
+        values.append(d // s if odd else d)
+    # Newton divided differences of E, each an exact integer division
+    for k in range(1, h + 1):
+        for i in range(h, k - 1, -1):
+            values[i] = (values[i] - values[i - 1]) // (nodes[i] - nodes[i - k])
+    # Horner on c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), ascending powers
+    e = [values[h]]
+    for k in range(h - 1, -1, -1):
+        e = [0] + e
+        for j in range(len(e) - 1):
+            e[j] -= nodes[k] * e[j + 1]
+        e[0] += values[k]
+    # D_k, the coefficient of s^k, is e_j at k = 2 j + odd.  Horner for
+    # 2^n P(t) = sum_k D_k (t - 1)^k (t + 1)^(n - k): q = D_n, then
+    # q = q (t - 1) + D_k (t + 1)^(n - k) for k = n - 1..0
+    dk = [0] * (n + 1)
+    dk[odd::2] = e
+    q = [dk[n]]
+    plus = [1]
     for k in range(n - 1, -1, -1):
-        poly = [0] + poly
-        for e in range(len(poly) - 1):
-            poly[e] -= k * poly[e + 1]
-        poly[0] += coeffs[k]
-    return poly
+        q = [b - a for a, b in zip(q + [0], [0] + q)]
+        plus = [a + b for a, b in zip(plus + [0], [0] + plus)]
+        q = [a + dk[k] * b for a, b in zip(q, plus)]
+    # P has integer coefficients, so the shift divides by 2^n exactly
+    return [c >> n for c in q]
 
 
-def signature(mat) -> int:
+def signature(mat, cap_seconds: float | None = None) -> int:
     """Signature of a symmetric integer matrix: #positive - #negative
     eigenvalues, with zero eigenvalues contributing 0.
 
-    The symmetric Bareiss pass (`matrices.congruence_pivots`) turns S into
-    an integrally congruent matrix whose leading principal minors
-    d_1..d_r are nonzero and whose remaining block is zero.  By Sylvester's
-    law of inertia the two have one signature, and that matrix is
-    congruent over Q to diag(d_1/d_0, ..., d_r/d_(r-1), 0, ..., 0) with
-    d_0 = 1.  So by Jacobi's rule each consecutive pair of 1, d_1, ..., d_r
-    with the same sign counts +1 and each with different signs -1, and the
-    n - r zero eigenvalues count 0.
+    The symmetric Bareiss pass (the "symmetric" mode of
+    `matrices._bareiss_pivots`) turns S into an integrally congruent
+    matrix whose leading principal minors d_1..d_r are nonzero and whose
+    remaining block is zero.  By Sylvester's law of inertia the two have
+    one signature, and that matrix is congruent over Q to
+    diag(d_1/d_0, ..., d_r/d_(r-1), 0, ..., 0) with d_0 = 1.  So by
+    Jacobi's rule each consecutive pair of 1, d_1, ..., d_r with the same
+    sign counts +1 and each with different signs -1, and the n - r zero
+    eigenvalues count 0.
+
+    cap_seconds (> 0, or None for no budget) bounds the time: it is read
+    after each pivot, and SearchBudgetExceeded is raised when it has run
+    out.  A bad value raises ValueError.
     """
+    deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
     if not is_symmetric(mat):
         raise ValueError("signature requires a symmetric matrix")
     start = time.perf_counter()
     sigma = 0
     prev = 1
-    for pivot in congruence_pivots(mat):
+    for pivot in _pivots(mat, "symmetric", deadline):
         sigma += 1 if (pivot > 0) == (prev > 0) else -1
         prev = pivot
     log.info("signature: size %d, %.3f s", len(mat), time.perf_counter() - start)
     return sigma
 
 
-def knot_determinant(mat) -> int:
-    """|det(M + M^T)| of a Seifert matrix M."""
-    return abs(det(symmetrize(as_matrix(mat))))
+def knot_determinant(mat, cap_seconds: float | None = None) -> int:
+    """|det(M + M^T)| of a Seifert matrix M, from one Bareiss pass with row
+    swaps.  cap_seconds bounds it as it bounds `signature`."""
+    deadline = search_deadline(cap_seconds)
+    d = 1
+    for d in _pivots(symmetrize(as_matrix(mat)), "rows", deadline):
+        pass
+    return abs(d)
 
 
 def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
@@ -131,17 +169,31 @@ def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
     determinant vanishes identically (never the case for knot Seifert
     matrices).
 
+    P(t) = det(M - t M^T) has degree <= n.  With A = M - M^T and
+    B = M + M^T, D(s) = det(A - s B) = det((1 - s) M - (1 + s) M^T)
+    = (1 - s)^n P((1 + s)/(1 - s)).  The transpose of A - s B is
+    -(A + s B), so D(-s) = (-1)^n D(s): D is even or odd with n, and
+    D(s) = s^(n mod 2) E(s^2) with E of degree <= h = floor(n/2).  So
+    h + 1 determinants give E: D at s = 0..h (n even), or D(s) / s at
+    s = 1..h + 1 (n odd), exact since E has integer coefficients.  E is
+    interpolated in Newton form at the integer nodes s^2; each divided
+    difference of an integer polynomial at integer nodes is a complete
+    homogeneous symmetric sum of the nodes, an integer, so each division is
+    exact.  Inverting the substitution, 2^n P(t) = sum_k D_k (t - 1)^k
+    (t + 1)^(n - k) with D_k the coefficients of D, summed by Horner in
+    (t - 1)/(t + 1), and the division by 2^n is exact because P has integer
+    coefficients.  D vanishes identically exactly when P does.
+
     cap_seconds (> 0, or None for no budget) bounds the time: it is read
-    before each of the n + 1 determinants, and SearchBudgetExceeded is
-    raised when it has run out.  A bad value raises ValueError.
+    before each of the floor(n/2) + 1 determinants, and
+    SearchBudgetExceeded is raised when it has run out.  A bad value raises
+    ValueError.
     """
     deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
     start = time.perf_counter()
     n = len(mat)
-    poly = _det_polynomial(
-        mat, tuple(tuple(-mat[j][i] for j in range(n)) for i in range(n)), deadline
-    )
+    poly = _alexander_coefficients(mat, deadline)
     log.info("alexander: size %d, %.3f s", n, time.perf_counter() - start)
     nonzero = [e for e, x in enumerate(poly) if x]
     if not nonzero:

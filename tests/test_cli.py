@@ -244,16 +244,18 @@ def test_seifert_budget_exceeded_exits_two(capsys, tmp_path, s00_file):
     path = tmp_path / "m40.txt"
     rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(40)] for i in range(40)]
     path.write_text(format_matrix_text(rows))
-    code, out, err = run(capsys, ["seifert", str(path), "--sig", "--alex", "--cap-seconds", "1e-9"])
-    assert code == 2 and out == ""
-    assert err.startswith("knot: search stopped: time budget exceeded") and err.count("\n") == 1
+    for flags in (["--sig", "--alex"], ["--sig"], ["--det"]):
+        code, out, err = run(capsys, ["seifert", str(path), *flags, "--cap-seconds", "1e-9"])
+        assert code == 2 and out == ""
+        assert err.startswith("knot: search stopped: time budget exceeded") and err.count("\n") == 1
     for cap in ("0", "-1", "nan"):
         code, out, err = run(capsys, ["seifert", s00_file, "--sig", "--alex", "--cap-seconds", cap])
         assert code == 1 and out == ""
         assert err.startswith("knot: error: time budget must be") and err.count("\n") == 1
-    code, out, err = run(capsys, ["seifert", s00_file, "--sig", "--cap-seconds", "60"])
-    assert code == 1 and out == ""
-    assert err == "knot: error: --cap-seconds applies only with --alex\n"
+    code, out, _ = run(capsys, ["seifert", s00_file, "--sig", "--cap-seconds", "60"])
+    assert code == 0 and out == "-2\n"
+    code, out, _ = run(capsys, ["seifert", s00_file, "--det", "--cap-seconds", "60"])
+    assert code == 0 and out == "107\n"
     argv = ["seifert", s00_file, "--sig", "--det", "--alex", "--cap-seconds", "60"]
     code, out, _ = run(capsys, argv)
     assert code == 0 and out == "-2\n107\n-2:6 -1:-27 0:41 1:-27 2:6\n"

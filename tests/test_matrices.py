@@ -9,7 +9,6 @@ import sympy
 from knotgenus.matrices import (
     GramLattice,
     _bareiss_pivots,
-    congruence_pivots,
     det,
     leading_principal_minors,
 )
@@ -216,7 +215,6 @@ def test_symmetric_mode_matches_dense_reference():
         mat = _random_symmetric_kernel_case(rng, trial)
         expected = list(dense_bareiss_pivots(mat, "symmetric"))
         assert list(_bareiss_pivots(mat, "symmetric")) == expected
-        assert congruence_pivots(mat) == expected
         assert 0 not in expected
         two_by_two += any(mat[i][j] for i in range(len(mat)) for j in range(i)) and not any(
             mat[i][i] for i in range(len(mat))
@@ -234,7 +232,7 @@ def test_symmetric_mode_counts_the_rank_and_ends_at_the_determinant():
         mat = _random_symmetric_kernel_case(rng, trial)
         if trial % 5 == 4:
             mat = tuple(tuple(x * (2**70 + 1) for x in row) for row in mat)
-        pivots = congruence_pivots(mat)
+        pivots = list(_bareiss_pivots(mat, "symmetric"))
         sm = sympy.Matrix(mat)
         assert len(pivots) == sm.rank()
         if len(pivots) == len(mat):
@@ -257,9 +255,11 @@ def test_symmetric_mode_on_hyperbolic_planes():
     for h in hs:
         expected += [2 * h * d, -h * h * d]
         d *= -h * h
-    assert congruence_pivots(mat) == expected == list(dense_bareiss_pivots(mat, "symmetric"))
+    assert list(_bareiss_pivots(mat, "symmetric")) == expected
+    assert expected == list(dense_bareiss_pivots(mat, "symmetric"))
     assert expected[-1] == det(mat)
-    assert congruence_pivots(((0, 0), (0, 0))) == [] and congruence_pivots(()) == []
+    assert list(_bareiss_pivots(((0, 0), (0, 0)), "symmetric")) == []
+    assert list(_bareiss_pivots((), "symmetric")) == []
 
 
 def _row_updates(mat):

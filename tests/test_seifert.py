@@ -7,12 +7,11 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from knotgenus import matrices
+from knotgenus import matrices, seifert
 from knotgenus.lattice import SearchBudgetExceeded
-from knotgenus.matrices import congruence_pivots, symmetrize
+from knotgenus.matrices import _bareiss_pivots, det, symmetrize
 from knotgenus.seifert import (
     LaurentPolynomial,
-    _det_polynomial,
     alexander,
     alexander_trivial_2x2,
     knot_determinant,
@@ -81,6 +80,29 @@ def sympy_signature(mat):
     return sig
 
 
+def _det_polynomial(a, b):
+    """Oracle: ascending integer coefficients of det(a + t b), n + 1 of
+    them, interpolated from the n + 1 determinants at t = 0..n."""
+    n = len(a)
+    coeffs = [
+        det(tuple(tuple(a[i][j] + t * b[i][j] for j in range(n)) for i in range(n)))
+        for t in range(n + 1)
+    ]
+    # Newton form: on the nodes 0..n the divided differences of an integer
+    # polynomial are integers, so each division by k is exact
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    # Horner on c_0 + (t - 0)(c_1 + (t - 1)(c_2 + ...)), ascending powers
+    poly = [coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [0] + poly
+        for e in range(len(poly) - 1):
+            poly[e] -= k * poly[e + 1]
+        poly[0] += coeffs[k]
+    return poly
+
+
 def _sign_changes(coeffs):
     signs = [c > 0 for c in coeffs if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
@@ -88,7 +110,7 @@ def _sign_changes(coeffs):
 
 def descartes_signature(mat):
     """Second oracle, from the characteristic polynomial p(t) = det(t I - S)
-    that the library's interpolation gives.  A symmetric S has only real
+    that `_det_polynomial` interpolates.  A symmetric S has only real
     eigenvalues, so Descartes' rule of signs is exact for p: the sign
     changes of p count its positive roots, and those of p(-t) its negative
     roots.  Zero roots are the trailing powers of t and change no sign."""
@@ -275,7 +297,7 @@ def test_signature_of_a_zero_block_part_way():
                 break
         zeros = rng.randint(1, 5)
         mat = _scrambled(_block_sum([a, [[0] * zeros for _ in range(zeros)]]), rng)
-        assert len(congruence_pivots(mat)) == rank
+        assert len(list(_bareiss_pivots(mat, "symmetric"))) == rank
         assert signature(mat) == signature(a) == descartes_signature(mat) == sympy_signature(mat)
 
 
@@ -305,7 +327,7 @@ def test_signature_at_the_benchmark_sizes():
         sym = symmetrize(mat)
         assert signature(sym) == sigma == descartes_signature(sym)
         assert knot_determinant(mat) == determinant
-        assert congruence_pivots(sym)[-1] == matrices.det(sym)
+        assert list(_bareiss_pivots(sym, "symmetric"))[-1] == matrices.det(sym)
 
 
 def test_signature_of_a_size_120_connected_sum():
@@ -342,6 +364,84 @@ def test_alexander_time_budget():
             alexander(mat, cap_seconds=cap)
     small = seifert_matrix(KnotParams(1, 2))
     assert alexander(small, cap_seconds=60) == alexander(small)
+
+
+def test_signature_and_determinant_time_budget(monkeypatch):
+    rng = random.Random(97)
+    mat = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    sym = symmetrize(mat)
+    for invariant, arg in ((signature, sym), (knot_determinant, mat)):
+        with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+            invariant(arg, cap_seconds=1e-9)
+        for cap in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match="time budget must be > 0"):
+                invariant(arg, cap_seconds=cap)
+        assert invariant(arg, cap_seconds=60) == invariant(arg)
+    # the budget is read once per pivot, between the elimination steps
+    reads = []
+    monkeypatch.setattr(seifert, "check_deadline", reads.append)
+    signature(sym, cap_seconds=60)
+    assert len(reads) == len(list(_bareiss_pivots(sym, "symmetric")))
+    reads.clear()
+    knot_determinant(mat, cap_seconds=60)
+    assert len(reads) == 40
+
+
+def _alexander_oracle_matrices(rng):
+    """Seeded square matrices of sizes 1-12, each with its expected
+    det(M - t M^T) from the n + 1 determinants of `_det_polynomial`."""
+    for size in range(1, 13):
+        cases = [[[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)] for _ in range(6)]
+        cases.append([[rng.randint(-(2**40), 2**40) for _ in range(size)] for _ in range(size)])
+        # singular: the last row repeats another
+        mat = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        mat[-1] = list(mat[rng.randrange(size)])
+        cases.append(mat)
+        # rank-deficient: U V with U n x r, V r x n, r < n
+        rank = rng.randrange(size)
+        u = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(size)]
+        v = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(rank)]
+        cases.append(_matmul(u, v) if rank else [[0] * size for _ in range(size)])
+        # knot-like: M - M^T unimodular at even sizes
+        mat = _random_symmetric(rng, size, lambda: rng.randint(-2, 2))
+        for i in range(0, size - 1, 2):
+            mat[i][i + 1] += 1
+        cases.append(mat)
+        # vanishing identically: the zero matrix and a singular symmetric M,
+        # for which det(M - t M^T) = (1 - t)^n det(M)
+        cases.append([[0] * size for _ in range(size)])
+        cases.append(_random_symmetric_of_lower_rank(rng, size))
+        for mat in cases:
+            neg_t = tuple(tuple(-x for x in col) for col in zip(*mat))
+            yield mat, _det_polynomial(tuple(map(tuple, mat)), neg_t)
+
+
+def test_alexander_against_the_n_plus_one_determinants():
+    zeros = set()
+    for mat, expected in _alexander_oracle_matrices(random.Random(101)):
+        assert seifert._alexander_coefficients(matrices.as_matrix(mat), None) == expected
+        got = alexander(mat)
+        assert _units_normal(got.coeffs) == _units_normal(dict(enumerate(expected)))
+        assert _obeys_canonical_rule(got)
+        if not any(expected):
+            assert got == L({})
+            zeros.add(len(mat))
+    assert zeros == set(range(1, 13))
+
+
+def test_alexander_takes_half_the_determinants(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return det(m)
+
+    monkeypatch.setattr(seifert, "det", counting)
+    rng = random.Random(103)
+    for size in range(1, 15):
+        calls.clear()
+        alexander([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
+        assert calls == [size] * (size // 2 + 1)
 
 
 def test_alexander_trivial_family_form():
