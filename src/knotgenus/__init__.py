@@ -1,16 +1,16 @@
 """Exact-arithmetic slice-genus toolkit for the K(m,n) family of 2-bridge
 knots: Seifert invariants, genus-1 reduction certificates, and integral
-lattice embedding obstructions."""
+lattice embedding obstructions.
 
+`curve_search` is the one module that imports numpy, and `pipeline`
+imports `curve_search`.  So the names of those two modules are resolved on
+first access (PEP 562) and `import knotgenus` loads no numpy; `__all__`
+lists every exported name, the lazy ones included.
+"""
+
+import importlib
 from fractions import Fraction
 
-from .curve_search import (
-    CurveCertificate,
-    default_search_bound,
-    find_genus1_certificate,
-    restricted_form,
-    verify_certificate,
-)
 from .lattice import (
     Embedding,
     SearchBudgetExceeded,
@@ -19,13 +19,6 @@ from .lattice import (
     verify_embedding,
 )
 from .matrices import GramLattice, format_matrix_text, parse_matrix_text
-from .pipeline import (
-    SliceReport,
-    full_report,
-    genus_bounds,
-    obstruction_dim,
-    verify_theorem,
-)
 from .seifert import (
     LaurentPolynomial,
     alexander,
@@ -45,4 +38,66 @@ from .two_bridge import (
     seifert_matrix,
 )
 
+# name -> the module that defines it, imported on the name's first access
+_LAZY = {
+    "CurveCertificate": "curve_search",
+    "default_search_bound": "curve_search",
+    "find_genus1_certificate": "curve_search",
+    "restricted_form": "curve_search",
+    "verify_certificate": "curve_search",
+    "SliceReport": "pipeline",
+    "full_report": "pipeline",
+    "genus_bounds": "pipeline",
+    "obstruction_dim": "pipeline",
+    "verify_theorem": "pipeline",
+}
+
+__all__ = [
+    "CurveCertificate",
+    "Embedding",
+    "Fraction",
+    "GramLattice",
+    "KnotParams",
+    "LaurentPolynomial",
+    "SearchBudgetExceeded",
+    "SliceReport",
+    "alexander",
+    "alexander_trivial_2x2",
+    "cf_to_fraction",
+    "continued_fraction",
+    "crossing_count",
+    "default_search_bound",
+    "find_embedding",
+    "find_genus1_certificate",
+    "format_matrix_text",
+    "fraction_to_cf",
+    "full_report",
+    "genus_bounds",
+    "knot_determinant",
+    "knot_fraction",
+    "min_embedding_dim",
+    "obstruction_dim",
+    "parse_matrix_text",
+    "plumbing_weights",
+    "qmn_gram",
+    "restricted_form",
+    "seifert_matrix",
+    "signature",
+    "verify_certificate",
+    "verify_embedding",
+    "verify_theorem",
+]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,6 +16,9 @@ verdict, a-vectors scanned, pairs with intersection +-1, pairs verified and
 time, every positive-definiteness check its rank, verdict and time, and
 every signature and Alexander polynomial its matrix size and time.  Stdout
 does not change.
+
+Only info, verify and curve import the curve search, and with it numpy;
+lattice, seifert and the argument parser start without it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import logging
 import os
 import sys
 
-from . import lattice, pipeline
-from .curve_search import default_search_bound, find_genus1_certificate, format_certificate
+from . import lattice
 from .lattice import (
     GramLattice,
     SearchBudgetExceeded,
@@ -35,7 +37,6 @@ from .lattice import (
     min_embedding_dim,
 )
 from .matrices import parse_matrix_text, symmetrize
-from .pipeline import render_json, report_to_dict, report_to_text, reports_to_csv
 from .seifert import alexander, knot_determinant, signature
 from .two_bridge import KnotParams, seifert_matrix
 
@@ -74,7 +75,9 @@ def _read_matrix(path: str):
 
 
 def cmd_info(args) -> int:
-    report = pipeline.genus_bounds(KnotParams(args.m, args.n))
+    from .pipeline import genus_bounds, render_json, report_to_dict, report_to_text, reports_to_csv
+
+    report = genus_bounds(KnotParams(args.m, args.n))
     if args.format == "json":
         sys.stdout.write(render_json(report_to_dict(report)))
     elif args.format == "csv":
@@ -85,7 +88,15 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = pipeline.verify_theorem(
+    from .pipeline import (
+        render_json,
+        report_to_dict,
+        report_to_text,
+        reports_to_csv,
+        verify_theorem,
+    )
+
+    reports = verify_theorem(
         args.m_max,
         args.n_max,
         curve_bound=args.curve_bound,
@@ -153,6 +164,8 @@ def cmd_seifert(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .curve_search import default_search_bound, find_genus1_certificate, format_certificate
+
     if args.matrix_path is not None and args.m is None and args.n is None:
         mat = _read_matrix(args.matrix_path)
         bound = args.bound if args.bound is not None else 3

@@ -1,15 +1,15 @@
 """Invariants computed exactly from Seifert matrices.
 
 The Alexander polynomial P(t) = det(M - t M^T) comes from floor(n/2) + 1
-Bareiss determinants (`matrices.det`) by the Cayley substitution
-t = (1 + s)/(1 - s) (see `alexander`), and is returned as its canonical
-representative up to units; a time budget is read before each determinant.
+Bareiss determinants by the Cayley substitution t = (1 + s)/(1 - s) (see
+`alexander`), and is returned as its canonical representative up to units.
 The signature of a symmetric S comes from one symmetric Bareiss pass, by
 Sylvester's law of inertia and Jacobi's rule (see `signature`), and the
 determinant is one Bareiss determinant: O(n^3) work each, against the
-O(n^4) of the determinants of P.  Both read a time budget between pivots.
-No floating point.  Each signature and Alexander polynomial logs one INFO
-record on the "knotgenus.seifert" logger with the matrix size and the time.
+O(n^4) of the determinants of P.  All three read a time budget between the
+pivots of `matrices._bareiss_pivots`.  No floating point.  Each signature
+and Alexander polynomial logs one INFO record on the "knotgenus.seifert"
+logger with the matrix size and the time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import logging
 import time
 
 from .lattice import check_deadline, search_deadline
-from .matrices import IntMatrix, _bareiss_pivots, as_matrix, det, is_symmetric, symmetrize
+from .matrices import IntMatrix, _bareiss_pivots, as_matrix, is_symmetric, symmetrize
 
 log = logging.getLogger(__name__)
 
@@ -62,17 +62,32 @@ class LaurentPolynomial:
 
 def _pivots(m: IntMatrix, pivoting: str, deadline: float | None):
     """The pivots of `matrices._bareiss_pivots`, with the deadline read
-    after each one, before the elimination step that follows it."""
-    for pivot in _bareiss_pivots(m, pivoting):
+    after each one, before the elimination step that follows it.  Without
+    a deadline it is the kernel's generator itself."""
+    pivots = _bareiss_pivots(m, pivoting)
+    return pivots if deadline is None else _read_deadline(pivots, deadline)
+
+
+def _read_deadline(pivots, deadline: float):
+    for pivot in pivots:
         check_deadline(deadline)
         yield pivot
+
+
+def _det(m: IntMatrix, deadline: float | None) -> int:
+    """det(m) from one Bareiss pass with row swaps, the deadline read
+    between its pivots."""
+    d = 1
+    for d in _pivots(m, "rows", deadline):
+        pass
+    return d
 
 
 def _alexander_coefficients(mat: IntMatrix, deadline: float | None) -> list[int]:
     """Ascending integer coefficients of P(t) = det(M - t M^T), n + 1 of
     them, from floor(n/2) + 1 determinants (the derivation is in
     `alexander`).  Raises SearchBudgetExceeded when the deadline is past
-    before one of them."""
+    between two pivots of one of them."""
     n = len(mat)
     h, odd = divmod(n, 2)
     # D(s) = det(A - s B), A = M - M^T, B = M + M^T, is s^odd E(s^2):
@@ -83,8 +98,7 @@ def _alexander_coefficients(mat: IntMatrix, deadline: float | None) -> list[int]
     ]
     nodes, values = [], []
     for s in range(odd, h + 1 + odd):
-        check_deadline(deadline)
-        d = det([[a - s * b for a, b in zip(ra, rb)] for ra, rb in rows])
+        d = _det([[a - s * b for a, b in zip(ra, rb)] for ra, rb in rows], deadline)
         nodes.append(s * s)
         values.append(d // s if odd else d)
     # Newton divided differences of E, each an exact integer division
@@ -149,10 +163,7 @@ def knot_determinant(mat, cap_seconds: float | None = None) -> int:
     """|det(M + M^T)| of a Seifert matrix M, from one Bareiss pass with row
     swaps.  cap_seconds bounds it as it bounds `signature`."""
     deadline = search_deadline(cap_seconds)
-    d = 1
-    for d in _pivots(symmetrize(as_matrix(mat)), "rows", deadline):
-        pass
-    return abs(d)
+    return abs(_det(symmetrize(as_matrix(mat)), deadline))
 
 
 def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
@@ -185,7 +196,7 @@ def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
     coefficients.  D vanishes identically exactly when P does.
 
     cap_seconds (> 0, or None for no budget) bounds the time: it is read
-    before each of the floor(n/2) + 1 determinants, and
+    after each pivot of the floor(n/2) + 1 determinants, and
     SearchBudgetExceeded is raised when it has run out.  A bad value raises
     ValueError.
     """

@@ -346,7 +346,27 @@ MATRIX_FILES = {
     "nonsquare.txt": "2\n1 2 3\n4 5 6\n",
     "m8.txt": format_matrix_text([[(i * j) % 5 - 2 for j in range(8)] for i in range(8)]),
     "m00.txt": format_matrix_text(seifert_matrix(KnotParams(0, 0))),
+    "a3.txt": "3\n2 -1 0\n-1 2 -1\n0 -1 2\n",
 }
+
+
+def _fresh_interpreter(tmp_path, args):
+    """Run `python *args` in a fresh interpreter, in tmp_path with the
+    matrix files above, on this checkout's knotgenus."""
+    for name, text in MATRIX_FILES.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(knotgenus.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("KNOT_LOG", None)
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -372,21 +392,36 @@ MATRIX_FILES = {
 )
 def test_bad_input_exits_one_through_the_entry_point(tmp_path, argv, message):
     # the real entry point, `python -m knotgenus.cli`, in a fresh interpreter
-    for name, text in MATRIX_FILES.items():
-        (tmp_path / name).write_text(text)
-    src = str(Path(knotgenus.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("KNOT_LOG", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "knotgenus.cli", *argv],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _fresh_interpreter(tmp_path, ["-m", "knotgenus.cli", *argv])
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("knot: error:") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, status, loads_numpy",
+    [
+        (["-c", "import knotgenus"], 0, False),
+        (["-c", "import knotgenus.cli"], 0, False),
+        (["-m", "knotgenus.cli", "seifert", "m00.txt", "--sig", "--det", "--alex"], 0, False),
+        (["-m", "knotgenus.cli", "lattice", "a3.txt", "--mindim"], 0, False),
+        (["-m", "knotgenus.cli", "--help"], 0, False),
+        (["-m", "knotgenus.cli", "seifert", "missing.txt", "--sig"], 1, False),
+        (["-m", "knotgenus.cli", "curve", "--m", "0", "--n", "0"], 0, True),
+        (["-m", "knotgenus.cli", "info", "--m", "0", "--n", "0"], 0, True),
+    ],
+    ids=["import", "import-cli", "seifert", "lattice", "help", "missing-file", "curve", "info"],
+)
+def test_only_the_curve_search_commands_load_numpy(tmp_path, args, status, loads_numpy):
+    # numpy comes in with curve_search, which info, verify and curve import
+    # when they run; `-X importtime` lists every module the run imported
+    proc = _fresh_interpreter(tmp_path, ["-X", "importtime", *args])
+    assert proc.returncode == status
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "knotgenus" in imported
+    assert ("numpy" in imported) is loads_numpy

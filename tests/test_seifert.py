@@ -431,17 +431,30 @@ def test_alexander_against_the_n_plus_one_determinants():
 
 def test_alexander_takes_half_the_determinants(monkeypatch):
     calls = []
+    bare_det = seifert._det
 
-    def counting(m):
+    def counting(m, deadline):
         calls.append(len(m))
-        return det(m)
+        return bare_det(m, deadline)
 
-    monkeypatch.setattr(seifert, "det", counting)
+    monkeypatch.setattr(seifert, "_det", counting)
     rng = random.Random(103)
     for size in range(1, 15):
         calls.clear()
         alexander([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
         assert calls == [size] * (size // 2 + 1)
+
+
+def test_alexander_budget_is_read_between_pivots(monkeypatch):
+    # each of the floor(n/2) + 1 determinants reads the budget after each
+    # of its pivots, so a budget overruns by one elimination step at most
+    rng = random.Random(107)
+    size = 12
+    mat = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+    reads = []
+    monkeypatch.setattr(seifert, "check_deadline", reads.append)
+    assert alexander(mat, cap_seconds=60) == alexander(mat)
+    assert len(reads) >= (size // 2 + 1) * size
 
 
 def test_alexander_trivial_family_form():

@@ -34,13 +34,18 @@ def test_only_the_search_budget_reads_the_clock():
 
 
 def test_public_names_are_the_contract():
-    # the names knotgenus exports are its public contract: a change shows here
+    # the names knotgenus exports are its public contract: a change shows
+    # here.  The names of pipeline and curve_search are resolved on first
+    # access, so resolve every exported name before reading the module.
+    assert set(knotgenus.__all__) <= set(dir(knotgenus))
+    for name in knotgenus.__all__:
+        getattr(knotgenus, name)
     names = sorted(
         name
         for name, value in vars(knotgenus).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert names == [
+    assert knotgenus.__all__ == names == [
         "CurveCertificate",
         "Embedding",
         "Fraction",
@@ -76,3 +81,39 @@ def test_public_names_are_the_contract():
         "verify_theorem",
     ]
     assert knotgenus.Fraction is fractions.Fraction
+    star = {}
+    exec("from knotgenus import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+
+
+def _imports(tree, module_level_only):
+    """The modules that the import statements of `tree` name, relative ones
+    without their dots; with module_level_only, not those in a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if module_level_only and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                yield node.module
+            if node.level and node.module is None:
+                yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_curve_search_imports_numpy():
+    # `import knotgenus` and `import knotgenus.cli` load no numpy: it comes
+    # in with curve_search, which only pipeline imports at module level
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    numpy = {
+        name
+        for name, tree in trees.items()
+        if any(m.split(".")[0] == "numpy" for m in _imports(tree, module_level_only=False))
+    }
+    assert numpy == {"curve_search.py"}
+    for name in ("__init__.py", "cli.py"):
+        top = {m.split(".")[-1] for m in _imports(trees[name], module_level_only=True)}
+        assert not {"pipeline", "curve_search"} & top
