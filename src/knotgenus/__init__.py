@@ -11,14 +11,8 @@ lists every exported name, the lazy ones included.
 import importlib
 from fractions import Fraction
 
-from .lattice import (
-    Embedding,
-    SearchBudgetExceeded,
-    find_embedding,
-    min_embedding_dim,
-    verify_embedding,
-)
-from .matrices import GramLattice, format_matrix_text, parse_matrix_text
+from .lattice import Embedding, find_embedding, min_embedding_dim, verify_embedding
+from .matrices import GramLattice, SearchBudgetExceeded, format_matrix_text, parse_matrix_text
 from .seifert import (
     LaurentPolynomial,
     alexander,

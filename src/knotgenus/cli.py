@@ -6,16 +6,19 @@ search.  Every input error is a ValueError, raised by the function that
 consumes the value, which `main` turns into one stderr line and exit 1; an
 option that a command would ignore is refused the same way.  Budgets are per
 search and checked by the library: a seconds budget must be > 0 and a node
-budget >= 1; each embedding search gets the whole of both, the curve
-search of `knot curve` its own seconds budget, and each invariant that
-`knot seifert` computes (--sig, --det, --alex) its own.  The KNOT_LOG
-environment variable (off/info/debug) sets the level of the log records
-written to stderr; at info every embedding search logs its rank, dimension,
-verdict, node count and time, every curve search its dimension, bound,
-verdict, a-vectors scanned, pairs with intersection +-1, pairs verified and
-time, every positive-definiteness check its rank, verdict and time, and
-every signature and Alexander polynomial its matrix size and time.  Stdout
-does not change.
+budget >= 1; each embedding search gets the whole of both, the
+positive-definiteness check of `knot lattice` its own seconds budget, the
+curve search of `knot curve` its own, and each invariant that `knot
+seifert` computes (--sig, --det, --alex) its own.  A spent budget is a
+SearchBudgetExceeded, which `main` turns into one `knot: search stopped:`
+line on stderr and exit 2.  The KNOT_LOG environment variable
+(off/info/debug) sets the level of the log records written to stderr; at
+info every embedding search logs its rank, dimension, verdict, node count
+and time, every curve search its dimension, bound, verdict, a-vectors
+scanned, pairs with intersection +-1, pairs verified and time, every
+positive-definiteness check its rank, verdict and time, and every
+signature and Alexander polynomial its matrix size and time.  Stdout does
+not change.
 
 Only info, verify and curve import the curve search, and with it numpy;
 lattice, seifert and the argument parser start without it.
@@ -29,14 +32,8 @@ import os
 import sys
 
 from . import lattice
-from .lattice import (
-    GramLattice,
-    SearchBudgetExceeded,
-    find_embedding,
-    format_embedding,
-    min_embedding_dim,
-)
-from .matrices import parse_matrix_text, symmetrize
+from .lattice import find_embedding, format_embedding, min_embedding_dim
+from .matrices import GramLattice, SearchBudgetExceeded, parse_matrix_text, symmetrize
 from .seifert import alexander, knot_determinant, signature
 from .two_bridge import KnotParams, seifert_matrix
 
@@ -117,26 +114,22 @@ def cmd_verify(args) -> int:
 def cmd_lattice(args) -> int:
     if args.cap is not None and not args.mindim:
         raise ValueError("--cap applies only with --mindim")
-    g = GramLattice(_read_matrix(args.gram_path))
+    g = GramLattice(_read_matrix(args.gram_path), cap_seconds=args.cap_seconds)
     budget = {"max_nodes": args.max_nodes, "cap_seconds": args.cap_seconds}
-    try:
-        if args.mindim:
-            cap = args.cap if args.cap is not None else lattice.default_dim_cap(g)
-            dim = min_embedding_dim(g, cap=cap, **budget)
-            if dim is None:
-                print(f"NO EMBEDDING up to cap={cap}")
-                return EXIT_INCONCLUSIVE
-            print(f"MINDIM={dim}")
+    if args.mindim:
+        cap = args.cap if args.cap is not None else lattice.default_dim_cap(g)
+        dim = min_embedding_dim(g, cap=cap, **budget)
+        if dim is None:
+            print(f"NO EMBEDDING up to cap={cap}")
+            return EXIT_INCONCLUSIVE
+        print(f"MINDIM={dim}")
+    else:
+        witness = find_embedding(g, args.dim, **budget)
+        if witness is None:
+            print(f"NOT EMBEDDABLE dim={args.dim}")
         else:
-            witness = find_embedding(g, args.dim, **budget)
-            if witness is None:
-                print(f"NOT EMBEDDABLE dim={args.dim}")
-            else:
-                print(f"EMBEDDABLE dim={args.dim}")
-                sys.stdout.write(format_embedding(witness))
-    except SearchBudgetExceeded as exc:
-        print(f"knot: search stopped: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+            print(f"EMBEDDABLE dim={args.dim}")
+            sys.stdout.write(format_embedding(witness))
     return EXIT_OK
 
 
@@ -148,16 +141,12 @@ def cmd_seifert(args) -> int:
     # every value is computed before any is printed, so an error or a spent
     # budget leaves stdout empty
     values = []
-    try:
-        if args.sig:
-            values.append(signature(symmetrize(mat), cap_seconds=cap))
-        if args.det:
-            values.append(knot_determinant(mat, cap_seconds=cap))
-        if args.alex:
-            values.append(alexander(mat, cap_seconds=cap))
-    except SearchBudgetExceeded as exc:
-        print(f"knot: search stopped: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    if args.sig:
+        values.append(signature(symmetrize(mat), cap_seconds=cap))
+    if args.det:
+        values.append(knot_determinant(mat, cap_seconds=cap))
+    if args.alex:
+        values.append(alexander(mat, cap_seconds=cap))
     for value in values:
         print(value)
     return EXIT_OK
@@ -175,11 +164,7 @@ def cmd_curve(args) -> int:
         bound = args.bound if args.bound is not None else default_search_bound(k)
     else:
         raise ValueError("provide either --matrix or both --m and --n")
-    try:
-        cert = find_genus1_certificate(mat, bound, cap_seconds=args.cap_seconds)
-    except SearchBudgetExceeded as exc:
-        print(f"knot: search stopped: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    cert = find_genus1_certificate(mat, bound, cap_seconds=args.cap_seconds)
     if cert is None:
         print(f"NONE within bound {bound}")
     else:
@@ -214,7 +199,8 @@ def build_parser() -> _Parser:
     mode.add_argument("--mindim", action="store_true")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None, help="node budget of each search")
-    p.add_argument("--cap-seconds", type=float, default=None, help="time budget of each search")
+    p.add_argument("--cap-seconds", type=float, default=None,
+                   help="time budget of the positive-definiteness check and of each search")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("seifert", help="invariants of a Seifert matrix file")
@@ -245,6 +231,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"knot: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchBudgetExceeded as exc:
+        print(f"knot: search stopped: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -50,8 +50,7 @@ from math import isqrt
 
 import numpy as np
 
-from .lattice import check_deadline, search_deadline
-from .matrices import IntMatrix, as_matrix, bilinear
+from .matrices import IntMatrix, as_matrix, bilinear, check_deadline, search_deadline
 from .seifert import alexander_trivial_2x2
 from .two_bridge import KnotParams
 

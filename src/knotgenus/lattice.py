@@ -50,31 +50,9 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .matrices import GramLattice
+from .matrices import GramLattice, SearchBudgetExceeded, check_deadline, search_deadline
 
 log = logging.getLogger(__name__)
-
-
-class SearchBudgetExceeded(Exception):
-    """Raised when a search runs out of its budget: the node or time budget
-    of an embedding search, or the time budget of a curve search or of an
-    Alexander polynomial."""
-
-
-def search_deadline(cap_seconds: float | None) -> float | None:
-    """The time.monotonic() reading past which a search with a budget of
-    cap_seconds from now stops, or None without a budget.  Raises ValueError
-    unless cap_seconds > 0."""
-    # `not cap_seconds > 0` also rejects nan, a deadline no clock reading passes
-    if cap_seconds is not None and not cap_seconds > 0:
-        raise ValueError("time budget must be > 0")
-    return None if cap_seconds is None else time.monotonic() + cap_seconds
-
-
-def check_deadline(deadline: float | None) -> None:
-    """Raise SearchBudgetExceeded when the clock is past the deadline."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchBudgetExceeded("time budget exceeded")
 
 
 @dataclass(frozen=True)

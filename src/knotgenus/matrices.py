@@ -6,10 +6,12 @@ determinant and every signature, in one of three pivoting modes: "rows"
 (`det`) swaps rows, "none" (`leading_principal_minors`) reads the minors
 off its pivots in one pass, and "symmetric" (`seifert.signature`) moves
 rows and columns together, so that the matrix eliminated stays congruent to
-the symmetric input.  The elimination reads no time budget; `seifert` reads
-one between the pivots it yields.  The text format
-is: first line the size r, then r lines of r space-separated integers.
-Lines starting with '#' are comments.
+the symmetric input.  The elimination takes an optional deadline and reads
+it after each pivot it yields, before the step that follows; the budget
+helpers that every search, invariant and check shares (`search_deadline`,
+`check_deadline`, `SearchBudgetExceeded`) live here, the bottom layer.  The
+text format is: first line the size r, then r lines of r space-separated
+integers.  Lines starting with '#' are comments.
 
 The elimination skips zero entries.  Without swaps, entry (i, j) after step
 k is the minor on rows 0..k, i and columns 0..k, j, and the pivot p_k is
@@ -42,11 +44,34 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 log = logging.getLogger(__name__)
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+
+class SearchBudgetExceeded(Exception):
+    """Raised when a computation runs out of its budget: the node or time
+    budget of an embedding search, or the time budget of a curve search, of
+    a positive-definiteness check, or of a signature, determinant or
+    Alexander polynomial."""
+
+
+def search_deadline(cap_seconds: float | None) -> float | None:
+    """The time.monotonic() reading past which a search with a budget of
+    cap_seconds from now stops, or None without a budget.  Raises ValueError
+    unless cap_seconds > 0."""
+    # `not cap_seconds > 0` also rejects nan, a deadline no clock reading passes
+    if cap_seconds is not None and not cap_seconds > 0:
+        raise ValueError("time budget must be > 0")
+    return None if cap_seconds is None else time.monotonic() + cap_seconds
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise SearchBudgetExceeded when the clock is past the deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchBudgetExceeded("time budget exceeded")
 
 
 def as_matrix(rows) -> IntMatrix:
@@ -86,7 +111,7 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _bareiss_pivots(m: IntMatrix, pivoting: str):
+def _bareiss_pivots(m: IntMatrix, pivoting: str, deadline: float | None = None):
     """Fraction-free Bareiss elimination of m (Bareiss 1968), pivot by pivot.
 
     pivoting is "rows", "none" or "symmetric" (see the module docstring).
@@ -97,7 +122,9 @@ def _bareiss_pivots(m: IntMatrix, pivoting: str):
     minors of a matrix integrally congruent to m whose remaining block is
     zero, so their number is the rank of m, and the last is det(m) when m
     is nonsingular.  A row that is 0 in the pivot column is not rescaled
-    (see the module docstring).
+    (see the module docstring).  With a deadline (a time.monotonic
+    reading), it is read once after each pivot yielded, before the step
+    that follows, and SearchBudgetExceeded is raised when it is past.
     """
     n = len(m)
     a = [list(row) for row in m]
@@ -123,6 +150,8 @@ def _bareiss_pivots(m: IntMatrix, pivoting: str):
                 row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
         yield sign * pivot
+        if deadline is not None:
+            check_deadline(deadline)
         if pivot == 0:
             return
         cols = range(k + 1, n)
@@ -167,20 +196,22 @@ def _symmetric_pivot(a, at, k: int, prev: int) -> bool:
     return True
 
 
-def det(m: IntMatrix) -> int:
-    """Exact integer determinant (Bareiss elimination with row swaps)."""
+def det(m: IntMatrix, deadline: float | None = None) -> int:
+    """Exact integer determinant (Bareiss elimination with row swaps), the
+    optional deadline read between its pivots."""
     d = 1
-    for d in _bareiss_pivots(m, "rows"):
+    for d in _bareiss_pivots(m, "rows", deadline):
         pass
     return d
 
 
-def leading_principal_minors(m: IntMatrix) -> list[int]:
+def leading_principal_minors(m: IntMatrix, deadline: float | None = None) -> list[int]:
     """Leading principal minors of m in order of size, from one Bareiss pass
-    without row swaps.  Stops after the first minor <= 0, so all n minors
-    are returned exactly when m is positive definite."""
+    without row swaps, the optional deadline read between its pivots.
+    Stops after the first minor <= 0, so all n minors are returned exactly
+    when m is positive definite."""
     minors = []
-    for minor in _bareiss_pivots(m, "none"):
+    for minor in _bareiss_pivots(m, "none", deadline):
         minors.append(minor)
         if minor <= 0:
             break
@@ -195,16 +226,21 @@ class GramLattice:
     may rely on them.  The rank-0 lattice is positive definite.  The
     positive-definiteness check logs one INFO record on the
     "knotgenus.matrices" logger with the rank, the verdict and the time.
+    cap_seconds (> 0, or None for no budget) bounds that check: it is read
+    between its pivots, and SearchBudgetExceeded is raised when it has run
+    out.  A bad value raises ValueError before the check.  It is not kept.
     """
 
     gram: IntMatrix
+    cap_seconds: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cap_seconds):
+        deadline = search_deadline(cap_seconds)
         object.__setattr__(self, "gram", as_matrix(self.gram))
         if not is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
         start = time.perf_counter()
-        minors = leading_principal_minors(self.gram)
+        minors = leading_principal_minors(self.gram, deadline)
         definite = not minors or minors[-1] > 0
         log.info(
             "positive-definiteness check: rank %d, %s, %.3f s",

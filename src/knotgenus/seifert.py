@@ -6,10 +6,10 @@ Bareiss determinants by the Cayley substitution t = (1 + s)/(1 - s) (see
 The signature of a symmetric S comes from one symmetric Bareiss pass, by
 Sylvester's law of inertia and Jacobi's rule (see `signature`), and the
 determinant is one Bareiss determinant: O(n^3) work each, against the
-O(n^4) of the determinants of P.  All three read a time budget between the
-pivots of `matrices._bareiss_pivots`.  No floating point.  Each signature
-and Alexander polynomial logs one INFO record on the "knotgenus.seifert"
-logger with the matrix size and the time.
+O(n^4) of the determinants of P.  Each takes a time budget, which the
+kernel `matrices._bareiss_pivots` reads between its pivots.  No floating
+point.  Each signature and Alexander polynomial logs one INFO record on
+the "knotgenus.seifert" logger with the matrix size and the time.
 """
 
 from __future__ import annotations
@@ -17,8 +17,15 @@ from __future__ import annotations
 import logging
 import time
 
-from .lattice import check_deadline, search_deadline
-from .matrices import IntMatrix, _bareiss_pivots, as_matrix, is_symmetric, symmetrize
+from .matrices import (
+    IntMatrix,
+    _bareiss_pivots,
+    as_matrix,
+    det,
+    is_symmetric,
+    search_deadline,
+    symmetrize,
+)
 
 log = logging.getLogger(__name__)
 
@@ -60,29 +67,6 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({str(self)!r})"
 
 
-def _pivots(m: IntMatrix, pivoting: str, deadline: float | None):
-    """The pivots of `matrices._bareiss_pivots`, with the deadline read
-    after each one, before the elimination step that follows it.  Without
-    a deadline it is the kernel's generator itself."""
-    pivots = _bareiss_pivots(m, pivoting)
-    return pivots if deadline is None else _read_deadline(pivots, deadline)
-
-
-def _read_deadline(pivots, deadline: float):
-    for pivot in pivots:
-        check_deadline(deadline)
-        yield pivot
-
-
-def _det(m: IntMatrix, deadline: float | None) -> int:
-    """det(m) from one Bareiss pass with row swaps, the deadline read
-    between its pivots."""
-    d = 1
-    for d in _pivots(m, "rows", deadline):
-        pass
-    return d
-
-
 def _alexander_coefficients(mat: IntMatrix, deadline: float | None) -> list[int]:
     """Ascending integer coefficients of P(t) = det(M - t M^T), n + 1 of
     them, from floor(n/2) + 1 determinants (the derivation is in
@@ -98,7 +82,7 @@ def _alexander_coefficients(mat: IntMatrix, deadline: float | None) -> list[int]
     ]
     nodes, values = [], []
     for s in range(odd, h + 1 + odd):
-        d = _det([[a - s * b for a, b in zip(ra, rb)] for ra, rb in rows], deadline)
+        d = det([[a - s * b for a, b in zip(ra, rb)] for ra, rb in rows], deadline)
         nodes.append(s * s)
         values.append(d // s if odd else d)
     # Newton divided differences of E, each an exact integer division
@@ -152,7 +136,7 @@ def signature(mat, cap_seconds: float | None = None) -> int:
     start = time.perf_counter()
     sigma = 0
     prev = 1
-    for pivot in _pivots(mat, "symmetric", deadline):
+    for pivot in _bareiss_pivots(mat, "symmetric", deadline):
         sigma += 1 if (pivot > 0) == (prev > 0) else -1
         prev = pivot
     log.info("signature: size %d, %.3f s", len(mat), time.perf_counter() - start)
@@ -163,7 +147,7 @@ def knot_determinant(mat, cap_seconds: float | None = None) -> int:
     """|det(M + M^T)| of a Seifert matrix M, from one Bareiss pass with row
     swaps.  cap_seconds bounds it as it bounds `signature`."""
     deadline = search_deadline(cap_seconds)
-    return abs(_det(symmetrize(as_matrix(mat)), deadline))
+    return abs(det(symmetrize(as_matrix(mat)), deadline))
 
 
 def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:

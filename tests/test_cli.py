@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -197,6 +198,26 @@ def test_lattice_rejects_bad_budget(capsys, q00_file):
         code, out, err = run(capsys, ["lattice", q00_file, "--dim", "10", "--cap-seconds", cap])
         assert code == 1 and out == ""
         assert "time budget" in err and err.count("\n") == 1
+
+
+def test_lattice_budget_bounds_the_positive_definiteness_check(capsys, tmp_path):
+    # a seeded dense Gram whose check alone takes seconds at this size
+    rng = random.Random(250)
+    rows = [[3 * 250 + 1] * 250 for _ in range(250)]
+    for i in range(250):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    path = tmp_path / "g250.txt"
+    path.write_text(format_matrix_text(rows))
+    code, out, err = run(capsys, ["lattice", str(path), "--dim", "3", "--cap-seconds", "1e-9"])
+    assert code == 2 and out == ""
+    assert err == "knot: search stopped: time budget exceeded\n"
+    # a bad budget is refused before the check runs
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lattice", str(path), "--dim", "3", "--cap-seconds", "0"])
+    assert code == 1 and out == ""
+    assert err.startswith("knot: error: time budget must be") and err.count("\n") == 1
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(

@@ -139,9 +139,9 @@ def test_min_embedding_dim_checks_positive_definiteness_once(monkeypatch):
     calls = []
     real = matrices.leading_principal_minors
 
-    def counted(m):
+    def counted(m, deadline):
         calls.append(len(m))
-        return real(m)
+        return real(m, deadline)
 
     for module in (matrices, lattice):
         monkeypatch.setattr(module, "leading_principal_minors", counted, raising=False)

@@ -8,9 +8,11 @@ import sympy
 
 from knotgenus.matrices import (
     GramLattice,
+    SearchBudgetExceeded,
     _bareiss_pivots,
     det,
     leading_principal_minors,
+    search_deadline,
 )
 from knotgenus.two_bridge import path_gram
 
@@ -312,3 +314,37 @@ def test_positive_definiteness_check_logs_one_info_record(caplog):
     assert messages[0].startswith("positive-definiteness check: rank 3, positive definite, ")
     assert messages[1].startswith("positive-definiteness check: rank 2, not positive definite, ")
     assert all(m.endswith(" s") for m in messages)
+
+
+def dominant_gram(rng, n):
+    """A seeded n x n symmetric Gram matrix, positive definite by
+    Gershgorin: off-diagonal entries in -3..3, diagonal 3n + 1."""
+    a = [[3 * n + 1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            a[i][j] = a[j][i] = rng.randint(-3, 3)
+    return tuple(map(tuple, a))
+
+
+@pytest.mark.parametrize("pivoting", ["rows", "none", "symmetric"])
+def test_kernel_reads_the_deadline_after_each_pivot(pivoting):
+    # a spent deadline lets the first pivot out and stops the step after it
+    gram = dominant_gram(random.Random(59), 8)
+    pivots = _bareiss_pivots(gram, pivoting, search_deadline(1e-9))
+    assert next(pivots) == gram[0][0]
+    with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+        next(pivots)
+    far = search_deadline(60)
+    assert list(_bareiss_pivots(gram, pivoting, far)) == list(_bareiss_pivots(gram, pivoting))
+
+
+def test_positive_definiteness_check_time_budget():
+    dense40 = dominant_gram(random.Random(61), 40)
+    with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+        GramLattice(dense40, cap_seconds=1e-9)
+    # a bad budget is refused before the check: the Gram matrix here is
+    # not positive definite, and the budget's error is the one raised
+    for cap in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="time budget must be > 0"):
+            GramLattice(((1, 2), (2, 1)), cap_seconds=cap)
+    assert GramLattice(dense40, cap_seconds=60) == GramLattice(dense40)

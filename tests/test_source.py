@@ -21,8 +21,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_only_the_search_budget_reads_the_clock():
-    # lattice's budget helpers alone turn a seconds budget into a
-    # time.monotonic deadline and read it; both searches go through them
+    # the budget helpers of matrices alone turn a seconds budget into a
+    # time.monotonic deadline and read it; every budget goes through them
     calls = {
         path.name
         for path in SOURCES
@@ -30,7 +30,7 @@ def test_only_the_search_budget_reads_the_clock():
         if isinstance(node, (ast.Attribute, ast.alias))
         and (node.attr if isinstance(node, ast.Attribute) else node.name) == "monotonic"
     }
-    assert calls == {"lattice.py"}
+    assert calls == {"matrices.py"}
 
 
 def test_public_names_are_the_contract():
