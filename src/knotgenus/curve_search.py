@@ -50,7 +50,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matrices import IntMatrix, as_matrix, bilinear, check_deadline, search_deadline
+from .matrices import IntMatrix, as_matrix, as_vector, bilinear, check_deadline, search_deadline
 from .seifert import alexander_trivial_2x2
 from .two_bridge import KnotParams
 
@@ -77,8 +77,8 @@ class CurveCertificate:
     restricted_form: IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "a", as_vector(self.a))
+        object.__setattr__(self, "b", as_vector(self.b))
         object.__setattr__(self, "restricted_form", as_matrix(self.restricted_form))
 
 
@@ -325,8 +325,8 @@ def _search(
         ok = np.flatnonzero(ama.take(al) * bmb.take(i * len(lo) + j) == x * (x - p))
         for n, t in enumerate(ok):
             r = al[t]
-            at = tuple(int(v) for v in block[r])
-            b = tuple(int(v) for v in hi[i[t]]) + tuple(int(v) for v in lo[j[t]])
+            at = as_vector(block[r])
+            b = as_vector(hi[i[t]]) + as_vector(lo[j[t]])
             form = restricted_form(mat, at, b)
             if _certifies(form):
                 first = int(np.searchsorted(al[ok], r))  # passes of the block's earlier a
@@ -342,8 +342,10 @@ def _search(
 
 
 def _check_box_entries(dim: int, bound: int) -> None:
-    """Raise ValueError when the box of a search in dimension dim at this
-    bound holds more than MAX_BOX_ENTRIES entries."""
+    """Raise ValueError unless bound >= 1, or when the box of a search in
+    dimension dim at this bound holds more than MAX_BOX_ENTRIES entries."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     entries = (2 * bound + 1) ** dim * dim
     if entries > MAX_BOX_ENTRIES:
         raise ValueError(
@@ -358,18 +360,17 @@ def find_genus1_certificate(
     """Exhaustive search over the normalized box [-bound, bound]^(2 dim);
     returns the lexicographically first certificate (a before b), or None.
 
-    Raises ValueError, before allocating anything, when the box holds more
-    than MAX_BOX_ENTRIES entries.  Raises SearchBudgetExceeded when the
-    optional cap_seconds > 0 wall-clock budget, counted from the call and
-    read between blocks of a-vectors, runs out before the search finishes.
+    Raises ValueError, before allocating anything, unless bound >= 1 or
+    when the box holds more than MAX_BOX_ENTRIES entries.  Raises
+    SearchBudgetExceeded when the optional cap_seconds > 0 wall-clock
+    budget, counted from the call and read between blocks of a-vectors,
+    runs out before the search finishes.
     A finished search logs one INFO record on the "knotgenus.curve_search"
     logger with the dimension, the bound, the verdict, the number of
     a-vectors scanned, the number of (a, b) pairs that passed the
     intersection filter, how many of them went to the exact check of
     verify_certificate, and the time.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
     dim = len(mat)

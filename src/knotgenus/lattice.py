@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .matrices import GramLattice, SearchBudgetExceeded, check_deadline, search_deadline
+from .matrices import GramLattice, SearchBudgetExceeded, as_vector, check_deadline, search_deadline
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ class Embedding:
         # a tuple of ints is kept as it is, not copied: a wide witness is
         # held once
         vecs = tuple(map(tuple, self.vectors))
-        vecs = tuple(v if all(type(x) is int for x in v) else tuple(map(int, v)) for v in vecs)
+        vecs = tuple(v if all(type(x) is int for x in v) else as_vector(v) for v in vecs)
         object.__setattr__(self, "vectors", vecs)
         if any(len(v) != self.ambient_dim for v in vecs):
             raise ValueError("all vectors must have length ambient_dim")

@@ -1,12 +1,18 @@
 """Exact integer matrix utilities and the shared text format for square matrices.
 
 Matrices are plain tuples of tuples of Python ints; all arithmetic is
-arbitrary precision.  One fraction-free Bareiss elimination serves every
-determinant and every signature, in one of three pivoting modes: "rows"
-(`det`) swaps rows, "none" (`leading_principal_minors`) reads the minors
-off its pivots in one pass, and "symmetric" (`seifert.signature`) moves
-rows and columns together, so that the matrix eliminated stays congruent to
-the symmetric input.  The elimination takes an optional deadline and reads
+arbitrary precision.  What counts as an integer is decided here, once:
+`as_vector` and `as_matrix` convert each entry with `operator.index`, so
+bools and numpy integers become exact ints, and floats, Fractions and
+strings raise TypeError rather than being truncated.  Every constructor
+that takes integers from a caller goes through them.
+
+One fraction-free Bareiss elimination serves every determinant and every
+signature, in one of three pivoting modes: "rows" (`det`) swaps rows,
+"none" (`leading_principal_minors`) reads the minors off its pivots in one
+pass, and "symmetric" (`seifert.signature`) moves rows and columns
+together, so that the matrix eliminated stays congruent to the symmetric
+input.  The elimination takes an optional deadline and reads
 it after each pivot it yields, before the step that follows; the budget
 helpers that every search, invariant and check shares (`search_deadline`,
 `check_deadline`, `SearchBudgetExceeded`) live here, the bottom layer.  The
@@ -43,6 +49,7 @@ all zero.
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import InitVar, dataclass
 
@@ -74,8 +81,18 @@ def check_deadline(deadline: float | None) -> None:
         raise SearchBudgetExceeded("time budget exceeded")
 
 
+def as_vector(entries) -> tuple[int, ...]:
+    """The entries as a tuple of exact ints, each through operator.index:
+    a bool or a numpy integer converts, a float, a Fraction or a str raises
+    TypeError."""
+    return tuple(map(operator.index, entries))
+
+
 def as_matrix(rows) -> IntMatrix:
-    mat = tuple(tuple(map(int, row)) for row in rows)
+    """The rows as a square matrix of exact ints, each row through
+    as_vector (so a non-integer entry raises TypeError).  Raises ValueError
+    unless it is square."""
+    mat = tuple(map(as_vector, rows))
     if any(len(row) != len(mat) for row in mat):
         raise ValueError("matrix must be square")
     return mat
@@ -262,12 +279,8 @@ class GramLattice:
         return det(self.gram)
 
 
-def format_matrix_text(m: IntMatrix, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(str(len(m)))
+def format_matrix_text(m: IntMatrix) -> str:
+    lines = [str(len(m))]
     for row in m:
         lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"

@@ -41,7 +41,6 @@ from .two_bridge import (
     continued_fraction,
     crossing_count,
     knot_fraction,
-    plumbing_weights,
     qmn_gram,
     seifert_matrix,
 )
@@ -166,23 +165,38 @@ def genus_bounds(k: KnotParams) -> SliceReport:
     )
 
 
+def _search_sizes(k: KnotParams, curve_bound: int | None, sigma: int) -> tuple[int, int]:
+    """The curve bound (default_search_bound(k) when None) and the
+    obstruction dimension of the searches of one row, from m and n alone:
+    Q(m,n) has rank 2m + 2n + 8, so nothing is built.  Raises the ValueError
+    of the curve-search box guard or of the witness guard."""
+    if curve_bound is None:
+        curve_bound = default_search_bound(k)
+    _check_box_entries(4, curve_bound)  # the Seifert matrix of K(m,n) is 4x4
+    rank = 2 * k.m + 2 * k.n + 8
+    dim = obstruction_dim(rank, sigma)
+    _check_witness_entries(rank, dim)
+    return curve_bound, dim
+
+
 def full_report(
     k: KnotParams,
     curve_bound: int | None = None,
     embed_cap_seconds: float | None = None,
 ) -> SliceReport:
     """Run both searches and assemble the final verdicts.  embed_cap_seconds
-    is the time budget of the embedding search, checked by find_embedding."""
+    is the time budget of the embedding search, checked by find_embedding.
+    Raises the ValueError of the curve-search box guard or of the witness
+    guard from m and n alone, before either search runs or Q(m,n) is
+    built."""
     base = genus_bounds(k)
-    if curve_bound is None:
-        curve_bound = default_search_bound(k)
+    curve_bound, dim = _search_sizes(k, curve_bound, base.signature)
     mat = seifert_matrix(k)
     cert = find_genus1_certificate(mat, curve_bound)
     if cert is not None and not verify_certificate(mat, cert):
         raise RuntimeError(f"curve search returned an invalid certificate for {k}")
 
     g = qmn_gram(k)
-    dim = obstruction_dim(g.rank, base.signature)
     try:
         witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:
@@ -208,17 +222,15 @@ def verify_theorem(
     workers (and no more than the rows or the CPUs), in deterministic order.
     Raises the ValueError of the curve-search box guard or of the witness
     guard before any row runs when the last row, K(m_max, n_max), would
-    raise it: both guards grow with m and n.
+    raise it: both guards grow with m and n, and the check is the one each
+    row's full_report makes, from m and n alone.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
     if m_max < 0 or n_max < 0:
         raise ValueError("ranges must be >= 0")
     last = KnotParams(m_max, n_max)
-    mat = seifert_matrix(last)
-    _check_box_entries(len(mat), default_search_bound(last) if curve_bound is None else curve_bound)
-    rank = len(plumbing_weights(last))  # the rank of Q(m_max, n_max), not built here
-    _check_witness_entries(rank, obstruction_dim(rank, signature(symmetrize(mat))))
+    _search_sizes(last, curve_bound, signature(symmetrize(seifert_matrix(last))))
     grid = [KnotParams(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
     report = functools.partial(
         full_report, curve_bound=curve_bound, embed_cap_seconds=embed_cap_seconds

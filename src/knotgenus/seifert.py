@@ -21,6 +21,7 @@ from .matrices import (
     IntMatrix,
     _bareiss_pivots,
     as_matrix,
+    as_vector,
     det,
     is_symmetric,
     search_deadline,
@@ -33,7 +34,9 @@ log = logging.getLogger(__name__)
 class LaurentPolynomial:
     """Integer Laurent polynomial in t, an immutable {exponent: coeff} map.
 
-    Zero coefficients are never stored; the zero polynomial is the empty map.
+    Exponents and coefficients convert by the rule of `matrices.as_vector`,
+    so a float raises TypeError.  Zero coefficients are never stored; the
+    zero polynomial is the empty map.
     It prints as sorted "exponent:coefficient" pairs, e.g. "-1:1 0:-1 1:1"
     for t - 1 + t^-1, and as "0:0" when zero.
     """
@@ -41,7 +44,8 @@ class LaurentPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: dict):
-        self._coeffs = {int(e): int(c) for e, c in coeffs.items() if c}
+        pairs = zip(as_vector(coeffs), as_vector(coeffs.values()))
+        self._coeffs = {e: c for e, c in pairs if c}
 
     @property
     def coeffs(self) -> dict:

@@ -13,15 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import GramLattice, IntMatrix, as_matrix
+from .matrices import GramLattice, IntMatrix, as_matrix, as_vector
 
 
 @dataclass(frozen=True)
 class KnotParams:
+    """The parameters m, n >= 0 of K(m,n), exact ints by the rule of
+    `matrices.as_vector` (a bool converts, a float raises TypeError)."""
+
     m: int
     n: int
 
     def __post_init__(self):
+        m, n = as_vector((self.m, self.n))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         if self.m < 0:
             raise ValueError("m must be >= 0")
         if self.n < 0:

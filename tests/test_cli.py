@@ -353,6 +353,14 @@ def test_verify_curve_box_too_large_is_usage_error(capsys):
     assert "box too large" in err
 
 
+def test_verify_huge_range_is_usage_error(capsys):
+    # refused from m and n: Q(10^9, 0) is never built
+    argv = ["verify", "--m-max", "1000000000", "--n-max", "0", "--curve-bound", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("knot: error: embedding too large") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["info", "--m", "zero", "--n", "0"])
@@ -409,6 +417,7 @@ def _fresh_interpreter(tmp_path, args):
         (["seifert", "m00.txt"], "provide at least one of --sig, --det, --alex"),
         (["curve", "--matrix", "m00.txt", "--m", "5", "--n", "5"], "provide either --matrix"),
         (["lattice", "q00.txt", "--dim", "100000000"], "embedding too large"),
+        (["verify", "--m-max", "0", "--n-max", "0", "--curve-bound", "-100"], "bound must be >= 1"),
     ],
 )
 def test_bad_input_exits_one_through_the_entry_point(tmp_path, argv, message):

@@ -272,7 +272,7 @@ def test_embedding_holds_a_tuple_of_ints_without_copying():
     assert e.vectors[0] is wide
     assert e.vectors[1] == wide[::-1]
     # entries that are not ints are still converted
-    e = Embedding([(True, 0), [0.0, 2]], 2)
+    e = Embedding([(True, 0), [False, 2]], 2)
     assert e.vectors == ((1, 0), (0, 2))
     assert all(type(x) is int for v in e.vectors for x in v)
 

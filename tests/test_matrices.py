@@ -2,19 +2,33 @@ import inspect
 import logging
 import random
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
+from knotgenus.curve_search import (
+    CurveCertificate,
+    default_search_bound,
+    find_genus1_certificate,
+    verify_certificate,
+)
+from knotgenus.lattice import Embedding, verify_embedding
 from knotgenus.matrices import (
     GramLattice,
     SearchBudgetExceeded,
     _bareiss_pivots,
+    as_matrix,
+    as_vector,
     det,
     leading_principal_minors,
     search_deadline,
 )
-from knotgenus.two_bridge import path_gram
+from knotgenus.pipeline import genus_bounds, reports_to_csv
+from knotgenus.seifert import LaurentPolynomial, alexander, signature
+from knotgenus.two_bridge import KnotParams, path_gram, seifert_matrix
 
 
 def dense_bareiss_pivots(m, pivoting):
@@ -348,3 +362,55 @@ def test_positive_definiteness_check_time_budget():
         with pytest.raises(ValueError, match="time budget must be > 0"):
             GramLattice(((1, 2), (2, 1)), cap_seconds=cap)
     assert GramLattice(dense40, cap_seconds=60) == GramLattice(dense40)
+
+
+def test_every_constructor_refuses_entries_that_are_not_integers():
+    # int() would turn each of these into an integer input that passes:
+    # GramLattice([[2]]), signature([[0]]), an embedding of [[1]] and the
+    # certificate of K(0,0)
+    for bad in (2.5, Fraction(5, 2), "2"):
+        with pytest.raises(TypeError):
+            as_vector([1, bad])
+        with pytest.raises(TypeError):
+            GramLattice([[bad]])
+    with pytest.raises(TypeError):
+        signature([[0.5]])
+    with pytest.raises(TypeError):
+        alexander([[0.5]])
+    with pytest.raises(TypeError):
+        verify_embedding(GramLattice([[1]]), Embedding([[1.5, 0.9]], 2))
+    with pytest.raises(TypeError):
+        Embedding([(True, 0), [0.0, 2]], 2)
+    k = KnotParams(0, 0)
+    mat = seifert_matrix(k)
+    cert = find_genus1_certificate(mat, default_search_bound(k))
+    assert cert.a == (0, 0, 1, 0) and verify_certificate(mat, cert)
+    with pytest.raises(TypeError):
+        verify_certificate(mat, replace(cert, a=(0.5, 0.5, 1.5, 0.5)))
+    with pytest.raises(TypeError):
+        CurveCertificate(cert.a, cert.b, [[-1.0, 4], [5, -20]])
+    with pytest.raises(TypeError):
+        LaurentPolynomial({0: 1.5})
+    with pytest.raises(TypeError):
+        LaurentPolynomial({0.0: 1})
+    with pytest.raises(TypeError):
+        KnotParams(2.0, 0)
+    with pytest.raises(TypeError):
+        KnotParams(0, "1")
+
+
+def test_bools_and_numpy_integers_become_exact_ints():
+    def exact(values):
+        return all(type(x) is int for x in values)
+
+    g = GramLattice(np.array([[2, -1], [-1, 2]], dtype=np.int64))
+    assert g.gram == ((2, -1), (-1, 2)) and all(exact(row) for row in g.gram)
+    assert as_matrix([[True, False], [np.int16(3), np.int64(-4)]]) == ((1, 0), (3, -4))
+    cert = CurveCertificate(np.array([0, 0, 1, 0]), (np.int64(-1), -1, -4, -2), ((-1, 4), (5, -20)))
+    assert cert.a == (0, 0, 1, 0) and exact(cert.a) and exact(cert.b)
+    poly = LaurentPolynomial({np.int64(-1): True, 0: np.int64(-1), 1: 1})
+    assert str(poly) == "-1:1 0:-1 1:1" and exact(poly.coeffs) and exact(poly.coeffs.values())
+    k = KnotParams(True, np.int64(0))
+    assert k == KnotParams(1, 0) and exact((k.m, k.n))
+    # the CSV row reads the params as ints, not as True
+    assert reports_to_csv([genus_bounds(k)]).splitlines()[1].startswith("1,0,163/28,")

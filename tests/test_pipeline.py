@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import time
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -147,6 +148,39 @@ def test_full_report_rejects_bad_time_budget(seconds):
 def test_verify_theorem_rejects_bad_jobs(jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         verify_theorem(0, 0, jobs=jobs)
+
+
+def test_search_sizes_match_the_built_lattice():
+    # the closed form rank 2m + 2n + 8 stands in for the Gram matrix
+    for m, n in ((0, 0), (3, 1), (0, 7), (12, 5)):
+        k = KnotParams(m, n)
+        sigma = genus_bounds(k).signature
+        assert pipeline._search_sizes(k, None, sigma) == (
+            default_search_bound(k),
+            obstruction_dim(qmn_gram(k).rank, sigma),
+        )
+        assert pipeline._search_sizes(k, 2, sigma)[0] == 2
+
+
+def test_full_report_refuses_an_oversized_row_before_any_search(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a search or the Gram build ran before the row was refused")
+
+    monkeypatch.setattr(pipeline, "find_genus1_certificate", never)
+    monkeypatch.setattr(pipeline, "qmn_gram", never)
+    # Q(1444,0) has rank 2896, and its witness in Z^2898 more than 2^23 entries
+    with pytest.raises(ValueError, match="embedding too large: rank 2896 in dimension 2898"):
+        full_report(KnotParams(1444, 0), curve_bound=3)
+    with pytest.raises(ValueError, match="curve search box too large"):
+        full_report(KnotParams(288, 0))
+
+
+def test_verify_theorem_refuses_a_huge_range_from_m_and_n():
+    # no plumbing weight or Gram entry of the last row is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="embedding too large"):
+        verify_theorem(10**9, 0, curve_bound=1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_theorem_refuses_an_oversized_range_before_any_row(monkeypatch):
