@@ -11,14 +11,15 @@ positive-definiteness check of `knot lattice` its own seconds budget, the
 curve search of `knot curve` its own, and each invariant that `knot
 seifert` computes (--sig, --det, --alex) its own.  A spent budget is a
 SearchBudgetExceeded, which `main` turns into one `knot: search stopped:`
-line on stderr and exit 2.  The KNOT_LOG environment variable
-(off/info/debug) sets the level of the log records written to stderr; at
-info every embedding search logs its rank, dimension, verdict, node count
-and time, every curve search its dimension, bound, verdict, a-vectors
-scanned, pairs with intersection +-1, pairs verified and time, every
-positive-definiteness check its rank, verdict and time, and every
-signature and Alexander polynomial its matrix size and time.  Stdout does
-not change.
+line on stderr and exit 2.  The KNOT_LOG environment variable sets the
+level of the log records written to stderr: unset, empty or off, info, or
+debug, in any case; any other value is an input error, refused before the
+command runs.  At info every embedding search logs its rank, dimension,
+verdict, node count and time, every curve search its dimension, bound,
+verdict, a-vectors scanned, pairs with intersection +-1, pairs verified
+and time, every positive-definiteness check its rank, verdict and time,
+and every signature and Alexander polynomial its matrix size and time.
+Stdout does not change.
 
 Only info, verify and curve import the curve search, and with it numpy;
 lattice, seifert and the argument parser start without it.
@@ -49,14 +50,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# KNOT_LOG value, in any case -> logging level; unset is ""
+LOG_LEVELS = {
+    "": logging.WARNING,
+    "off": logging.WARNING,
+    "info": logging.INFO,
+    "debug": logging.DEBUG,
+}
+
+
 def _setup_logging():
-    level = os.environ.get("KNOT_LOG", "off").lower()
-    if level == "debug":
-        logging.basicConfig(level=logging.DEBUG)
-    elif level == "info":
-        logging.basicConfig(level=logging.INFO)
-    else:
-        logging.basicConfig(level=logging.WARNING)
+    value = os.environ.get("KNOT_LOG", "")
+    level = LOG_LEVELS.get(value.lower())
+    if level is None:
+        raise ValueError(f"KNOT_LOG must be off, info or debug, not {value!r}")
+    logging.basicConfig(level=level)
 
 
 def _read_matrix(path: str):
@@ -224,9 +232,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"knot: error: {exc}", file=sys.stderr)

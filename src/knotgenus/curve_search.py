@@ -44,6 +44,7 @@ time.  The hits are found mod 2^16 first, in int16, and confirmed in int64.
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import dataclass, field
 from math import isqrt
@@ -360,8 +361,9 @@ def find_genus1_certificate(
     """Exhaustive search over the normalized box [-bound, bound]^(2 dim);
     returns the lexicographically first certificate (a before b), or None.
 
-    Raises ValueError, before allocating anything, unless bound >= 1 or
-    when the box holds more than MAX_BOX_ENTRIES entries.  Raises
+    Raises TypeError unless bound is an exact int (operator.index), and
+    ValueError, before allocating anything, unless bound >= 1 or when the
+    box holds more than MAX_BOX_ENTRIES entries.  Raises
     SearchBudgetExceeded when the optional cap_seconds > 0 wall-clock
     budget, counted from the call and read between blocks of a-vectors,
     runs out before the search finishes.
@@ -373,6 +375,7 @@ def find_genus1_certificate(
     """
     deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
+    bound = operator.index(bound)
     dim = len(mat)
     _check_box_entries(dim, bound)
     start = time.perf_counter()

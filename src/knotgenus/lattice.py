@@ -32,7 +32,8 @@ have norm 2 or 3, so each placed vector is nonzero on a few coordinates, and
 a search node works only where its constraints reach.  A placed vector is
 kept as its nonzero entries, pushed and popped as them, and indexed by
 coordinate with its suffix norm past each one.  A node's residuals start from
-the nonzero entries of its Gram row, listed once per basis vector.  Its walk
+the entries of its Gram row left of the diagonal, read from the lattice's
+sparse rows (`GramLattice.rows`), never from a dense row.  Its walk
 over the used coordinates starts at the jump target that each placed vector
 keeps, when the norm and the residuals allow it (see
 _EmbedSearch._candidates), and at each coordinate it reads only the placed
@@ -45,7 +46,9 @@ log of the links that the split rewrote.
 from __future__ import annotations
 
 import logging
+import operator
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
@@ -57,10 +60,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Embedding:
+    """rank vectors of Z^ambient_dim, the entries and the dimension exact
+    ints by the rule of `matrices.as_vector`."""
+
     vectors: tuple[tuple[int, ...], ...]
     ambient_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient_dim", operator.index(self.ambient_dim))
         # a tuple of ints is kept as it is, not copied: a wide witness is
         # held once
         vecs = tuple(map(tuple, self.vectors))
@@ -113,26 +120,34 @@ def _with_fresh_parts(heads, start: int, max_part: int, max_len: int):
 
 
 class _EmbedSearch:
-    def __init__(self, gram, ambient_dim, max_nodes=None, deadline=None):
-        self.g = gram
-        self.rank = len(gram)
+    def __init__(self, g, ambient_dim, max_nodes=None, deadline=None):
+        # g is a GramLattice, or a Gram matrix that is checked as one
+        self.g = g if isinstance(g, GramLattice) else GramLattice(g)
+        self.rank = self.g.rank
         self.M = ambient_dim
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.nodes = 0
+        # per basis vector i: its norm g[i][i], and (j, g[i][j]) for each
+        # j < i with g[i][j] != 0, from the lattice's sparse rows
+        self.norms = []
+        self.rows = []
+        for i, entries in enumerate(self.g.rows):
+            k = 0
+            while entries[k][0] < i:
+                k += 1
+            self.rows.append(entries[:k])
+            self.norms.append(entries[k][1])
         # per placed vector: its nonzero entries (c, e) in coordinate order,
         # and its jump target: the first coordinate of its own support or of
         # any placed vector's support that meets it
         self.assigned: list[tuple[tuple[int, int], ...]] = []
         self.target: list[int] = []
-        # per basis vector i: (j, g[i][j]) for each j < i with g[i][j] != 0,
-        # listed when the search first reaches i
-        self.rows: list[list[tuple[int, int]] | None] = [None] * self.rank
         # coordinate c -> [(j, assigned[j][c], norm of assigned[j] past c)]
         # for every placed vector j that is nonzero at c, in placement order.
         # A vector of norm d enters at most d fresh coordinates, so no more
         # than the trace of the Gram matrix are ever live.
-        live = min(ambient_dim, sum(gram[i][i] for i in range(self.rank)))
+        live = min(ambient_dim, sum(self.norms))
         self.touching: list[list[tuple[int, int, int]]] = [[] for _ in range(live)]
         # the classes of interchangeable used coordinates, as linked lists in
         # coordinate order: same[c] / nxt[c] is the previous / next
@@ -287,14 +302,11 @@ class _EmbedSearch:
         order.  They are returned as an iterator that generates the fresh
         parts of each head only as the search takes them, so a budget
         stops a node with many fresh parts after the first."""
-        d = self.g[i][i]
+        d = self.norms[i]
         max_entry = isqrt(d)
         touching, same, target = self.touching, self.same, self.target
         x, left, needs = self.x, self.left, self.needs
         row = self.rows[i]
-        if row is None:
-            gi = self.g[i]
-            row = self.rows[i] = [(j, gi[j]) for j in compress(range(i), gi)]
         start = used if row and d <= 2 else 0
         for j, gij in row:
             needs[j] = gij
@@ -396,8 +408,10 @@ def find_embedding(
     cap_seconds > 0 wall-clock budget counted from the call, both read
     between search nodes.  A finished search logs one INFO record on the
     "knotgenus.lattice" logger with the rank, the dimension, the verdict,
-    the node count and the time.
+    the node count and the time.  ambient_dim is an exact int (TypeError
+    otherwise, by operator.index).
     """
+    ambient_dim = operator.index(ambient_dim)
     if ambient_dim <= 0:
         raise ValueError("ambient dimension must be positive")
     _check_witness_entries(g.rank, ambient_dim)
@@ -407,7 +421,7 @@ def find_embedding(
     start = time.perf_counter()
     vectors, nodes = None, 0
     if ambient_dim >= g.rank:
-        search = _EmbedSearch(g.gram, ambient_dim, max_nodes=max_nodes, deadline=deadline)
+        search = _EmbedSearch(g, ambient_dim, max_nodes=max_nodes, deadline=deadline)
         vectors = search.run()
         nodes = search.nodes
     log.info(
@@ -436,9 +450,9 @@ def min_embedding_dim(
     cap_seconds: float | None = None,
 ) -> int | None:
     """Smallest M <= cap admitting an embedding, or None.  The default cap
-    is default_dim_cap(g).  The budgets apply to each find_embedding call."""
-    if cap is None:
-        cap = default_dim_cap(g)
+    is default_dim_cap(g); a cap that is not an exact int raises TypeError.
+    The budgets apply to each find_embedding call."""
+    cap = default_dim_cap(g) if cap is None else operator.index(cap)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")
     for dim in range(g.rank, cap + 1):
@@ -450,19 +464,27 @@ def min_embedding_dim(
 def verify_embedding(g: GramLattice, e: Embedding) -> bool:
     """True iff the embedding's pairwise dot products match the Gram matrix.
 
-    Each vector's nonzero entries are read once, and the dot product of a
-    pair is summed over the support of one of them: exact on every pair, at
-    a cost of rank^2 x support, not rank^2 x dimension.
+    Two vectors with no common nonzero coordinate have dot product 0.  So
+    each vector's dot products with the vectors before it are summed over
+    the coordinates of its support, against the earlier vectors nonzero
+    there, and the nonzero ones, with its norm, must be exactly the entries
+    of its sparse row up to the diagonal: exact on every pair, at a cost of
+    the pairs that share a coordinate, not rank^2 x dimension.
     """
     if len(e.vectors) != g.rank:
         raise ValueError("embedding rank does not match Gram matrix")
-    vs = e.vectors
-    supports = [[(c, x) for c, x in enumerate(v) if x] for v in vs]
-    return all(
-        sum(x * vs[j][c] for c, x in supports[i]) == g.gram[i][j]
-        for i in range(g.rank)
-        for j in range(i + 1)
-    )
+    at = defaultdict(list)  # coordinate -> (j, entry) per earlier vector j nonzero there
+    for i, (v, entries) in enumerate(zip(e.vectors, g.rows)):
+        dots = defaultdict(int)  # j -> dot product of vectors i and j
+        support = tuple(compress(enumerate(v), v))
+        for c, x in support:
+            for j, y in at[c]:
+                dots[j] += x * y
+            at[c].append((i, x))
+        dots[i] = sum(x * x for _, x in support)
+        if {j: d for j, d in dots.items() if d} != {j: x for j, x in entries if j <= i}:
+            return False
+    return True
 
 
 def format_embedding(e: Embedding) -> str:

@@ -29,9 +29,22 @@ ones x p_k / p_s.  An update divides by p_s in place of p_(k-1), and a
 pivot row is first multiplied by p_(k-1) and divided by p_s, exact since
 each true entry is a minor.  A stored zero is an exact zero, since every
 scale is a nonzero pivot, so the zero tests and the swap choice read the
-stored entries.  A row swap swaps the kept pivots with the rows.  On a
-tridiagonal (path) Gram matrix each step updates one row, so the pass costs
-O(n^2); on dense input it is still O(n^3).
+stored entries.  A row swap swaps the kept pivots with the rows.
+
+A sparse caller (`GramLattice`) passes the envelope of a symmetric matrix:
+each row as its nonzero entries, and the last column where it is nonzero.
+Let E[i] be the largest of those last columns over rows 0..i.  Elimination
+without swaps stays inside the envelope that E bounds (George and Liu,
+"Computer Solution of Large Sparse Positive Definite Systems", 1981): an
+update of row i at step k < i combines it with row k, so row i stays 0
+past column E[i]; and the remaining block is symmetric, so column k is 0
+below row E[k].  Step k therefore updates only the rows up to E[k], and,
+since E does not decrease, only their columns up to E[E[k]].  On a
+tridiagonal (path) Gram matrix E[k] = k + 1, so a step updates two entries
+of one row, and the pass costs O(n).  Dense callers (`det`, `signature`,
+`alexander`) pass no envelope: every step reaches the last row and column,
+which costs O(n^2) on a path (each step updates one row) and O(n^3) on
+dense input.
 
 The symmetric mode permutes rows and columns of the remaining block alike,
 which permutes its bordered minors, so each pivot is a leading principal
@@ -51,7 +64,10 @@ from __future__ import annotations
 import logging
 import operator
 import time
-from dataclasses import InitVar, dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, compress
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +144,7 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _bareiss_pivots(m: IntMatrix, pivoting: str, deadline: float | None = None):
+def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):
     """Fraction-free Bareiss elimination of m (Bareiss 1968), pivot by pivot.
 
     pivoting is "rows", "none" or "symmetric" (see the module docstring).
@@ -142,9 +158,22 @@ def _bareiss_pivots(m: IntMatrix, pivoting: str, deadline: float | None = None):
     (see the module docstring).  With a deadline (a time.monotonic
     reading), it is read once after each pivot yielded, before the step
     that follows, and SearchBudgetExceeded is raised when it is past.
+
+    ends, for "none" on a symmetric m only, is its envelope: each row of m
+    is given as its nonzero entries (j, m[i][j]), and ends[i] is the last
+    column where row i is nonzero.  With E the running maximum of ends,
+    step k then rescales row k up to column E[k] and updates the rows up to
+    E[k] in the columns up to E[E[k]] (see the module docstring).  Without
+    ends every row is a full row of m, and every step reaches row and
+    column n - 1.
     """
     n = len(m)
-    a = [list(row) for row in m]
+    if ends is None:
+        a = [list(row) for row in m]
+    else:
+        # an absent entry reads as 0
+        a = [defaultdict(int, row) for row in m]
+        ends = list(accumulate(ends, max))
     # at[i]: the pivot that row i's stored entries are exact at
     at = [1] * n
     sign = 1
@@ -163,7 +192,7 @@ def _bareiss_pivots(m: IntMatrix, pivoting: str, deadline: float | None = None):
         row_k = a[k]
         if at[k] != prev:
             s = at[k]
-            for j in range(k, n):
+            for j in range(k, n if ends is None else ends[k] + 1):
                 row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
         yield sign * pivot
@@ -171,8 +200,12 @@ def _bareiss_pivots(m: IntMatrix, pivoting: str, deadline: float | None = None):
             check_deadline(deadline)
         if pivot == 0:
             return
-        cols = range(k + 1, n)
-        for i in cols:
+        if ends is None:
+            rows = cols = range(k + 1, n)
+        else:
+            end = ends[k]
+            rows, cols = range(k + 1, end + 1), range(k + 1, ends[end] + 1)
+        for i in rows:
             row_i = a[i]
             aik = row_i[k]
             if aik == 0:
@@ -222,46 +255,71 @@ def det(m: IntMatrix, deadline: float | None = None) -> int:
     return d
 
 
-def leading_principal_minors(m: IntMatrix, deadline: float | None = None) -> list[int]:
+def leading_principal_minors(m, deadline: float | None = None, ends=None) -> list[int]:
     """Leading principal minors of m in order of size, from one Bareiss pass
     without row swaps, the optional deadline read between its pivots.
     Stops after the first minor <= 0, so all n minors are returned exactly
-    when m is positive definite."""
+    when m is positive definite.  With ends, m is symmetric and given as its
+    sparse rows and their ends, as _bareiss_pivots takes them."""
     minors = []
-    for minor in _bareiss_pivots(m, "none", deadline):
+    for minor in _bareiss_pivots(m, "none", deadline, ends):
         minors.append(minor)
         if minor <= 0:
             break
     return minors
 
 
-@dataclass(frozen=True)
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+@dataclass(frozen=True, init=False)
 class GramLattice:
     """Symmetric positive-definite integer Gram matrix of a lattice basis.
 
-    Both properties are checked once, here, so every search on the lattice
-    may rely on them.  The rank-0 lattice is positive definite.  The
-    positive-definiteness check logs one INFO record on the
+    The lattice is kept as its sparse rows: rows[i] holds the nonzero
+    entries (j, g[i][j]) of row i, in column order, so a path lattice holds
+    O(rank) entries.  The dense matrix `gram` is built from them on first
+    read; the public constructor takes it from the caller and keeps it.
+    Two lattices are equal when their Gram matrices are.
+
+    Both properties are checked once, when the lattice is built, so every
+    search on the lattice may rely on them.  The rank-0 lattice is positive
+    definite.  The positive-definiteness check runs on the sparse rows,
+    inside their envelope, and logs one INFO record on the
     "knotgenus.matrices" logger with the rank, the verdict and the time.
     cap_seconds (> 0, or None for no budget) bounds that check: it is read
     between its pivots, and SearchBudgetExceeded is raised when it has run
     out.  A bad value raises ValueError before the check.  It is not kept.
     """
 
-    gram: IntMatrix
-    cap_seconds: InitVar[float | None] = None
+    rows: SparseRows
+    _det: int = field(compare=False, repr=False)
 
-    def __post_init__(self, cap_seconds):
+    def __init__(self, gram, cap_seconds: float | None = None):
         deadline = search_deadline(cap_seconds)
-        object.__setattr__(self, "gram", as_matrix(self.gram))
-        if not is_symmetric(self.gram):
+        gram = as_matrix(gram)
+        if not is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "gram", gram)
+        self._check(tuple(tuple(compress(enumerate(row), row)) for row in gram), deadline)
+
+    @classmethod
+    def _of_rows(cls, rows: SparseRows) -> GramLattice:
+        """The lattice of sparse rows that the caller built symmetric, of
+        exact ints, and in column order; only positive definiteness is
+        checked, without a budget."""
+        lattice = cls.__new__(cls)
+        lattice._check(rows, None)
+        return lattice
+
+    def _check(self, rows: SparseRows, deadline: float | None) -> None:
         start = time.perf_counter()
-        minors = leading_principal_minors(self.gram, deadline)
+        ends = [row[-1][0] if row else 0 for row in rows]
+        minors = leading_principal_minors(rows, deadline, ends)
         definite = not minors or minors[-1] > 0
         log.info(
             "positive-definiteness check: rank %d, %s, %.3f s",
-            len(self.gram),
+            len(rows),
             "positive definite" if definite else "not positive definite",
             time.perf_counter() - start,
         )
@@ -270,13 +328,25 @@ class GramLattice:
                 f"Gram matrix is not positive definite: leading principal minor "
                 f"{len(minors)} is {minors[-1]}"
             )
+        object.__setattr__(self, "rows", rows)
+        # the last leading principal minor of a positive-definite matrix
+        object.__setattr__(self, "_det", minors[-1] if minors else 1)
+
+    @cached_property
+    def gram(self) -> IntMatrix:
+        """The Gram matrix, built from the sparse rows on first read."""
+        dense = [[0] * len(self.rows) for _ in self.rows]
+        for row, entries in zip(dense, self.rows):
+            for j, x in entries:
+                row[j] = x
+        return tuple(map(tuple, dense))
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.rows)
 
     def determinant(self) -> int:
-        return det(self.gram)
+        return self._det
 
 
 def format_matrix_text(m: IntMatrix) -> str:

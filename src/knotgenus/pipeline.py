@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -188,7 +189,9 @@ def full_report(
     is the time budget of the embedding search, checked by find_embedding.
     Raises the ValueError of the curve-search box guard or of the witness
     guard from m and n alone, before either search runs or Q(m,n) is
-    built."""
+    built.  A curve_bound that is not an exact int raises TypeError."""
+    if curve_bound is not None:
+        curve_bound = operator.index(curve_bound)
     base = genus_bounds(k)
     curve_bound, dim = _search_sizes(k, curve_bound, base.signature)
     mat = seifert_matrix(k)
@@ -223,8 +226,12 @@ def verify_theorem(
     Raises the ValueError of the curve-search box guard or of the witness
     guard before any row runs when the last row, K(m_max, n_max), would
     raise it: both guards grow with m and n, and the check is the one each
-    row's full_report makes, from m and n alone.
+    row's full_report makes, from m and n alone.  m_max, n_max and
+    curve_bound are exact ints (TypeError otherwise, by operator.index).
     """
+    m_max, n_max = operator.index(m_max), operator.index(n_max)
+    if curve_bound is not None:
+        curve_bound = operator.index(curve_bound)
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
     if m_max < 0 or n_max < 0:

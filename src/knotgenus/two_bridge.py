@@ -111,19 +111,17 @@ def plumbing_weights(k: KnotParams) -> tuple[int, ...]:
 
 
 def path_gram(weights) -> GramLattice:
-    """Gram matrix of a path graph with the given vertex weights."""
-    weights = list(weights)
-    r = len(weights)
-    rows = []
-    for i in range(r):
-        row = [0] * r
-        row[i] = weights[i]
-        if i > 0:
-            row[i - 1] = -1
-        if i < r - 1:
-            row[i + 1] = -1
-        rows.append(row)
-    return GramLattice(rows)
+    """Gram lattice of a path graph with the given vertex weights (exact
+    ints, TypeError otherwise): weight i on the diagonal and -1 between
+    neighbours, built as its sparse rows in O(rank)."""
+    weights = as_vector(weights)
+    last = len(weights) - 1
+    return GramLattice._of_rows(
+        tuple(
+            ((i - 1, -1),) * (i > 0) + ((i, w),) + ((i + 1, -1),) * (i < last)
+            for i, w in enumerate(weights)
+        )
+    )
 
 
 def crossing_count(k: KnotParams) -> int:

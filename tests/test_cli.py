@@ -379,15 +379,18 @@ MATRIX_FILES = {
 }
 
 
-def _fresh_interpreter(tmp_path, args):
+def _fresh_interpreter(tmp_path, args, knot_log=None):
     """Run `python *args` in a fresh interpreter, in tmp_path with the
-    matrix files above, on this checkout's knotgenus."""
+    matrix files above, on this checkout's knotgenus, with KNOT_LOG unset
+    or set to knot_log."""
     for name, text in MATRIX_FILES.items():
         (tmp_path / name).write_text(text)
     src = str(Path(knotgenus.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("KNOT_LOG", None)
+    if knot_log is not None:
+        env["KNOT_LOG"] = knot_log
     return subprocess.run(
         [sys.executable, *args],
         cwd=tmp_path,
@@ -455,3 +458,20 @@ def test_only_the_curve_search_commands_load_numpy(tmp_path, args, status, loads
     }
     assert "knotgenus" in imported
     assert ("numpy" in imported) is loads_numpy
+
+
+@pytest.mark.parametrize("value", ["inof", "verbose", "1", " info", "warning"])
+def test_unknown_knot_log_is_refused_before_the_command_runs(tmp_path, value):
+    argv = ["-m", "knotgenus.cli", "lattice", "a3.txt", "--mindim"]
+    proc = _fresh_interpreter(tmp_path, argv, value)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"knot: error: KNOT_LOG must be off, info or debug, not {value!r}\n"
+
+
+@pytest.mark.parametrize("value", [None, "", "off", "OFF", "info", "Info", "debug", "DEBUG"])
+def test_knot_log_accepts_its_levels_in_any_case(tmp_path, value):
+    argv = ["-m", "knotgenus.cli", "lattice", "a3.txt", "--mindim"]
+    proc = _fresh_interpreter(tmp_path, argv, value)
+    assert proc.returncode == 0 and proc.stdout == "MINDIM=3\n"
+    logged = "positive-definiteness check: rank 3, positive definite" in proc.stderr
+    assert logged is (value is not None and value.lower() in ("info", "debug"))

@@ -20,7 +20,7 @@ from knotgenus.lattice import (
     verify_embedding,
 )
 from knotgenus.matrices import GramLattice, dot
-from knotgenus.two_bridge import KnotParams, path_gram, qmn_gram
+from knotgenus.two_bridge import KnotParams, path_gram, plumbing_weights, qmn_gram
 
 
 def a_chain(n):
@@ -139,9 +139,9 @@ def test_min_embedding_dim_checks_positive_definiteness_once(monkeypatch):
     calls = []
     real = matrices.leading_principal_minors
 
-    def counted(m, deadline):
+    def counted(m, *args):
         calls.append(len(m))
-        return real(m, deadline)
+        return real(m, *args)
 
     for module in (matrices, lattice):
         monkeypatch.setattr(module, "leading_principal_minors", counted, raising=False)
@@ -387,7 +387,7 @@ class _CheckedSearch(_EmbedSearch):
         got = list(super()._candidates(i, used))
         assert all(head == sparse(_dense(head, used)) for head, _ in got)
         dense_got = [(_dense(head, used), part) for head, part in got]
-        assert dense_got == canonical_candidates(self.g, self.M, assigned, i, used)
+        assert dense_got == canonical_candidates(self.g.gram, self.M, assigned, i, used)
         return got
 
     def _push(self, head, fresh, used):
@@ -422,7 +422,7 @@ class _ReferenceSearch(_EmbedSearch):
     def _candidates(self, i, used):
         return [
             (sparse(head), part)
-            for head, part in dense_candidates(self.g, self.M, placed(self), i, used)
+            for head, part in dense_candidates(self.g.gram, self.M, placed(self), i, used)
         ]
 
 
@@ -555,7 +555,8 @@ class _JumpCases(_CheckedSearch):
 
     def _candidates(self, i, used):
         got = super()._candidates(i, used)
-        g, d = self.g, self.g[i][i]
+        g = self.g.gram
+        d = g[i][i]
         assigned = placed(self)
         supports = [{c for c, e in enumerate(v) if e} for v in assigned]
         firsts = [min(s) for s in supports]
@@ -642,6 +643,38 @@ def test_obstruction_node_counts(m, n, fresh_only, nodes):
     reference = _FreshOnlySearch(g.gram, g.rank + 2)
     assert reference.run() is None
     assert reference.nodes == fresh_only
+
+
+def _searches(caplog, run):
+    """run()'s result, and the embedding searches it logged, each without
+    its time: rank, dimension, verdict and nodes."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="knotgenus.lattice"):
+        result = run()
+    return result, [r.getMessage().rsplit(", ", 1)[0] for r in caplog.records]
+
+
+def test_path_and_dense_lattices_search_alike(caplog):
+    # Q(m,n) from its weights (sparse rows) and from its dense matrix give
+    # the same verdicts, witnesses and node counts
+    for m, n in product(range(6), repeat=2):
+        weights = plumbing_weights(KnotParams(m, n))
+        r = len(weights)
+        dense = [
+            [weights[i] if i == j else -(abs(i - j) == 1) for j in range(r)] for i in range(r)
+        ]
+        from_path, from_dense = qmn_gram(KnotParams(m, n)), GramLattice(dense)
+        for run in (
+            lambda g: find_embedding(g, g.rank + 2),
+            lambda g: min_embedding_dim(g),
+            lambda g: find_embedding(g, g.rank + (3 if m == 0 else 4)),
+        ):
+            path_result, path_searches = _searches(caplog, lambda: run(from_path))
+            assert _searches(caplog, lambda: run(from_dense)) == (path_result, path_searches)
+            assert path_searches
+            assert all(s.startswith(f"embedding search: rank {r}, ") for s in path_searches)
+        assert path_result is not None and verify_embedding(from_path, path_result)
+        assert verify_embedding(from_dense, path_result)
 
 
 def test_search_depth_not_bound_by_recursion_limit():

@@ -2,6 +2,7 @@ import inspect
 import logging
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from knotgenus.curve_search import (
     find_genus1_certificate,
     verify_certificate,
 )
-from knotgenus.lattice import Embedding, verify_embedding
+from knotgenus.lattice import Embedding, find_embedding, min_embedding_dim, verify_embedding
 from knotgenus.matrices import (
     GramLattice,
     SearchBudgetExceeded,
@@ -26,9 +27,9 @@ from knotgenus.matrices import (
     leading_principal_minors,
     search_deadline,
 )
-from knotgenus.pipeline import genus_bounds, reports_to_csv
+from knotgenus.pipeline import full_report, genus_bounds, reports_to_csv, verify_theorem
 from knotgenus.seifert import LaurentPolynomial, alexander, signature
-from knotgenus.two_bridge import KnotParams, path_gram, seifert_matrix
+from knotgenus.two_bridge import KnotParams, path_gram, plumbing_weights, seifert_matrix
 
 
 def dense_bareiss_pivots(m, pivoting):
@@ -278,19 +279,26 @@ def test_symmetric_mode_on_hyperbolic_planes():
     assert list(_bareiss_pivots((), "symmetric")) == []
 
 
-def _row_updates(mat):
-    """Executions of the kernel's row-update line, the one that picks the
-    divisor of a row about to be updated, while the leading minors of mat
-    are computed."""
+def sparse_rows(mat):
+    """The rows of mat as their nonzero entries (j, mat[i][j]), and the
+    last column where each is nonzero: the envelope the kernel takes."""
+    rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in mat)
+    return rows, [row[-1][0] if row else 0 for row in rows]
+
+
+def _kernel_line_counts(mat, ends=None):
+    """The leading minors of mat, and how often two lines of the kernel ran
+    while they were computed: the row update, the line that picks the
+    divisor of a row about to be updated, and the entry update.  With
+    ends, mat is given as its sparse rows."""
     lines, start = inspect.getsourcelines(_bareiss_pivots)
-    [offset] = [i for i, line in enumerate(lines) if "d = at[i]" in line]
-    target = start + offset
-    count = 0
+    [row_line] = [start + i for i, line in enumerate(lines) if "d = at[i]" in line]
+    [entry_line] = [start + i for i, line in enumerate(lines) if "row_i[j] = " in line]
+    counts = Counter()
 
     def local(frame, event, arg):
-        nonlocal count
-        if event == "line" and frame.f_lineno == target:
-            count += 1
+        if event == "line":
+            counts[frame.f_lineno] += 1
         return local
 
     def trace(frame, event, arg):
@@ -299,22 +307,86 @@ def _row_updates(mat):
     old = sys.gettrace()
     sys.settrace(trace)
     try:
-        minors = leading_principal_minors(mat)
+        minors = leading_principal_minors(mat, None, ends)
     finally:
         sys.settrace(old)
-    assert minors == reference_minors(mat)
-    return count
+    return minors, counts[row_line], counts[entry_line]
 
 
 def test_row_updates_are_linear_in_the_rank_on_a_path_gram():
-    # on a path Gram matrix only row k+1 is nonzero in pivot column k; the
-    # dense loop updates all n(n-1)/2 rows below the pivots
+    # on a path Gram matrix only row k+1 is nonzero in pivot column k, and
+    # within the envelope of its sparse rows (what GramLattice passes) the
+    # update of row k+1 stops at column k+2; the dense loop updates all
+    # n(n-1)/2 rows below the pivots, each to the last column
     rng = random.Random(53)
     for n in (8, 16, 32, 64, 128):
-        gram = path_gram([rng.choice((2, 3)) for _ in range(n)]).gram
-        assert _row_updates(gram) == n - 1
+        g = path_gram([rng.choice((2, 3)) for _ in range(n)])
+        minors, rows, entries = _kernel_line_counts(*sparse_rows(g.gram))
+        assert minors == reference_minors(g.gram)
+        assert rows == n - 1
+        assert entries == 2 * n - 3
     dense = tuple(tuple(7 * (i == j) + 1 for j in range(16)) for i in range(16))
-    assert _row_updates(dense) == 16 * 15 // 2
+    minors, rows, entries = _kernel_line_counts(dense)
+    assert minors == reference_minors(dense)
+    assert rows == 16 * 15 // 2
+    assert entries == sum(k * k for k in range(16))
+
+
+def _symmetric_of_shape(rng, n, shape):
+    """A seeded symmetric n x n matrix with entries in -3..3 off the
+    diagonal, its nonzeros inside the given shape: a band of width 1-3,
+    diagonal blocks of size 1-4, an arrow (a full first or last row and
+    column over the diagonal), or dense.  The diagonal is dominant (so the
+    matrix is positive definite), small (often indefinite), or makes the
+    leading 2x2 minor 0."""
+    blocks = []
+    while sum(blocks) < n:
+        blocks.append(rng.randint(1, 4))
+    block = [b for b, size in enumerate(blocks) for _ in range(size)][:n]
+    width = rng.randint(1, 3)
+    tip = rng.choice((0, n - 1))
+    inside = {
+        "band": lambda i, j: i - j <= width,
+        "blocks": lambda i, j: block[i] == block[j],
+        "arrow": lambda i, j: tip in (i, j),
+        "dense": lambda i, j: True,
+    }[shape]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if inside(i, j):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+    diagonal = rng.choice(("dominant", "small", "zero minor"))
+    for i in range(n):
+        a[i][i] = 3 * n + 1 if diagonal == "dominant" else rng.randint(-2, 4)
+    if diagonal == "zero minor" and n >= 2 and a[0][1]:
+        a[0][0], a[1][1] = a[0][1], a[0][1]
+    return tuple(map(tuple, a))
+
+
+def test_the_envelope_gives_the_minors_of_the_full_pass():
+    # every pivot, up to the first zero one, and the leading minors up to
+    # the first nonpositive one, on sparse rows with their ends and on the
+    # dense rows
+    rng = random.Random(83)
+    outcomes = Counter()
+    for trial in range(1200):
+        shape = ("band", "blocks", "arrow", "dense")[trial % 4]
+        mat = _symmetric_of_shape(rng, rng.randint(1, 10), shape)
+        rows, ends = sparse_rows(mat)
+        pivots = list(dense_bareiss_pivots(mat, "none"))
+        assert list(_bareiss_pivots(rows, "none", None, ends)) == pivots
+        assert list(_bareiss_pivots(mat, "none")) == pivots
+        minors = leading_principal_minors(rows, None, ends)
+        assert minors == leading_principal_minors(mat) == reference_minors(mat)
+        last = minors[-1]
+        outcomes[shape, "definite" if last > 0 else "zero minor" if last == 0 else "negative"] += 1
+    # each shape is seen definite, indefinite and stopped at a zero minor
+    assert {key for key, count in outcomes.items() if count >= 20} == {
+        (shape, outcome)
+        for shape in ("band", "blocks", "arrow", "dense")
+        for outcome in ("definite", "zero minor", "negative")
+    }
 
 
 def test_positive_definiteness_check_logs_one_info_record(caplog):
@@ -328,6 +400,45 @@ def test_positive_definiteness_check_logs_one_info_record(caplog):
     assert messages[0].startswith("positive-definiteness check: rank 3, positive definite, ")
     assert messages[1].startswith("positive-definiteness check: rank 2, not positive definite, ")
     assert all(m.endswith(" s") for m in messages)
+
+
+def _dense_path(weights):
+    n = len(weights)
+    return tuple(
+        tuple(weights[i] if i == j else -(abs(i - j) == 1) for j in range(n)) for i in range(n)
+    )
+
+
+def test_path_lattice_equals_the_lattice_of_its_dense_matrix(caplog):
+    # path_gram builds the sparse rows directly, GramLattice derives them
+    # from the dense matrix; path_gram builds the dense one only when read
+    rng = random.Random(89)
+    cases = [[rng.randint(2, 4) for _ in range(n)] for n in range(13)]
+    cases += [plumbing_weights(KnotParams(m, n)) for m, n in ((0, 0), (3, 7), (40, 40))]
+    for weights in cases:
+        dense = _dense_path(weights)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="knotgenus.matrices"):
+            from_path, from_dense = path_gram(weights), GramLattice(dense)
+        # the time is the message's last field
+        checks = [r.getMessage().rsplit(", ", 1)[0] for r in caplog.records]
+        n = len(weights)
+        assert checks == [f"positive-definiteness check: rank {n}, positive definite"] * 2
+        assert "gram" not in vars(from_path)
+        assert from_path == from_dense and hash(from_path) == hash(from_dense)
+        assert from_path.rank == from_dense.rank == n
+        assert from_path.gram == from_dense.gram == dense
+        assert all(type(x) is int for row in from_path.gram for x in row)
+        assert from_path.determinant() == from_dense.determinant() == det(dense)
+    assert path_gram([2, 3]) != path_gram([3, 2])
+    for weights in ([1, 1], [2, -1], [0]):
+        with pytest.raises(ValueError) as from_path:
+            path_gram(weights)
+        with pytest.raises(ValueError) as from_dense:
+            GramLattice(_dense_path(weights))
+        assert str(from_path.value) == str(from_dense.value)
+    with pytest.raises(TypeError):
+        path_gram([2, 2.0])
 
 
 def dominant_gram(rng, n):
@@ -397,6 +508,40 @@ def test_every_constructor_refuses_entries_that_are_not_integers():
         KnotParams(2.0, 0)
     with pytest.raises(TypeError):
         KnotParams(0, "1")
+
+
+A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+
+# each size argument, given 2.0: before the rule, each of these either kept
+# the float (Embedding), answered (find_embedding below the rank returned
+# None), or failed deep inside with a bare TypeError from range()
+SIZE_ARGUMENTS = {
+    "Embedding.ambient_dim": lambda: Embedding([[1, 0]], 2.0),
+    "find_embedding.ambient_dim": lambda: find_embedding(GramLattice(A3), 2.0),
+    "min_embedding_dim.cap": lambda: min_embedding_dim(GramLattice([[2]]), cap=2.0),
+    "find_genus1_certificate.bound": lambda: find_genus1_certificate(A3, 2.0),
+    "full_report.curve_bound": lambda: full_report(KnotParams(0, 0), curve_bound=2.0),
+    "verify_theorem.m_max": lambda: verify_theorem(2.0, 0),
+    "verify_theorem.n_max": lambda: verify_theorem(0, 2.0),
+    "verify_theorem.curve_bound": lambda: verify_theorem(0, 0, curve_bound=2.0),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS.keys())
+def test_size_arguments_must_be_exact_ints(call, caplog):
+    # refused where they enter, by operator.index, before any search runs
+    with caplog.at_level(logging.INFO):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+    assert not [r for r in caplog.records if "search" in r.getMessage()]
+
+
+def test_size_arguments_accept_bools_and_numpy_integers():
+    assert Embedding([[1, 0]], np.int64(2)).ambient_dim == 2
+    assert type(Embedding([[1]], True).ambient_dim) is int
+    assert min_embedding_dim(GramLattice(A3), cap=np.int16(3)) == 3
+    assert find_embedding(GramLattice(A3), np.int64(3)).ambient_dim == 3
+    assert verify_theorem(np.int64(0), True, curve_bound=np.int8(1))[-1].params == KnotParams(0, 1)
 
 
 def test_bools_and_numpy_integers_become_exact_ints():
