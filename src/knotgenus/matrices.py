@@ -31,20 +31,21 @@ each true entry is a minor.  A stored zero is an exact zero, since every
 scale is a nonzero pivot, so the zero tests and the swap choice read the
 stored entries.  A row swap swaps the kept pivots with the rows.
 
-A sparse caller (`GramLattice`) passes the envelope of a symmetric matrix:
-each row as its nonzero entries, and the last column where it is nonzero.
-Let E[i] be the largest of those last columns over rows 0..i.  Elimination
-without swaps stays inside the envelope that E bounds (George and Liu,
-"Computer Solution of Large Sparse Positive Definite Systems", 1981): an
-update of row i at step k < i combines it with row k, so row i stays 0
-past column E[i]; and the remaining block is symmetric, so column k is 0
-below row E[k].  Step k therefore updates only the rows up to E[k], and,
-since E does not decrease, only their columns up to E[E[k]].  On a
-tridiagonal (path) Gram matrix E[k] = k + 1, so a step updates two entries
-of one row, and the pass costs O(n).  Dense callers (`det`, `signature`,
-`alexander`) pass no envelope: every step reaches the last row and column,
-which costs O(n^2) on a path (each step updates one row) and O(n^3) on
-dense input.
+`GramLattice` passes the envelope of a symmetric matrix, the last column
+where each row is nonzero, which it reads off its sparse rows; the rows it
+eliminates are full lists when it has the dense matrix, and dicts of the
+nonzero entries otherwise (see `_bareiss_pivots`).  Let E[i] be the
+largest of those last columns over rows 0..i.  Elimination without swaps
+stays inside the envelope that E bounds (George and Liu, "Computer
+Solution of Large Sparse Positive Definite Systems", 1981): an update of
+row i at step k < i combines it with row k, so row i stays 0 past column
+E[i]; and the remaining block is symmetric, so column k is 0 below row
+E[k].  Step k therefore updates only the rows up to E[k], and, since E
+does not decrease, only their columns up to E[E[k]].  On a tridiagonal
+(path) Gram matrix E[k] = k + 1, so a step updates two entries of one row,
+and the pass costs O(n).  Dense callers (`det`, `signature`, `alexander`)
+pass no envelope: every step reaches the last row and column, which costs
+O(n^2) on a path (each step updates one row) and O(n^3) on dense input.
 
 The symmetric mode permutes rows and columns of the remaining block alike,
 which permutes its bordered minors, so each pivot is a leading principal
@@ -159,20 +160,20 @@ def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):
     reading), it is read once after each pivot yielded, before the step
     that follows, and SearchBudgetExceeded is raised when it is past.
 
-    ends, for "none" on a symmetric m only, is its envelope: each row of m
-    is given as its nonzero entries (j, m[i][j]), and ends[i] is the last
-    column where row i is nonzero.  With E the running maximum of ends,
-    step k then rescales row k up to column E[k] and updates the rows up to
-    E[k] in the columns up to E[E[k]] (see the module docstring).  Without
-    ends every row is a full row of m, and every step reaches row and
-    column n - 1.
+    ends, for "none" on a symmetric m only, is its envelope: ends[i] is the
+    last column where row i is nonzero.  With E the running maximum of
+    ends, step k then rescales row k up to column E[k] and updates the rows
+    up to E[k] in the columns up to E[E[k]] (see the module docstring).
+    The rows of m are then the pass's working rows, which it overwrites:
+    full rows as lists, or dicts of the nonzero entries that read 0 at any
+    other column.  Without ends every row is a full row of m, copied, and
+    every step reaches row and column n - 1.
     """
     n = len(m)
     if ends is None:
         a = [list(row) for row in m]
     else:
-        # an absent entry reads as 0
-        a = [defaultdict(int, row) for row in m]
+        a = m
         ends = list(accumulate(ends, max))
     # at[i]: the pivot that row i's stored entries are exact at
     at = [1] * n
@@ -259,8 +260,9 @@ def leading_principal_minors(m, deadline: float | None = None, ends=None) -> lis
     """Leading principal minors of m in order of size, from one Bareiss pass
     without row swaps, the optional deadline read between its pivots.
     Stops after the first minor <= 0, so all n minors are returned exactly
-    when m is positive definite.  With ends, m is symmetric and given as its
-    sparse rows and their ends, as _bareiss_pivots takes them."""
+    when m is positive definite.  With ends, m is symmetric, and its rows
+    are working rows that the pass overwrites, as _bareiss_pivots takes
+    them."""
     minors = []
     for minor in _bareiss_pivots(m, "none", deadline, ends):
         minors.append(minor)
@@ -284,9 +286,11 @@ class GramLattice:
 
     Both properties are checked once, when the lattice is built, so every
     search on the lattice may rely on them.  The rank-0 lattice is positive
-    definite.  The positive-definiteness check runs on the sparse rows,
-    inside their envelope, and logs one INFO record on the
-    "knotgenus.matrices" logger with the rank, the verdict and the time.
+    definite.  The positive-definiteness check stays inside the envelope
+    of the sparse rows; it works on a copy of the caller's full rows when
+    the public constructor has them, on dict rows otherwise, and logs one
+    INFO record on the "knotgenus.matrices" logger with the rank, the
+    verdict and the time.
     cap_seconds (> 0, or None for no budget) bounds that check: it is read
     between its pivots, and SearchBudgetExceeded is raised when it has run
     out.  A bad value raises ValueError before the check.  It is not kept.
@@ -301,7 +305,9 @@ class GramLattice:
         if not is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
-        self._check(tuple(tuple(compress(enumerate(row), row)) for row in gram), deadline)
+        rows = tuple(tuple(compress(enumerate(row), row)) for row in gram)
+        # the check works on full rows, which index faster than dicts
+        self._check(rows, list(map(list, gram)), deadline)
 
     @classmethod
     def _of_rows(cls, rows: SparseRows) -> GramLattice:
@@ -309,13 +315,15 @@ class GramLattice:
         exact ints, and in column order; only positive definiteness is
         checked, without a budget."""
         lattice = cls.__new__(cls)
-        lattice._check(rows, None)
+        lattice._check(rows, [defaultdict(int, row) for row in rows], None)
         return lattice
 
-    def _check(self, rows: SparseRows, deadline: float | None) -> None:
+    def _check(self, rows: SparseRows, work: list, deadline: float | None) -> None:
+        """Check positive definiteness on work, a fresh copy of rows as the
+        kernel's working rows, inside the envelope of rows, and keep rows."""
         start = time.perf_counter()
         ends = [row[-1][0] if row else 0 for row in rows]
-        minors = leading_principal_minors(rows, deadline, ends)
+        minors = leading_principal_minors(work, deadline, ends)
         definite = not minors or minors[-1] > 0
         log.info(
             "positive-definiteness check: rank %d, %s, %.3f s",

@@ -2,7 +2,7 @@ import inspect
 import logging
 import random
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,18 +279,31 @@ def test_symmetric_mode_on_hyperbolic_planes():
     assert list(_bareiss_pivots((), "symmetric")) == []
 
 
+def envelope(mat):
+    """The last column where each row of mat is nonzero: the envelope the
+    kernel takes."""
+    return [max((j for j, x in enumerate(row) if x), default=0) for row in mat]
+
+
 def sparse_rows(mat):
-    """The rows of mat as their nonzero entries (j, mat[i][j]), and the
-    last column where each is nonzero: the envelope the kernel takes."""
-    rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in mat)
-    return rows, [row[-1][0] if row else 0 for row in rows]
+    """Fresh working rows of mat for the kernel, as GramLattice makes them
+    from sparse rows: dicts of the nonzero entries, reading 0 elsewhere;
+    and their envelope."""
+    rows = [defaultdict(int, {j: x for j, x in enumerate(row) if x}) for row in mat]
+    return rows, envelope(mat)
+
+
+def full_rows(mat):
+    """Fresh working rows of mat for the kernel, as GramLattice makes them
+    from a dense matrix: full lists; and their envelope."""
+    return [list(row) for row in mat], envelope(mat)
 
 
 def _kernel_line_counts(mat, ends=None):
     """The leading minors of mat, and how often two lines of the kernel ran
     while they were computed: the row update, the line that picks the
     divisor of a row about to be updated, and the entry update.  With
-    ends, mat is given as its sparse rows."""
+    ends, mat is given as working rows."""
     lines, start = inspect.getsourcelines(_bareiss_pivots)
     [row_line] = [start + i for i, line in enumerate(lines) if "d = at[i]" in line]
     [entry_line] = [start + i for i, line in enumerate(lines) if "row_i[j] = " in line]
@@ -314,17 +327,23 @@ def _kernel_line_counts(mat, ends=None):
 
 
 def test_row_updates_are_linear_in_the_rank_on_a_path_gram():
-    # on a path Gram matrix only row k+1 is nonzero in pivot column k, and
-    # within the envelope of its sparse rows (what GramLattice passes) the
-    # update of row k+1 stops at column k+2; the dense loop updates all
-    # n(n-1)/2 rows below the pivots, each to the last column
+    # on a path Gram matrix only row k+1 is nonzero in pivot column k, so
+    # the dense loop, which skips a row that is 0 in the pivot column,
+    # updates one row per step; within the envelope (what GramLattice
+    # passes, on dict or full rows) that update also stops at column k+2.
+    # On a dense matrix the dense loop updates all n(n-1)/2 rows below the
+    # pivots, each to the last column
     rng = random.Random(53)
     for n in (8, 16, 32, 64, 128):
         g = path_gram([rng.choice((2, 3)) for _ in range(n)])
-        minors, rows, entries = _kernel_line_counts(*sparse_rows(g.gram))
+        minors, rows, _ = _kernel_line_counts(g.gram)
         assert minors == reference_minors(g.gram)
         assert rows == n - 1
-        assert entries == 2 * n - 3
+        for working in (sparse_rows, full_rows):
+            minors, rows, entries = _kernel_line_counts(*working(g.gram))
+            assert minors == reference_minors(g.gram)
+            assert rows == n - 1
+            assert entries == 2 * n - 3
     dense = tuple(tuple(7 * (i == j) + 1 for j in range(16)) for i in range(16))
     minors, rows, entries = _kernel_line_counts(dense)
     assert minors == reference_minors(dense)
@@ -366,19 +385,22 @@ def _symmetric_of_shape(rng, n, shape):
 
 def test_the_envelope_gives_the_minors_of_the_full_pass():
     # every pivot, up to the first zero one, and the leading minors up to
-    # the first nonpositive one, on sparse rows with their ends and on the
-    # dense rows
+    # the first nonpositive one, on dict and on full working rows with their
+    # envelope, and on the dense rows without it
     rng = random.Random(83)
     outcomes = Counter()
     for trial in range(1200):
         shape = ("band", "blocks", "arrow", "dense")[trial % 4]
         mat = _symmetric_of_shape(rng, rng.randint(1, 10), shape)
-        rows, ends = sparse_rows(mat)
         pivots = list(dense_bareiss_pivots(mat, "none"))
-        assert list(_bareiss_pivots(rows, "none", None, ends)) == pivots
         assert list(_bareiss_pivots(mat, "none")) == pivots
-        minors = leading_principal_minors(rows, None, ends)
-        assert minors == leading_principal_minors(mat) == reference_minors(mat)
+        minors = leading_principal_minors(mat)
+        assert minors == reference_minors(mat)
+        for working in (sparse_rows, full_rows):
+            rows, ends = working(mat)
+            assert list(_bareiss_pivots(rows, "none", None, ends)) == pivots
+            rows, ends = working(mat)
+            assert leading_principal_minors(rows, None, ends) == minors
         last = minors[-1]
         outcomes[shape, "definite" if last > 0 else "zero minor" if last == 0 else "negative"] += 1
     # each shape is seen definite, indefinite and stopped at a zero minor
