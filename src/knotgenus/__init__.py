@@ -9,7 +9,6 @@ lists every exported name, the lazy ones included.
 """
 
 import importlib
-from fractions import Fraction
 
 from .lattice import Embedding, find_embedding, min_embedding_dim, verify_embedding
 from .matrices import GramLattice, SearchBudgetExceeded, format_matrix_text, parse_matrix_text
@@ -22,10 +21,8 @@ from .seifert import (
 )
 from .two_bridge import (
     KnotParams,
-    cf_to_fraction,
     continued_fraction,
     crossing_count,
-    fraction_to_cf,
     knot_fraction,
     plumbing_weights,
     qmn_gram,
@@ -49,7 +46,6 @@ _LAZY = {
 __all__ = [
     "CurveCertificate",
     "Embedding",
-    "Fraction",
     "GramLattice",
     "KnotParams",
     "LaurentPolynomial",
@@ -57,14 +53,12 @@ __all__ = [
     "SliceReport",
     "alexander",
     "alexander_trivial_2x2",
-    "cf_to_fraction",
     "continued_fraction",
     "crossing_count",
     "default_search_bound",
     "find_embedding",
     "find_genus1_certificate",
     "format_matrix_text",
-    "fraction_to_cf",
     "full_report",
     "genus_bounds",
     "knot_determinant",

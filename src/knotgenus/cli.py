@@ -12,9 +12,9 @@ curve search of `knot curve` its own, and each invariant that `knot
 seifert` computes (--sig, --det, --alex) its own.  A spent budget is a
 SearchBudgetExceeded, which `main` turns into one `knot: search stopped:`
 line on stderr and exit 2.  The KNOT_LOG environment variable sets the
-level of the log records written to stderr: unset, empty or off, info, or
-debug, in any case; any other value is an input error, refused before the
-command runs.  At info every embedding search logs its rank, dimension,
+level of the log records written to stderr: unset, empty or off, or info,
+in any case; any other value is an input error, refused before the command
+runs.  At info every embedding search logs its rank, dimension,
 verdict, node count and time, every curve search its dimension, bound,
 verdict, a-vectors scanned, pairs with intersection +-1, pairs verified
 and time, every positive-definiteness check its rank, verdict and time,
@@ -55,7 +55,6 @@ LOG_LEVELS = {
     "": logging.WARNING,
     "off": logging.WARNING,
     "info": logging.INFO,
-    "debug": logging.DEBUG,
 }
 
 
@@ -63,7 +62,7 @@ def _setup_logging():
     value = os.environ.get("KNOT_LOG", "")
     level = LOG_LEVELS.get(value.lower())
     if level is None:
-        raise ValueError(f"KNOT_LOG must be off, info or debug, not {value!r}")
+        raise ValueError(f"KNOT_LOG must be off or info, not {value!r}")
     logging.basicConfig(level=level)
 
 

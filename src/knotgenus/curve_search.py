@@ -84,8 +84,10 @@ class CurveCertificate:
 
 
 def restricted_form(mat, a, b) -> IntMatrix:
-    """Seifert form restricted to span(a, b): [[aMa, aMb], [bMa, bMb]]."""
-    mat = as_matrix(mat)
+    """Seifert form restricted to span(a, b): [[aMa, aMb], [bMa, bMb]].
+    The entries of mat, a and b are exact ints (TypeError otherwise, by the
+    rule of `matrices.as_vector`)."""
+    mat, a, b = as_matrix(mat), as_vector(a), as_vector(b)
     return (
         (bilinear(a, mat, a), bilinear(a, mat, b)),
         (bilinear(b, mat, a), bilinear(b, mat, b)),

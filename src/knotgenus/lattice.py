@@ -408,10 +408,12 @@ def find_embedding(
     cap_seconds > 0 wall-clock budget counted from the call, both read
     between search nodes.  A finished search logs one INFO record on the
     "knotgenus.lattice" logger with the rank, the dimension, the verdict,
-    the node count and the time.  ambient_dim is an exact int (TypeError
-    otherwise, by operator.index).
+    the node count and the time.  ambient_dim and max_nodes are exact ints
+    (TypeError otherwise, by operator.index).
     """
     ambient_dim = operator.index(ambient_dim)
+    if max_nodes is not None:
+        max_nodes = operator.index(max_nodes)
     if ambient_dim <= 0:
         raise ValueError("ambient dimension must be positive")
     _check_witness_entries(g.rank, ambient_dim)
@@ -451,11 +453,12 @@ def min_embedding_dim(
 ) -> int | None:
     """Smallest M <= cap admitting an embedding, or None.  The default cap
     is default_dim_cap(g); a cap that is not an exact int raises TypeError.
-    The budgets apply to each find_embedding call."""
+    The budgets apply to, and are checked by, each find_embedding call.  The
+    scan starts at the rank, and at 1 for the rank-0 lattice."""
     cap = default_dim_cap(g) if cap is None else operator.index(cap)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")
-    for dim in range(g.rank, cap + 1):
+    for dim in range(max(g.rank, 1), cap + 1):
         if find_embedding(g, dim, max_nodes, cap_seconds) is not None:
             return dim
     return None

@@ -141,10 +141,6 @@ def bilinear(a, m: IntMatrix, b) -> int:
     return sum(ai * x for ai, x in zip(a, mat_vec(m, b)))
 
 
-def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):
     """Fraction-free Bareiss elimination of m (Bareiss 1968), pivot by pivot.
 

@@ -116,7 +116,9 @@ class SliceReport:
 
 def obstruction_dim(rank: int, sigma: int) -> int:
     """Ambient dimension rank - sigma at which non-embeddability of the
-    Goeritz lattice obstructs g_sm = -sigma/2."""
+    Goeritz lattice obstructs g_sm = -sigma/2.  rank and sigma are exact
+    ints (TypeError otherwise, by operator.index)."""
+    rank, sigma = operator.index(rank), operator.index(sigma)
     if sigma > 0:
         raise ValueError("proposition requires sigma <= 0")
     return rank - sigma
@@ -226,14 +228,16 @@ def verify_theorem(
     Raises the ValueError of the curve-search box guard or of the witness
     guard before any row runs when the last row, K(m_max, n_max), would
     raise it: both guards grow with m and n, and the check is the one each
-    row's full_report makes, from m and n alone.  m_max, n_max and
-    curve_bound are exact ints (TypeError otherwise, by operator.index).
+    row's full_report makes, from m and n alone.  m_max, n_max, curve_bound
+    and jobs are exact ints (TypeError otherwise, by operator.index).
     """
     m_max, n_max = operator.index(m_max), operator.index(n_max)
     if curve_bound is not None:
         curve_bound = operator.index(curve_bound)
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if jobs is not None:
+        jobs = operator.index(jobs)
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
     if m_max < 0 or n_max < 0:
         raise ValueError("ranges must be >= 0")
     last = KnotParams(m_max, n_max)

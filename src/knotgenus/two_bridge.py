@@ -39,39 +39,6 @@ def continued_fraction(k: KnotParams) -> list[int]:
     return [2 * k.m + 3, 1, 2 * k.n + 4, 1, 1, 2]
 
 
-def cf_to_fraction(coeffs) -> Fraction:
-    """Evaluate an all-positive continued fraction a0 + 1/(a1 + 1/(...))."""
-    coeffs = list(coeffs)
-    if not coeffs:
-        raise ValueError("continued fraction must be nonempty")
-    if any(a < 1 for a in coeffs):
-        raise ValueError("continued fraction coefficients must be positive")
-    value = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        value = a + 1 / value
-    return value
-
-
-def fraction_to_cf(f: Fraction) -> list[int]:
-    """All-positive expansion of p/q with p > q >= 1, final coefficient >= 2.
-
-    Inverse of cf_to_fraction on canonical expansions.
-    """
-    p, q = f.numerator, f.denominator
-    if p <= q:
-        raise ValueError("fraction must have numerator > denominator >= 1")
-    coeffs = []
-    while q:
-        coeffs.append(p // q)
-        p, q = q, p % q
-    # Euclidean expansion of p/q with p > q ends with a coefficient >= 2,
-    # except for integers, where the single coefficient stands alone.
-    if len(coeffs) > 1 and coeffs[-1] == 1:
-        coeffs.pop()
-        coeffs[-1] += 1
-    return coeffs
-
-
 def knot_fraction(k: KnotParams) -> Fraction:
     """Closed form (20mn + 56m + 40n + 107) / (10n + 28), reduced."""
     m, n = k.m, k.n

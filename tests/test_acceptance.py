@@ -31,12 +31,14 @@ from knotgenus.matrices import GramLattice, symmetrize
 from knotgenus.seifert import alexander, knot_determinant, signature
 from knotgenus.two_bridge import (
     KnotParams,
-    cf_to_fraction,
+    continued_fraction,
+    knot_fraction,
     qmn_gram,
     seifert_matrix,
 )
 from test_curve_search import naive_double_loop, _random_seifert_like
 from test_lattice import a_chain, naive_find_embedding, _random_pd_gram
+from test_two_bridge import cf_value
 
 
 def report(name, elapsed):
@@ -47,9 +49,9 @@ def test_criterion_1_fraction_formula():
     t0 = time.monotonic()
     for m in range(11):
         for n in range(11):
-            cf = [2 * m + 3, 1, 2 * n + 4, 1, 1, 2]
+            k = KnotParams(m, n)
             expected = Fraction(20 * m * n + 56 * m + 40 * n + 107, 10 * n + 28)
-            assert cf_to_fraction(cf) == expected
+            assert cf_value(continued_fraction(k)) == knot_fraction(k) == expected
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     report("1 fraction formula", elapsed)

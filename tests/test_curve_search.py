@@ -24,9 +24,13 @@ from knotgenus.curve_search import (
     verify_certificate,
 )
 from knotgenus.lattice import SearchBudgetExceeded
-from knotgenus.matrices import as_matrix, bilinear, det, dot
+from knotgenus.matrices import as_matrix, bilinear, det
 from knotgenus.seifert import alexander_trivial_2x2
 from knotgenus.two_bridge import KnotParams, seifert_matrix
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def antisymmetrize(m):

@@ -19,8 +19,12 @@ from knotgenus.lattice import (
     min_embedding_dim,
     verify_embedding,
 )
-from knotgenus.matrices import GramLattice, dot
+from knotgenus.matrices import GramLattice
 from knotgenus.two_bridge import KnotParams, path_gram, plumbing_weights, qmn_gram
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def a_chain(n):
@@ -106,6 +110,12 @@ def test_verify_embedding():
 
 def test_min_embedding_dim_norm3():
     assert min_embedding_dim(GramLattice([[3]]), cap=5) == 3
+
+
+def test_min_embedding_dim_of_the_rank_0_lattice_is_1():
+    # dimensions start at 1, where find_embedding finds the empty witness
+    assert min_embedding_dim(GramLattice([])) == 1
+    assert min_embedding_dim(GramLattice([]), cap=1) == 1
 
 
 def test_min_embedding_dim_a_chains():

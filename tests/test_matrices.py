@@ -14,6 +14,7 @@ from knotgenus.curve_search import (
     CurveCertificate,
     default_search_bound,
     find_genus1_certificate,
+    restricted_form,
     verify_certificate,
 )
 from knotgenus.lattice import Embedding, find_embedding, min_embedding_dim, verify_embedding
@@ -27,7 +28,13 @@ from knotgenus.matrices import (
     leading_principal_minors,
     search_deadline,
 )
-from knotgenus.pipeline import full_report, genus_bounds, reports_to_csv, verify_theorem
+from knotgenus.pipeline import (
+    full_report,
+    genus_bounds,
+    obstruction_dim,
+    reports_to_csv,
+    verify_theorem,
+)
 from knotgenus.seifert import LaurentPolynomial, alexander, signature
 from knotgenus.two_bridge import KnotParams, path_gram, plumbing_weights, seifert_matrix
 
@@ -535,8 +542,10 @@ def test_every_constructor_refuses_entries_that_are_not_integers():
 A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 
 # each size argument, given 2.0: before the rule, each of these either kept
-# the float (Embedding), answered (find_embedding below the rank returned
-# None), or failed deep inside with a bare TypeError from range()
+# the float (Embedding, a node budget, restricted_form, obstruction_dim),
+# answered (find_embedding below the rank returned None, verify_theorem with
+# one row ran it), or failed deep inside with a bare TypeError (range(), the
+# process pool)
 SIZE_ARGUMENTS = {
     "Embedding.ambient_dim": lambda: Embedding([[1, 0]], 2.0),
     "find_embedding.ambient_dim": lambda: find_embedding(GramLattice(A3), 2.0),
@@ -546,6 +555,13 @@ SIZE_ARGUMENTS = {
     "verify_theorem.m_max": lambda: verify_theorem(2.0, 0),
     "verify_theorem.n_max": lambda: verify_theorem(0, 2.0),
     "verify_theorem.curve_bound": lambda: verify_theorem(0, 0, curve_bound=2.0),
+    "find_embedding.max_nodes": lambda: find_embedding(GramLattice(A3), 3, max_nodes=2.0),
+    "min_embedding_dim.max_nodes": lambda: min_embedding_dim(GramLattice(A3), max_nodes=2.0),
+    "verify_theorem.jobs": lambda: verify_theorem(0, 0, jobs=2.0),
+    "restricted_form.a": lambda: restricted_form(A3, (0.5, 0, 1), (1, 0, 0)),
+    "restricted_form.b": lambda: restricted_form(A3, (1, 0, 0), (0, 1.0, 0)),
+    "obstruction_dim.rank": lambda: obstruction_dim(10.0, -2),
+    "obstruction_dim.sigma": lambda: obstruction_dim(10, -2.0),
 }
 
 
@@ -556,6 +572,14 @@ def test_size_arguments_must_be_exact_ints(call, caplog):
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             call()
     assert not [r for r in caplog.records if "search" in r.getMessage()]
+
+
+def test_size_arguments_refuse_strings():
+    # before the rule, each of these ended in "'<' not supported"
+    with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+        verify_theorem(1, 1, jobs="2")
+    with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+        find_embedding(GramLattice(A3), 3, max_nodes="5")
 
 
 def test_size_arguments_accept_bools_and_numpy_integers():

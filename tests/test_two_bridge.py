@@ -5,10 +5,8 @@ import pytest
 from knotgenus.matrices import det
 from knotgenus.two_bridge import (
     KnotParams,
-    cf_to_fraction,
     continued_fraction,
     crossing_count,
-    fraction_to_cf,
     knot_fraction,
     plumbing_weights,
     qmn_gram,
@@ -16,28 +14,23 @@ from knotgenus.two_bridge import (
 )
 
 
-def test_cf_to_fraction_examples():
-    assert cf_to_fraction([3, 1, 4, 1, 1, 2]) == Fraction(107, 28)
-    assert cf_to_fraction([5, 1, 8, 1, 1, 2]) == Fraction(283, 48)
-    assert cf_to_fraction([7]) == Fraction(7)
+def cf_value(coeffs):
+    """a0 + 1/(a1 + 1/(...)) of a nonempty continued fraction."""
+    value = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        value = a + 1 / value
+    return value
 
 
-def test_cf_to_fraction_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        cf_to_fraction([3, 0, 2])
-    with pytest.raises(ValueError):
-        cf_to_fraction([])
-
-
-def test_fraction_to_cf_examples():
-    assert fraction_to_cf(Fraction(107, 28)) == [3, 1, 4, 1, 1, 2]
-    assert fraction_to_cf(Fraction(7)) == [7]
-    assert fraction_to_cf(Fraction(3, 2)) == [1, 2]
-
-
-def test_fraction_to_cf_requires_proper():
-    with pytest.raises(ValueError):
-        fraction_to_cf(Fraction(3, 5))
+def euclid_cf(f):
+    """The Euclidean expansion of f: all positive past a0, and its last
+    coefficient >= 2 unless f is an integer."""
+    p, q = f.numerator, f.denominator
+    coeffs = []
+    while q:
+        coeffs.append(p // q)
+        p, q = q, p % q
+    return coeffs
 
 
 def test_knot_fraction_closed_form():
@@ -50,14 +43,14 @@ def test_knot_fraction_matches_cf():
     for m in range(11):
         for n in range(11):
             k = KnotParams(m, n)
-            assert cf_to_fraction(continued_fraction(k)) == knot_fraction(k)
+            assert cf_value(continued_fraction(k)) == knot_fraction(k)
 
 
 def test_cf_round_trip():
     for m in range(11):
         for n in range(11):
             k = KnotParams(m, n)
-            assert fraction_to_cf(knot_fraction(k)) == [
+            assert euclid_cf(knot_fraction(k)) == continued_fraction(k) == [
                 2 * m + 3,
                 1,
                 2 * n + 4,
