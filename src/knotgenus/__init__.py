@@ -4,8 +4,9 @@ lattice embedding obstructions.
 
 `curve_search` is the one module that imports numpy, and `pipeline`
 imports `curve_search`.  So the names of those two modules are resolved on
-first access (PEP 562) and `import knotgenus` loads no numpy; `__all__`
-lists every exported name, the lazy ones included.
+first access (PEP 562) and `import knotgenus` loads no numpy; a
+certificate is built and checked with `seifert` alone.  `__all__` lists
+every exported name, the lazy ones included.
 """
 
 import importlib
@@ -13,11 +14,14 @@ import importlib
 from .lattice import Embedding, find_embedding, min_embedding_dim, verify_embedding
 from .matrices import GramLattice, SearchBudgetExceeded, format_matrix_text, parse_matrix_text
 from .seifert import (
+    CurveCertificate,
     LaurentPolynomial,
     alexander,
     alexander_trivial_2x2,
     knot_determinant,
+    restricted_form,
     signature,
+    verify_certificate,
 )
 from .two_bridge import (
     KnotParams,
@@ -31,11 +35,8 @@ from .two_bridge import (
 
 # name -> the module that defines it, imported on the name's first access
 _LAZY = {
-    "CurveCertificate": "curve_search",
-    "default_search_bound": "curve_search",
+    "default_search_bound": "pipeline",
     "find_genus1_certificate": "curve_search",
-    "restricted_form": "curve_search",
-    "verify_certificate": "curve_search",
     "SliceReport": "pipeline",
     "full_report": "pipeline",
     "genus_bounds": "pipeline",

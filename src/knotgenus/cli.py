@@ -160,7 +160,8 @@ def cmd_seifert(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    from .curve_search import default_search_bound, find_genus1_certificate, format_certificate
+    from .curve_search import find_genus1_certificate
+    from .pipeline import default_search_bound, format_certificate
 
     if args.matrix_path is not None and args.m is None and args.n is None:
         mat = _read_matrix(args.matrix_path)

@@ -1,9 +1,7 @@
 """Search for genus-1 reduction certificates in a rank-4 Seifert lattice.
 
-A certificate is a pair of homology classes (a, b) whose algebraic
-intersection is +-1 and whose restricted 2x2 Seifert form has trivial
-Alexander polynomial.  Finding one shows the topological slice genus of
-the knot is at most 1.
+The certificates and their one check, `verify_certificate`, are defined in
+`seifert`; this module only searches a box for them.
 
 The search space is normalized: a is primitive with positive first nonzero
 coordinate (flipping the sign of a or dividing out a common factor never
@@ -23,7 +21,7 @@ a-vectors are kept as the indices of such rows.  Every bilinear form in b
 is then a sum of one product over each part, and bMb is one outer sum over
 hi and lo per matrix.  All of it is ring arithmetic mod 2^64, so the split
 passes exactly the pairs one product over the whole box would; the exact
-check is the one verify_certificate makes, on the restricted form.
+check is verify_certificate, on the pair that would be returned.
 
 The pairs with intersection a(M - M^T)b = +-1 are the costly filter, and
 they depend on nothing but the bound, the dimension and M - M^T mod 2^64.
@@ -47,13 +45,11 @@ import logging
 import operator
 import time
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
-from .matrices import IntMatrix, as_matrix, as_vector, bilinear, check_deadline, search_deadline
-from .seifert import alexander_trivial_2x2
-from .two_bridge import KnotParams
+from .matrices import IntMatrix, as_matrix, as_vector, check_deadline, search_deadline
+from .seifert import CurveCertificate, restricted_form, verify_certificate
 
 log = logging.getLogger(__name__)
 
@@ -69,61 +65,6 @@ log = logging.getLogger(__name__)
 # `knot curve --m 100 --n 100` (bound 12), whose memo fills MAX_STORED_HITS,
 # peaks at 43.9-44.5 MB (measured on 2-core x86-64).
 MAX_BOX_ENTRIES = 1 << 23
-
-
-@dataclass(frozen=True)
-class CurveCertificate:
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    restricted_form: IntMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a))
-        object.__setattr__(self, "b", as_vector(self.b))
-        object.__setattr__(self, "restricted_form", as_matrix(self.restricted_form))
-
-
-def restricted_form(mat, a, b) -> IntMatrix:
-    """Seifert form restricted to span(a, b): [[aMa, aMb], [bMa, bMb]].
-    The entries of mat, a and b are exact ints (TypeError otherwise, by the
-    rule of `matrices.as_vector`)."""
-    mat, a, b = as_matrix(mat), as_vector(a), as_vector(b)
-    return (
-        (bilinear(a, mat, a), bilinear(a, mat, b)),
-        (bilinear(b, mat, a), bilinear(b, mat, b)),
-    )
-
-
-def _certifies(form: IntMatrix) -> bool:
-    """Whether the restricted form of (a, b) makes the pair a certificate.
-
-    The form decides it: the intersection a(M - M^T)b is
-    form[0][1] - form[1][0], and once it is +-1 the pair is not proportional
-    (proportional classes intersect in 0) and the form meets both
-    preconditions of alexander_trivial_2x2.
-    """
-    return abs(form[0][1] - form[1][0]) == 1 and alexander_trivial_2x2(form)
-
-
-def verify_certificate(mat, cert: CurveCertificate) -> bool:
-    """Check all certificate invariants against the Seifert matrix: the
-    restricted form of (a, b) is the stated one, and it certifies."""
-    mat = as_matrix(mat)
-    a, b = cert.a, cert.b
-    if len(a) != len(mat) or len(b) != len(mat):
-        return False
-    form = restricted_form(mat, a, b)
-    return form == cert.restricted_form and _certifies(form)
-
-
-def default_search_bound(k: KnotParams) -> int:
-    """Search box guaranteed to contain the known certificate families:
-    max coordinate sqrt(m+2), sqrt(n+3) or 2, plus one of margin."""
-    def ceil_sqrt(x: int) -> int:
-        s = isqrt(x)
-        return s if s * s == x else s + 1
-
-    return max(3, ceil_sqrt(k.m + 2), ceil_sqrt(k.n + 3)) + 1
 
 
 # Blocks of this many consecutive a-vectors are the unit of the hit memo,
@@ -272,10 +213,10 @@ def _search(
     The filters run in int64 on the matrix reduced mod 2^64.  Each is an
     equality of ring expressions, which reduction mod 2^64 preserves, so no
     true pair is dropped; a pair that only passes mod 2^64 is rejected by
-    the exact check: its restricted form, computed once in Python integers,
-    is tested by _certifies, the predicate of verify_certificate.  Splitting
-    the sums and negating b change no residue, so every filter passes the
-    same pairs as one product over the whole box.
+    the exact check: the pair, with its restricted form computed in Python
+    integers, goes to verify_certificate.  Splitting the sums and negating
+    b change no residue, so every filter passes the same pairs as one
+    product over the whole box.
 
     The pairs that pass the intersection filter depend only on the bound,
     the dimension and the int64 residue of M - M^T, so they are memoized
@@ -330,11 +271,11 @@ def _search(
             r = al[t]
             at = as_vector(block[r])
             b = as_vector(hi[i[t]]) + as_vector(lo[j[t]])
-            form = restricted_form(mat, at, b)
-            if _certifies(form):
+            cert = CurveCertificate(at, b, restricted_form(mat, at, b))
+            if verify_certificate(mat, cert):
                 first = int(np.searchsorted(al[ok], r))  # passes of the block's earlier a
                 return (
-                    CurveCertificate(at, b, form),
+                    cert,
                     start + int(r) + 1,
                     hits + 2 * int(counts[: r + 1].sum()),
                     checked + 2 * first + (n - first) + 1,
@@ -395,10 +336,3 @@ def find_genus1_certificate(
     )
     return cert
 
-
-def format_certificate(cert: CurveCertificate) -> str:
-    a = ", ".join(str(x) for x in cert.a)
-    b = ", ".join(str(x) for x in cert.b)
-    f = cert.restricted_form
-    form = f"[[{f[0][0]},{f[0][1]}],[{f[1][0]},{f[1][1]}]]"
-    return f"a = ({a}) ; b = ({b}) ; form = {form}"

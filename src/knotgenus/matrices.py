@@ -133,12 +133,7 @@ def symmetrize(m: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(m: IntMatrix, v) -> tuple[int, ...]:
-    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
-
-
-def bilinear(a, m: IntMatrix, b) -> int:
-    """a^T m b."""
-    return sum(ai * x for ai, x in zip(a, mat_vec(m, b)))
+    return tuple([sum(map(operator.mul, row, v)) for row in m])
 
 
 def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):

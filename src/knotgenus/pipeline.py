@@ -20,14 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
-from .curve_search import (
-    CurveCertificate,
-    _check_box_entries,
-    default_search_bound,
-    find_genus1_certificate,
-    format_certificate,
-    verify_certificate,
-)
+from .curve_search import _check_box_entries, find_genus1_certificate
 from .lattice import (
     Embedding,
     SearchBudgetExceeded,
@@ -36,7 +29,14 @@ from .lattice import (
     verify_embedding,
 )
 from .matrices import symmetrize
-from .seifert import LaurentPolynomial, alexander, knot_determinant, signature
+from .seifert import (
+    CurveCertificate,
+    LaurentPolynomial,
+    alexander,
+    knot_determinant,
+    signature,
+    verify_certificate,
+)
 from .two_bridge import (
     KnotParams,
     continued_fraction,
@@ -137,6 +137,13 @@ def _certificate_families(k: KnotParams) -> list[str]:
         (f"n + 3 = {n + 3} is a perfect square", _is_square(n + 3)),
     ]
     return [case for case, holds in cases if holds]
+
+
+def default_search_bound(k: KnotParams) -> int:
+    """Search box guaranteed to contain the certificate families above:
+    max coordinate sqrt(m+2), sqrt(n+3) or 2, plus one of margin."""
+    # ceil(sqrt(x)) is isqrt(x - 1) + 1 for x >= 1
+    return max(3, isqrt(k.m + 1) + 1, isqrt(k.n + 2) + 1) + 1
 
 
 def _family_notes(k: KnotParams) -> list[str]:
@@ -291,6 +298,14 @@ def report_to_dict(r: SliceReport) -> dict:
         "embedding_verdict": verdict,
         "notes": list(r.notes),
     }
+
+
+def format_certificate(cert: CurveCertificate) -> str:
+    a = ", ".join(str(x) for x in cert.a)
+    b = ", ".join(str(x) for x in cert.b)
+    f = cert.restricted_form
+    form = f"[[{f[0][0]},{f[0][1]}],[{f[1][0]},{f[1][1]}]]"
+    return f"a = ({a}) ; b = ({b}) ; form = {form}"
 
 
 def report_to_text(r: SliceReport) -> str:

@@ -10,12 +10,19 @@ O(n^4) of the determinants of P.  Each takes a time budget, which the
 kernel `matrices._bareiss_pivots` reads between its pivots.  No floating
 point.  Each signature and Alexander polynomial logs one INFO record on
 the "knotgenus.seifert" logger with the matrix size and the time.
+
+A genus-1 reduction certificate of M is a pair of homology classes (a, b)
+with intersection a(M - M^T)b = +-1 whose restricted 2x2 Seifert form has
+trivial Alexander polynomial; it shows the topological slice genus of the
+knot is at most 1.  `verify_certificate` is its one check, numpy-free.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import time
+from dataclasses import dataclass
 
 from .matrices import (
     IntMatrix,
@@ -24,6 +31,7 @@ from .matrices import (
     as_vector,
     det,
     is_symmetric,
+    mat_vec,
     search_deadline,
     symmetrize,
 )
@@ -216,3 +224,49 @@ def alexander_trivial_2x2(form) -> bool:
     if abs(form[0][1] - form[1][0]) != 1:
         raise ValueError("not a genus-1 knot form")
     return form[0][0] * form[1][1] == form[0][1] * form[1][0]
+
+
+@dataclass(frozen=True)
+class CurveCertificate:
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    restricted_form: IntMatrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", as_vector(self.a))
+        object.__setattr__(self, "b", as_vector(self.b))
+        object.__setattr__(self, "restricted_form", as_matrix(self.restricted_form))
+
+
+def restricted_form(mat, a, b) -> IntMatrix:
+    """Seifert form restricted to span(a, b): [[aMa, aMb], [bMa, bMb]], from
+    Ma and Mb.  The entries of mat, a and b are exact ints (TypeError
+    otherwise, by the rule of `matrices.as_vector`), and a and b have the
+    size of mat (ValueError otherwise)."""
+    mat, a, b = as_matrix(mat), as_vector(a), as_vector(b)
+    if len(a) != len(mat) or len(b) != len(mat):
+        raise ValueError("certificate vectors must have the size of the matrix")
+    ma, mb = mat_vec(mat, a), mat_vec(mat, b)
+    return (
+        (sum(map(operator.mul, a, ma)), sum(map(operator.mul, a, mb))),
+        (sum(map(operator.mul, b, ma)), sum(map(operator.mul, b, mb))),
+    )
+
+
+def verify_certificate(mat, cert: CurveCertificate) -> bool:
+    """Whether cert is a genus-1 certificate of the Seifert matrix: a and b
+    have its size, the restricted form of (a, b) is the stated one, and it
+    certifies.
+
+    The form decides it: the intersection a(M - M^T)b is
+    form[0][1] - form[1][0], and once it is +-1 the pair is not
+    proportional (proportional classes intersect in 0) and the form meets
+    both preconditions of alexander_trivial_2x2.
+    """
+    mat = as_matrix(mat)
+    if len(cert.a) != len(mat) or len(cert.b) != len(mat):
+        return False
+    form = restricted_form(mat, cert.a, cert.b)
+    if form != cert.restricted_form:
+        return False
+    return abs(form[0][1] - form[1][0]) == 1 and alexander_trivial_2x2(form)

@@ -16,11 +16,7 @@ from math import isqrt
 
 import pytest
 
-from knotgenus.curve_search import (
-    default_search_bound,
-    find_genus1_certificate,
-    verify_certificate,
-)
+from knotgenus.curve_search import find_genus1_certificate
 from knotgenus.lattice import (
     Embedding,
     find_embedding,
@@ -28,7 +24,8 @@ from knotgenus.lattice import (
     verify_embedding,
 )
 from knotgenus.matrices import GramLattice, symmetrize
-from knotgenus.seifert import alexander, knot_determinant, signature
+from knotgenus.pipeline import default_search_bound
+from knotgenus.seifert import alexander, knot_determinant, signature, verify_certificate
 from knotgenus.two_bridge import (
     KnotParams,
     continued_fraction,

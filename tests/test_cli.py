@@ -14,6 +14,7 @@ import knotgenus
 from knotgenus.cli import main
 from knotgenus.matrices import format_matrix_text
 from knotgenus.two_bridge import KnotParams, qmn_gram, seifert_matrix
+from test_matrices import BAD_MATRIX_TEXTS
 
 
 @pytest.fixture
@@ -289,12 +290,9 @@ def test_curve_family(capsys):
 
 
 def test_curve_restricted_form_case(capsys):
-    from knotgenus.curve_search import (
-        default_search_bound,
-        find_genus1_certificate,
-        format_certificate,
-        verify_certificate,
-    )
+    from knotgenus.curve_search import find_genus1_certificate
+    from knotgenus.pipeline import default_search_bound, format_certificate
+    from knotgenus.seifert import verify_certificate
 
     code, out, _ = run(capsys, ["curve", "--m", "2", "--n", "0"])
     assert code == 0
@@ -303,6 +301,22 @@ def test_curve_restricted_form_case(capsys):
     cert = find_genus1_certificate(mat, default_search_bound(k))
     assert cert is not None and out == format_certificate(cert) + "\n"
     assert verify_certificate(mat, cert)
+
+
+def test_curve_without_a_certificate_in_the_bound(capsys, tmp_path):
+    # the identity has M - M^T = 0, so no pair intersects in +-1
+    path = tmp_path / "id4.txt"
+    path.write_text("4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, out, err = run(capsys, ["curve", "--matrix", str(path), "--bound", "1"])
+    assert (code, out, err) == (0, "NONE within bound 1\n", "")
+
+
+@pytest.mark.parametrize("text, message", BAD_MATRIX_TEXTS.values(), ids=BAD_MATRIX_TEXTS.keys())
+def test_lattice_refuses_a_bad_matrix_file(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["lattice", str(path), "--dim", "4"])
+    assert (code, out, err) == (1, "", f"knot: error: {path}: {message}\n")
 
 
 def test_curve_bound_zero_is_usage_error(capsys):

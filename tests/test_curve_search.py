@@ -18,19 +18,27 @@ from knotgenus.curve_search import (
     _search,
     _stored_entries,
     _wrap64,
-    default_search_bound,
     find_genus1_certificate,
+)
+from knotgenus.lattice import SearchBudgetExceeded
+from knotgenus.matrices import as_matrix, det
+from knotgenus.pipeline import default_search_bound
+from knotgenus.seifert import (
+    CurveCertificate,
+    alexander_trivial_2x2,
     restricted_form,
     verify_certificate,
 )
-from knotgenus.lattice import SearchBudgetExceeded
-from knotgenus.matrices import as_matrix, bilinear, det
-from knotgenus.seifert import alexander_trivial_2x2
 from knotgenus.two_bridge import KnotParams, seifert_matrix
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def bilinear(a, m, b):
+    """a^T m b."""
+    return sum(ai * dot(row, b) for ai, row in zip(a, m))
 
 
 def antisymmetrize(m):
@@ -254,6 +262,23 @@ def test_default_search_bound():
     assert default_search_bound(KnotParams(0, 0)) == 4
     assert default_search_bound(KnotParams(23, 0)) == 6
     assert default_search_bound(KnotParams(0, 22)) == 6
+
+
+def test_the_exact_check_is_verify_certificate(monkeypatch):
+    # the search's exact check is the module's verify_certificate, on the
+    # certificate it returns; a check that rejects every pair leaves none
+    calls = []
+
+    def recording(mat, cert):
+        calls.append(cert)
+        return verify_certificate(mat, cert)
+
+    mat = seifert_matrix(KnotParams(0, 0))
+    monkeypatch.setattr(curve_search, "verify_certificate", recording)
+    cert = find_genus1_certificate(mat, 4)
+    assert calls[-1] is cert and cert.a == (0, 0, 1, 0)
+    monkeypatch.setattr(curve_search, "verify_certificate", lambda mat, cert: False)
+    assert find_genus1_certificate(mat, 4) is None
 
 
 def _random_seifert_like(rng, size=4):

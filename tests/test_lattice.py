@@ -112,6 +112,11 @@ def test_min_embedding_dim_norm3():
     assert min_embedding_dim(GramLattice([[3]]), cap=5) == 3
 
 
+def test_min_embedding_dim_refuses_a_cap_below_the_rank():
+    with pytest.raises(ValueError, match="cap must be at least the rank"):
+        min_embedding_dim(a_chain(3), cap=2)
+
+
 def test_min_embedding_dim_of_the_rank_0_lattice_is_1():
     # dimensions start at 1, where find_embedding finds the empty witness
     assert min_embedding_dim(GramLattice([])) == 1
@@ -274,6 +279,12 @@ def test_format_embedding():
     for row in rows:
         e = Embedding([row], len(row))
         assert format_embedding(e) == " ".join(str(x) for x in row) + "\n"
+
+
+def test_embedding_refuses_a_vector_of_the_wrong_length():
+    for vectors in ([(1, 0, 0)], [(1, 0), (0, 1, 0)], [(1, 0), ()]):
+        with pytest.raises(ValueError, match="all vectors must have length ambient_dim"):
+            Embedding(vectors, 2)
 
 
 def test_embedding_holds_a_tuple_of_ints_without_copying():

@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
-from knotgenus.curve_search import (
-    CurveCertificate,
-    default_search_bound,
-    find_genus1_certificate,
-    restricted_form,
-    verify_certificate,
-)
+from knotgenus.curve_search import find_genus1_certificate
 from knotgenus.lattice import Embedding, find_embedding, min_embedding_dim, verify_embedding
 from knotgenus.matrices import (
     GramLattice,
@@ -26,16 +20,25 @@ from knotgenus.matrices import (
     as_vector,
     det,
     leading_principal_minors,
+    parse_matrix_text,
     search_deadline,
 )
 from knotgenus.pipeline import (
+    default_search_bound,
     full_report,
     genus_bounds,
     obstruction_dim,
     reports_to_csv,
     verify_theorem,
 )
-from knotgenus.seifert import LaurentPolynomial, alexander, signature
+from knotgenus.seifert import (
+    CurveCertificate,
+    LaurentPolynomial,
+    alexander,
+    restricted_form,
+    signature,
+    verify_certificate,
+)
 from knotgenus.two_bridge import KnotParams, path_gram, plumbing_weights, seifert_matrix
 
 
@@ -537,6 +540,30 @@ def test_every_constructor_refuses_entries_that_are_not_integers():
         KnotParams(2.0, 0)
     with pytest.raises(TypeError):
         KnotParams(0, "1")
+
+
+# each refusal of parse_matrix_text: the text and the exact message
+BAD_MATRIX_TEXTS = {
+    "size-not-an-integer": ("two\n1 0\n0 1\n", "line 1: expected matrix size, got 'two'"),
+    "size-zero": ("# no rows\n0\n", "line 2: matrix size must be positive"),
+    "size-negative": ("-2\n1 0\n0 1\n", "line 1: matrix size must be positive"),
+    "wrong-entry-count": ("2\n1 0\n0 1 0\n", "line 3: expected 2 entries, got 3"),
+    "empty-file": ("# only a comment\n\n", "empty matrix file"),
+    "wrong-row-count": ("3\n1 0 0\n0 1 0\n", "expected 3 rows, got 2"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_MATRIX_TEXTS.values(), ids=BAD_MATRIX_TEXTS.keys())
+def test_parse_matrix_text_refusals(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix_text(text)
+    assert str(exc.value) == message
+
+
+def test_as_matrix_refuses_a_matrix_that_is_not_square():
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]], [[]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            as_matrix(rows)
 
 
 A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from knotgenus import pipeline
-from knotgenus.curve_search import CurveCertificate, default_search_bound, find_genus1_certificate
-from knotgenus.lattice import Embedding
+from knotgenus.curve_search import find_genus1_certificate
+from knotgenus.lattice import Embedding, find_embedding, verify_embedding
 from knotgenus.pipeline import (
     EmbeddingVerdict,
     SliceReport,
+    default_search_bound,
     full_report,
     genus_bounds,
     obstruction_dim,
@@ -22,7 +23,7 @@ from knotgenus.pipeline import (
     verify_theorem,
 )
 from knotgenus.two_bridge import KnotParams, knot_fraction, qmn_gram, seifert_matrix
-from knotgenus.seifert import alexander, knot_determinant
+from knotgenus.seifert import CurveCertificate, alexander, knot_determinant
 
 
 def test_genus_bounds_k00():
@@ -81,6 +82,36 @@ def test_genus_bounds_follow_the_evidence(cert, embeddable):
     assert replace(r, curve_bound=4).notes == (
         K00_FAMILY_NOTES + (curve_note,) + EMBEDDING_NOTES[embeddable]
     )
+
+
+def test_a_report_with_a_witness_serializes_it():
+    # no K(m,n) embeds at its obstruction dimension, so full_report never
+    # holds a witness; Q(0,0), of rank 8, embeds one dimension higher, in Z^11
+    g = qmn_gram(KnotParams(0, 0))
+    witness = find_embedding(g, 11)
+    assert witness is not None and verify_embedding(g, witness)
+    r = replace(
+        genus_bounds(KnotParams(0, 0)),
+        curve_bound=4,
+        curve_certificate=CERT,
+        embedding_verdict=EmbeddingVerdict(11, True, witness),
+    )
+    d = report_to_dict(r)
+    assert d["embedding_verdict"] == {
+        "tested_dim": 11,
+        "embeddable": True,
+        "witness": [list(v) for v in witness.vectors],
+    }
+    assert len(d["embedding_verdict"]["witness"]) == 8
+    assert all(len(v) == 11 for v in d["embedding_verdict"]["witness"])
+    assert d["curve_certificate"] == {
+        "a": [0, 0, 1, 0],
+        "b": [-1, -1, -4, -2],
+        "restricted_form": [[-1, 4], [5, -20]],
+    }
+    assert d["notes"][-1] == "embedding search at dim 11: witness found"
+    assert json.loads(render_json(d)) == d
+    assert reports_to_csv([r]).splitlines()[1] == "0,0,107/28,-2,107,1,1,1,2,yes,true"
 
 
 def test_notes_follow_a_replaced_certificate():

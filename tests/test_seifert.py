@@ -11,11 +11,14 @@ from knotgenus import matrices, seifert
 from knotgenus.lattice import SearchBudgetExceeded
 from knotgenus.matrices import _bareiss_pivots, det, symmetrize
 from knotgenus.seifert import (
+    CurveCertificate,
     LaurentPolynomial,
     alexander,
     alexander_trivial_2x2,
     knot_determinant,
+    restricted_form,
     signature,
+    verify_certificate,
 )
 from knotgenus.two_bridge import KnotParams, knot_fraction, seifert_matrix
 
@@ -603,6 +606,28 @@ def test_alexander_trivial_2x2_exhaustive_equivalence():
                     form = [[s11, s12], [s21, s22]]
                     expected = _units_normal(alexander(form).coeffs) == {0: 1}
                     assert alexander_trivial_2x2(form) == expected
+
+
+K00_A, K00_B, K00_FORM = (0, 0, 1, 0), (-1, -1, -4, -2), ((-1, 4), (5, -20))
+
+
+def test_restricted_form_refuses_vectors_of_the_wrong_length():
+    # zip would drop the missing or extra coordinates and give K(0,0)'s
+    # certificate form for the cut vectors
+    mat = seifert_matrix(KnotParams(0, 0))
+    assert restricted_form(mat, K00_A, K00_B) == K00_FORM
+    bad = [
+        ((0, 0, 1), (-1, -1, -4, -2, 7)),
+        (K00_A, (-1, -1, -4)),
+        (K00_A + (0,), K00_B),
+        ((), K00_B),
+    ]
+    for a, b in bad:
+        with pytest.raises(ValueError, match="must have the size of the matrix"):
+            restricted_form(mat, a, b)
+        # the predicate answers False instead
+        assert verify_certificate(mat, CurveCertificate(a, b, K00_FORM)) is False
+    assert verify_certificate(mat, CurveCertificate(K00_A, K00_B, K00_FORM)) is True
 
 
 ALEXANDER_REFERENCE = Path(__file__).parent / "reference" / "alexander_seeded.txt"

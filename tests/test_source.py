@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -112,6 +115,31 @@ def test_only_the_curve_search_imports_numpy():
     for name in ("__init__.py", "cli.py"):
         top = {m.split(".")[-1] for m in _imports(trees[name], module_level_only=True)}
         assert not {"pipeline", "curve_search"} & top
+
+
+def test_a_certificate_is_checked_without_numpy():
+    # the certificate type, its restricted form and its one check live in
+    # seifert: K(0,0)'s certificate is built and checked in a fresh
+    # interpreter that never loads numpy
+    code = (
+        "import sys\n"
+        "import knotgenus as kg\n"
+        "mat = kg.seifert_matrix(kg.KnotParams(0, 0))\n"
+        "a, b = (0, 0, 1, 0), (-1, -1, -4, -2)\n"
+        "cert = kg.CurveCertificate(a, b, kg.restricted_form(mat, a, b))\n"
+        "print(cert.restricted_form, kg.verify_certificate(mat, cert), 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(knotgenus.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "((-1, 4), (5, -20)) True False\n"
 
 
 def _defined(stmt):
