@@ -234,7 +234,8 @@ def _search(
     """
     dim = len(mat)
     h = dim // 2
-    m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64)
+    # reshaped: a 0x0 matrix would otherwise make a 1-D array
+    m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64).reshape(dim, dim)
     anti = m - m.T
     box = _boxes(bound, dim)
     hi, lo = box.hi, box.lo

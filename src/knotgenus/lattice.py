@@ -34,10 +34,11 @@ kept as its nonzero entries, pushed and popped as them, and indexed by
 coordinate with its suffix norm past each one.  A node's residuals start from
 the entries of its Gram row left of the diagonal, read from the lattice's
 sparse rows (`GramLattice.rows`), never from a dense row.  Its walk
-over the used coordinates starts at the jump target that each placed vector
-keeps, when the norm and the residuals allow it (see
-_EmbedSearch._candidates), and at each coordinate it reads only the placed
-vectors nonzero there.  Dense vectors are built only for a returned witness.
+over the used coordinates starts at the least jump target of the vectors it
+owes a dot product to, when the norm and the residuals allow it (see
+_EmbedSearch._candidates); each target is derived from the coordinate index,
+not stored.  At each coordinate the walk reads only the placed vectors
+nonzero there.  Dense vectors are built only for a returned witness.
 The classes are linked lists over the coordinates, split by each placed
 vector on the classes it is nonzero on, and restored on backing up from a
 log of the links that the split rewrote.
@@ -138,11 +139,8 @@ class _EmbedSearch:
                 k += 1
             self.rows.append(entries[:k])
             self.norms.append(entries[k][1])
-        # per placed vector: its nonzero entries (c, e) in coordinate order,
-        # and its jump target: the first coordinate of its own support or of
-        # any placed vector's support that meets it
+        # per placed vector: its nonzero entries (c, e) in coordinate order
         self.assigned: list[tuple[tuple[int, int], ...]] = []
-        self.target: list[int] = []
         # coordinate c -> [(j, assigned[j][c], norm of assigned[j] past c)]
         # for every placed vector j that is nonzero at c, in placement order.
         # A vector of norm d enters at most d fresh coordinates, so no more
@@ -155,10 +153,8 @@ class _EmbedSearch:
         self.same = [-1] * live
         self.nxt = [-1] * live
         # per placed vector: (c, same[c], nxt[c]) before its push, for each
-        # coordinate c of the classes the push split; and (j, target[j])
-        # before its push, for each placed vector j whose target it moved
+        # coordinate c of the classes the push split
         self.undo: list[list[tuple[int, int, int]]] = []
-        self.moved: list[list[tuple[int, int]]] = []
         # the walk of _candidates: the value at each used coordinate and the
         # residual of each placed vector (the dot product still owed to it),
         # both all 0 between nodes, and the norm left before each coordinate,
@@ -171,31 +167,18 @@ class _EmbedSearch:
         """Place head + fresh as the next basis vector: head its nonzero
         entries (c, e) over the `used` coordinates, fresh its part on the
         coordinates from `used` on.  Index its entries, each with the suffix
-        norm after it (fixed once the vector is placed); set its jump target
-        and move those of the vectors it meets; and split each class it is
-        nonzero on by its entries, logging the links and targets it
-        rewrites."""
+        norm after it (fixed once the vector is placed), and split each class
+        it is nonzero on by its entries, logging the links it rewrites."""
         entries = head + tuple(enumerate(fresh, used))
-        assigned = self.assigned
-        j = len(assigned)
-        assigned.append(entries)
-        touching, same, nxt, target = self.touching, self.same, self.nxt, self.target
-        first = reach = entries[0][0]
-        moved = []
+        j = len(self.assigned)
+        self.assigned.append(entries)
+        touching, same, nxt = self.touching, self.same, self.nxt
         heads = set()  # the first coordinates of the classes to split
         for c, _ in head:
-            for k, _, _ in touching[c]:
-                if assigned[k][0][0] < reach:
-                    reach = assigned[k][0][0]
-                if target[k] > first:
-                    moved.append((k, target[k]))
-                    target[k] = first
             h = c
             while same[h] >= 0:
                 h = same[h]
             heads.add(h)
-        target.append(reach)
-        self.moved.append(moved)
         tail = 0
         for c, e in reversed(entries):
             touching[c].append((j, e, tail))
@@ -233,10 +216,6 @@ class _EmbedSearch:
     def _pop(self):
         for c, _ in self.assigned.pop():
             self.touching[c].pop()
-        target = self.target
-        target.pop()
-        for k, t in reversed(self.moved.pop()):
-            target[k] = t
         same, nxt = self.same, self.nxt
         for c, s, n in self.undo.pop():
             same[c], nxt[c] = s, n
@@ -277,14 +256,17 @@ class _EmbedSearch:
         support; so k's dot product g[i][k] = 0 gets a nonzero term at c,
         which only a term at c' can cancel, and k meets j's support at c',
         a contradiction.  So c is at or after the least jump target of R,
-        where the walk starts, and the coordinates it skips are 0.  They
-        precede every value, so no skipped 0 follows a positive value of its
-        class.  With R empty no jump is sound: the norm may go on fresh
-        coordinates alone, or on two coordinates c < c' of any placed
-        vector k with k[c] x[c] = -k[c'] x[c'].  With d >= 3 a third
-        nonzero coordinate may cancel k's term instead, so the walk starts
-        at coordinate 0.  A node pays one lookup of the target per vector
-        of R; _push and _pop keep the targets.
+        where the jump target of j is the least first coordinate of a placed
+        vector that meets j's support (j among them).  The walk starts
+        there, and the coordinates it skips are 0.  They precede every
+        value, so no skipped 0 follows a positive value of its class.  With
+        R empty no jump is sound: the norm may go on fresh coordinates
+        alone, or on two coordinates c < c' of any placed vector k with
+        k[c] x[c] = -k[c'] x[c'].  With d >= 3 a third nonzero coordinate
+        may cancel k's term instead, so the walk starts at coordinate 0.
+        The node derives each target from `touching`, over the placed
+        vectors nonzero on j's support, so no state keeps it: on Q(m,n), R
+        holds at most one vector, whose support has 2 or 3 coordinates.
 
         A walk that reaches the end of the used coordinates owes nothing.  A
         vector with a coordinate at or after the start had its residual
@@ -304,14 +286,17 @@ class _EmbedSearch:
         stops a node with many fresh parts after the first."""
         d = self.norms[i]
         max_entry = isqrt(d)
-        touching, same, target = self.touching, self.same, self.target
+        touching, same, assigned = self.touching, self.same, self.assigned
         x, left, needs = self.x, self.left, self.needs
         row = self.rows[i]
         start = used if row and d <= 2 else 0
         for j, gij in row:
             needs[j] = gij
-            if target[j] < start:
-                start = target[j]
+            if start:  # j's target: the least first coordinate of a vector meeting j
+                for c, _ in assigned[j]:
+                    for k, _, _ in touching[c]:
+                        if assigned[k][0][0] < start:
+                            start = assigned[k][0][0]
         heads = []  # (values from `start` on, norm left for fresh coordinates)
         left[start] = d
         c, val = start, -max_entry
@@ -454,10 +439,13 @@ def min_embedding_dim(
     """Smallest M <= cap admitting an embedding, or None.  The default cap
     is default_dim_cap(g); a cap that is not an exact int raises TypeError.
     The budgets apply to, and are checked by, each find_embedding call.  The
-    scan starts at the rank, and at 1 for the rank-0 lattice."""
+    scan starts at the rank, and at 1 for the rank-0 lattice.  A cap whose
+    witness would exceed MAX_WITNESS_ENTRIES raises ValueError before the
+    first search, even when a smaller dimension would answer."""
     cap = default_dim_cap(g) if cap is None else operator.index(cap)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")
+    _check_witness_entries(g.rank, cap)
     for dim in range(max(g.rank, 1), cap + 1):
         if find_embedding(g, dim, max_nodes, cap_seconds) is not None:
             return dim

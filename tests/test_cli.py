@@ -14,6 +14,7 @@ import knotgenus
 from knotgenus.cli import main
 from knotgenus.matrices import format_matrix_text
 from knotgenus.two_bridge import KnotParams, qmn_gram, seifert_matrix
+from test_lattice import e8_gram
 from test_matrices import BAD_MATRIX_TEXTS
 
 
@@ -371,6 +372,18 @@ def test_verify_huge_range_is_usage_error(capsys):
     # refused from m and n: Q(10^9, 0) is never built
     argv = ["verify", "--m-max", "1000000000", "--n-max", "0", "--curve-bound", "1"]
     code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("knot: error: embedding too large") and err.count("\n") == 1
+
+
+def test_lattice_mindim_huge_cap_is_usage_error(capsys, tmp_path):
+    # refused from the rank and the cap, before the first of about a
+    # million absent searches of E8
+    path = tmp_path / "e8.txt"
+    path.write_text(format_matrix_text(e8_gram().gram))
+    start = time.monotonic()
+    code, out, err = run(capsys, ["lattice", str(path), "--mindim", "--cap", "100000000"])
+    assert time.monotonic() - start < 1
     assert code == 1 and out == ""
     assert err.startswith("knot: error: embedding too large") and err.count("\n") == 1
 

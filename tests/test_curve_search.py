@@ -312,6 +312,8 @@ def test_search_matches_naive_double_loop():
     # and intersects every pair in 0
     assert find_genus1_certificate([[1]], 2) is None
     assert find_genus1_certificate([[0]], 2) is None
+    # dim 0: the empty box scans no a-vector
+    assert find_genus1_certificate([], 3) is None
     # small entries in dim 5 leave a certificate, large ones often none
     verdicts = []
     for dim, r in [(1, 2), (1, 9), (5, 2), (5, 2), (5, 9), (5, 9), (5, 9)]:

@@ -117,6 +117,31 @@ def test_min_embedding_dim_refuses_a_cap_below_the_rank():
         min_embedding_dim(a_chain(3), cap=2)
 
 
+def e8_gram():
+    """E8: the path 0-1-...-6 with weight 2 at every vertex, and vertex 7
+    joined to vertex 2.  It lies in no Z^n."""
+    edges = [(i, i + 1) for i in range(6)] + [(2, 7)]
+    gram = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return GramLattice(gram)
+
+
+def test_min_embedding_dim_refuses_an_oversized_cap_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("find_embedding called")
+
+    monkeypatch.setattr(lattice, "find_embedding", no_search)
+    e8 = e8_gram()
+    refused = [(e8, 100_000_000), (e8, MAX_WITNESS_ENTRIES // 8 + 1), (GramLattice([[2]]), 10**9)]
+    for g, cap in refused:
+        with pytest.raises(ValueError, match="embedding too large"):
+            min_embedding_dim(g, cap=cap)
+    monkeypatch.undo()
+    # a cap at the limit is accepted: [[2]] answers at once
+    assert min_embedding_dim(GramLattice([[2]]), cap=MAX_WITNESS_ENTRIES) == 2
+
+
 def test_min_embedding_dim_of_the_rank_0_lattice_is_1():
     # dimensions start at 1, where find_embedding finds the empty witness
     assert min_embedding_dim(GramLattice([])) == 1
@@ -392,10 +417,10 @@ def sparse(head):
 
 class _CheckedSearch(_EmbedSearch):
     """The search, with every node's candidate list compared to the
-    reference, every node's jump targets to their definition, and every
-    push and pop of the classes checked: a push logs exactly the members of
-    the classes its head is nonzero on, with their links before it, and a
-    pop restores them."""
+    reference, and with it the walk's start, which the node derives from
+    the coordinate index; and every push and pop of the classes checked: a
+    push logs exactly the members of the classes its head is nonzero on,
+    with their links before it, and a pop restores them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -404,7 +429,6 @@ class _CheckedSearch(_EmbedSearch):
     def _candidates(self, i, used):
         assigned = placed(self)
         assert (self.same[:used], self.nxt[:used]) == class_links(assigned, used)
-        assert self.target == jump_targets(assigned)
         got = list(super()._candidates(i, used))
         assert all(head == sparse(_dense(head, used)) for head, _ in got)
         dense_got = [(_dense(head, used), part) for head, part in got]
