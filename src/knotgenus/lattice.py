@@ -15,6 +15,10 @@ vector already placed:
   candidates and their completions are closed under permutations within
   each class of interchangeable coordinates, and a candidate is kept only if
   its entries are non-decreasing along each class, in coordinate order.
+  Every class is a run of consecutive coordinates: a fresh block enters as
+  positive, non-increasing values, coordinates of different blocks differ
+  on the vector that made one of them, and each later vector, canonical,
+  is non-decreasing along a class, so it splits runs into runs.
 
 Canonicalizing the first vector by an ambient symmetry, the second by the
 stabilizer of the first, and so on, turns every embedding into one the
@@ -39,9 +43,9 @@ owes a dot product to, when the norm and the residuals allow it (see
 _EmbedSearch._candidates); each target is derived from the coordinate index,
 not stored.  At each coordinate the walk reads only the placed vectors
 nonzero there.  Dense vectors are built only for a returned witness.
-The classes are linked lists over the coordinates, split by each placed
-vector on the classes it is nonzero on, and restored on backing up from a
-log of the links that the split rewrote.
+A node derives the class of each coordinate it walks from the index, as
+classes are runs, so the placed vectors and their index are the search's
+whole backtracked state: a push or a pop changes only them.
 """
 
 from __future__ import annotations
@@ -62,13 +66,15 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Embedding:
     """rank vectors of Z^ambient_dim, the entries and the dimension exact
-    ints by the rule of `matrices.as_vector`."""
+    ints by the rule of `matrices.as_vector`, the dimension >= 0."""
 
     vectors: tuple[tuple[int, ...], ...]
     ambient_dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "ambient_dim", operator.index(self.ambient_dim))
+        if self.ambient_dim < 0:
+            raise ValueError("ambient dimension must be >= 0")
         # a tuple of ints is kept as it is, not copied: a wide witness is
         # held once
         vecs = tuple(map(tuple, self.vectors))
@@ -147,78 +153,47 @@ class _EmbedSearch:
         # than the trace of the Gram matrix are ever live.
         live = min(ambient_dim, sum(self.norms))
         self.touching: list[list[tuple[int, int, int]]] = [[] for _ in range(live)]
-        # the classes of interchangeable used coordinates, as linked lists in
-        # coordinate order: same[c] / nxt[c] is the previous / next
-        # coordinate of c's class, or -1
-        self.same = [-1] * live
-        self.nxt = [-1] * live
-        # per placed vector: (c, same[c], nxt[c]) before its push, for each
-        # coordinate c of the classes the push split
-        self.undo: list[list[tuple[int, int, int]]] = []
         # the walk of _candidates: the value at each used coordinate and the
-        # residual of each placed vector (the dot product still owed to it),
-        # both all 0 between nodes, and the norm left before each coordinate,
-        # written before it is read
+        # residual of each placed vector, both all 0 between nodes; the norm
+        # left before each coordinate and its class (see _classes), written
+        # before they are read
+        self.same = [-1] * live
         self.x = [0] * live
         self.left = [0] * (live + 1)
         self.needs = [0] * self.rank
 
     def _push(self, head: tuple[tuple[int, int], ...], fresh: tuple[int, ...], used: int):
         """Place head + fresh as the next basis vector: head its nonzero
-        entries (c, e) over the `used` coordinates, fresh its part on the
-        coordinates from `used` on.  Index its entries, each with the suffix
-        norm after it (fixed once the vector is placed), and split each class
-        it is nonzero on by its entries, logging the links it rewrites."""
+        entries (c, e) over the `used` coordinates, fresh its part from
+        coordinate `used` on.  Index each entry with the vector's suffix
+        norm after it; a pop undoes just that."""
         entries = head + tuple(enumerate(fresh, used))
         j = len(self.assigned)
         self.assigned.append(entries)
-        touching, same, nxt = self.touching, self.same, self.nxt
-        heads = set()  # the first coordinates of the classes to split
-        for c, _ in head:
-            h = c
-            while same[h] >= 0:
-                h = same[h]
-            heads.add(h)
+        touching = self.touching
         tail = 0
         for c, e in reversed(entries):
             touching[c].append((j, e, tail))
             tail += e * e
-        log = []
-        if heads:
-            values = dict(head)
-            for c in heads:
-                # link each member to the previous member with the same entry
-                last = {}  # entry -> its latest member so far
-                while c >= 0:
-                    log.append((c, same[c], nxt[c]))
-                    following = nxt[c]
-                    e = values.get(c, 0)
-                    p = same[c] = last.get(e, -1)
-                    if p >= 0:
-                        nxt[p] = c
-                    last[e] = c
-                    c = following
-                for c in last.values():
-                    nxt[c] = -1
-        self.undo.append(log)
-        # the fresh block, positive and non-increasing: a class per run of
-        # equal values
-        previous = 0
-        for c, e in enumerate(fresh, used):
-            if e == previous:
-                same[c] = c - 1
-                nxt[c - 1] = c
-            else:
-                same[c] = -1
-            nxt[c] = -1
-            previous = e
 
     def _pop(self):
         for c, _ in self.assigned.pop():
             self.touching[c].pop()
-        same, nxt = self.same, self.nxt
-        for c, s, n in self.undo.pop():
-            same[c], nxt[c] = s, n
+
+    def _classes(self, start: int, used: int):
+        """same[c], for start < c < used where the walk reads it: c - 1 if
+        the placed vectors agree on c - 1 and c, else -1 (classes are runs).
+        A loop: all() over a generator would cost 15% of a search."""
+        touching, same = self.touching, self.same
+        for c in range(start + 1, used):
+            a, b = touching[c - 1], touching[c]
+            same[c] = -1
+            if len(a) == len(b):
+                for (j, e, _), (k, f, _) in zip(a, b):
+                    if j != k or e != f:
+                        break
+                else:
+                    same[c] = c - 1
 
     def _candidates(self, i: int, used: int):
         """All canonical vectors for basis index i given the current partial
@@ -233,8 +208,9 @@ class _EmbedSearch:
         vector and so map candidates and their completions to candidates and
         completions.  Values go in ascending order at each coordinate,
         starting at the value of the previous coordinate of its class
-        (`same`).  When the norm is spent before the last used coordinate,
-        the trailing zeros must not follow a positive value of their class.
+        (`same`, see _classes).  When the norm is spent at c, before the
+        last used coordinate, no trailing 0 may follow a positive value of
+        its class: as classes are runs, only the 0 at c can, at c - 1.
 
         At coordinate c only the placed vectors nonzero there (`touching[c]`)
         update their residual (`needs`, the dot product still owed, undone
@@ -259,14 +235,16 @@ class _EmbedSearch:
         where the jump target of j is the least first coordinate of a placed
         vector that meets j's support (j among them).  The walk starts
         there, and the coordinates it skips are 0.  They precede every
-        value, so no skipped 0 follows a positive value of its class.  With
-        R empty no jump is sound: the norm may go on fresh coordinates
-        alone, or on two coordinates c < c' of any placed vector k with
-        k[c] x[c] = -k[c'] x[c'].  With d >= 3 a third nonzero coordinate
-        may cancel k's term instead, so the walk starts at coordinate 0.
-        The node derives each target from `touching`, over the placed
-        vectors nonzero on j's support, so no state keeps it: on Q(m,n), R
-        holds at most one vector, whose support has 2 or 3 coordinates.
+        value, so no skipped 0 follows a positive value of its class, and
+        the start, a placed vector's first coordinate, shares no class with
+        the one before it.  With R empty no jump is sound: the norm may go
+        on fresh coordinates alone, or on two coordinates c < c' of any
+        placed vector k with k[c] x[c] = -k[c'] x[c'].  With d >= 3 a third
+        nonzero coordinate may cancel k's term instead, so the walk starts
+        at coordinate 0.  The node derives each target from `touching`,
+        over the placed vectors nonzero on j's support, so no state keeps
+        it: on Q(m,n), R holds at most one vector, whose support has 2 or 3
+        coordinates.
 
         A walk that reaches the end of the used coordinates owes nothing.  A
         vector with a coordinate at or after the start had its residual
@@ -277,7 +255,7 @@ class _EmbedSearch:
         still owe something then are those of R and those nonzero at a
         value, all placed no earlier than the vector that made the start
         coordinate (the first in `touching[start]`), so the candidate stands
-        iff those owe nothing and no trailing 0 breaks the class rule.
+        iff those owe nothing and the 0 at c keeps the class rule.
 
         Every prune and the jump are sound, so the candidates are exactly
         the ones an unpruned scan of the canonical parts gives, in the same
@@ -297,6 +275,7 @@ class _EmbedSearch:
                     for k, _, _ in touching[c]:
                         if assigned[k][0][0] < start:
                             start = assigned[k][0][0]
+        self._classes(start, used)
         heads = []  # (values from `start` on, norm left for fresh coordinates)
         left[start] = d
         c, val = start, -max_entry
@@ -325,7 +304,7 @@ class _EmbedSearch:
                     continue
             elif c == used or (
                 not any(needs[touching[start][0][0] : i])
-                and all(s < 0 or x[s] <= 0 for s in same[c:used])
+                and (same[c] < 0 or x[c - 1] <= 0)
             ):
                 heads.append((tuple(x[start:c]), norm_left))
             # back up to the previous coordinate and its next value

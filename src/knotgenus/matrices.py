@@ -348,7 +348,13 @@ class GramLattice:
         return self._det
 
 
-def format_matrix_text(m: IntMatrix) -> str:
+def format_matrix_text(m) -> str:
+    """The text parse_matrix_text reads back as m: its size, then one line
+    per row.  m goes through as_matrix; the 0x0 matrix, which the reader
+    refuses, raises ValueError."""
+    m = as_matrix(m)
+    if not m:
+        raise ValueError("matrix size must be positive")
     lines = [str(len(m))]
     for row in m:
         lines.append(" ".join(str(x) for x in row))

@@ -312,6 +312,14 @@ def test_embedding_refuses_a_vector_of_the_wrong_length():
             Embedding(vectors, 2)
 
 
+def test_embedding_refuses_a_negative_dimension():
+    for dim in (-1, -5):
+        with pytest.raises(ValueError, match="ambient dimension must be >= 0"):
+            Embedding((), dim)
+    # the rank-0 lattice's embedding into Z^0
+    assert verify_embedding(GramLattice(()), Embedding((), 0))
+
+
 def test_embedding_holds_a_tuple_of_ints_without_copying():
     wide = (1, -1) + (0,) * 1000
     e = Embedding([wide, list(wide[::-1])], len(wide))
@@ -375,22 +383,19 @@ def column_keys(assigned, used):
 
 def class_links(assigned, used):
     """The classes of interchangeable used coordinates, from the placed
-    vectors alone: (same, nxt), the previous and the next coordinate c' < used
-    of c's class, or -1."""
-    keys = column_keys(assigned, used)
-    same, nxt, last = [-1] * used, [-1] * used, {}
-    for c, key in enumerate(keys):
-        if key in last:
-            same[c] = last[key]
-            nxt[last[key]] = c
+    vectors alone: per coordinate c < used, the previous coordinate of c's
+    class, or -1."""
+    same, last = [-1] * used, {}
+    for c, key in enumerate(column_keys(assigned, used)):
+        same[c] = last.get(key, -1)
         last[key] = c
-    return same, nxt
+    return same
 
 
 def canonical_candidates(gram, ambient_dim, assigned, i, used):
     """dense_candidates, less every candidate whose head decreases along a
     class of interchangeable used coordinates."""
-    same, _ = class_links(assigned, used)
+    same = class_links(assigned, used)
     return [
         (head, part)
         for head, part in dense_candidates(gram, ambient_dim, assigned, i, used)
@@ -418,17 +423,21 @@ def sparse(head):
 class _CheckedSearch(_EmbedSearch):
     """The search, with every node's candidate list compared to the
     reference, and with it the walk's start, which the node derives from
-    the coordinate index; and every push and pop of the classes checked: a
-    push logs exactly the members of the classes its head is nonzero on,
-    with their links before it, and a pop restores them."""
+    the coordinate index; every node's classes, which it derives from the
+    index on the coordinates it walks, compared to the ones the placed
+    vectors give; and every pop checked to leave the placed vectors and the
+    index as they were before the matching push."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.saved = []
 
+    def _classes(self, start, used):
+        super()._classes(start, used)
+        assert self.same[start + 1 : used] == class_links(placed(self), used)[start + 1 :]
+
     def _candidates(self, i, used):
         assigned = placed(self)
-        assert (self.same[:used], self.nxt[:used]) == class_links(assigned, used)
         got = list(super()._candidates(i, used))
         assert all(head == sparse(_dense(head, used)) for head, _ in got)
         dense_got = [(_dense(head, used), part) for head, part in got]
@@ -436,20 +445,12 @@ class _CheckedSearch(_EmbedSearch):
         return got
 
     def _push(self, head, fresh, used):
-        before = (self.same[:used], self.nxt[:used])
-        keys = column_keys(placed(self), used)
-        split = {keys[c] for c, _ in head}
+        self.saved.append((self.assigned[:], [col[:] for col in self.touching]))
         super()._push(head, fresh, used)
-        log = self.undo[-1]
-        assert sorted(c for c, _, _ in log) == [c for c in range(used) if keys[c] in split]
-        assert all((s, n) == (before[0][c], before[1][c]) for c, s, n in log)
-        self.saved.append(before)
 
     def _pop(self):
         super()._pop()
-        same, nxt = self.saved.pop()
-        used = len(same)
-        assert (self.same[:used], self.nxt[:used]) == (same, nxt)
+        assert (self.assigned, self.touching) == self.saved.pop()
 
 
 def _checked_run(gram, dim):
@@ -537,13 +538,18 @@ def test_search_matches_the_reference_without_the_class_rule():
     assert min(verdicts.values()) > 300
 
 
-def test_search_matches_the_reference_on_the_plumbing_catalogue():
-    # the benchmark's plumbing catalogue (seed 2015, ranks 6-8) with seeded
-    # basis signs, at every dimension from the rank to the minimal one
+def _plumbing_catalogue():
+    """The benchmark's plumbing catalogue (seed 2015, ranks 6-8) with
+    seeded basis signs."""
     catalogue, rng = random.Random(2015), random.Random(83)
     for rank in (6,) * 14 + (7,) * 13 + (8,) * 13:
-        g = _signed_plumbing(rng, [catalogue.randint(2, 4) for _ in range(rank)])
-        dim = rank
+        yield _signed_plumbing(rng, [catalogue.randint(2, 4) for _ in range(rank)])
+
+
+def test_search_matches_the_reference_on_the_plumbing_catalogue():
+    # at every dimension from the rank to the minimal one
+    for g in _plumbing_catalogue():
+        dim = g.rank
         while _against_reference(g.gram, dim) is None:
             dim += 1
         assert dim == min_embedding_dim(g)
@@ -619,7 +625,7 @@ class _JumpCases(_CheckedSearch):
                 and min(starts, default=own) < own
             ):
                 self.counts["early_target"] += 1
-        same, _ = class_links(assigned, used)
+        same = class_links(assigned, used)
         for head, _ in dense_candidates(g, self.M, assigned, i, used):
             zeros = [z for z in range(used) if not head[z] and same[z] >= 0 and head[same[z]] > 0]
             if not zeros or any(head[c] < head[s] for c, s in enumerate(same) if s >= 0 and head[c]):
@@ -636,15 +642,20 @@ class _JumpCases(_CheckedSearch):
         return got
 
 
-def test_jump_cases_match_the_reference():
-    # seeded orthogonal sums of two signed plumbings: the second summand's
-    # first vector owes nothing to the first summand's, and norm-3 and
-    # norm-4 vectors give early targets and classes of several coordinates
-    rng, counts = random.Random(109), Counter()
+def _plumbing_sums():
+    """Seeded orthogonal sums of two signed plumbings: the second summand's
+    first vector owes nothing to the first summand's, and norm-3 and norm-4
+    vectors give early targets and classes of several coordinates."""
+    rng = random.Random(109)
     for _ in range(60):
         a = _signed_plumbing(rng, [rng.randint(2, 4) for _ in range(rng.randint(1, 4))])
         b = _signed_plumbing(rng, [rng.randint(2, 3) for _ in range(rng.randint(1, 3))])
-        gram = _direct_sum(a.gram, b.gram)
+        yield _direct_sum(a.gram, b.gram)
+
+
+def test_jump_cases_match_the_reference():
+    counts = Counter()
+    for gram in _plumbing_sums():
         for dim in range(len(gram), len(gram) + 3):
             search = _JumpCases(gram, dim, counts=counts)
             plain = _EmbedSearch(gram, dim)
@@ -653,16 +664,44 @@ def test_jump_cases_match_the_reference():
     assert counts == {"no_residual": 102, "early_target": 8, "class_skip": 5}
 
 
+class _RunCheck(_EmbedSearch):
+    """The search, checking at every node that each class of
+    interchangeable used coordinates, from the placed vectors alone, is a
+    run of consecutive coordinates, and counting the coordinates linked to
+    the one before them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.linked = 0
+
+    def _candidates(self, i, used):
+        same = class_links(placed(self), used)
+        assert all(s in (-1, c - 1) for c, s in enumerate(same))
+        self.linked += sum(s >= 0 for s in same)
+        return super()._candidates(i, used)
+
+
+def test_every_class_is_a_run():
+    # the search derives each coordinate's class from its neighbour alone,
+    # which is exact only if every class is a run
+    cases = [(g, range(g.rank, min_embedding_dim(g) + 1)) for g in _plumbing_catalogue()]
+    cases += [(gram, range(len(gram), len(gram) + 3)) for gram in _plumbing_sums()]
+    linked = 0
+    for gram, dims in cases:
+        for dim in dims:
+            search = _RunCheck(gram, dim)
+            search.run()
+            linked += search.linked
+    # classes of several coordinates are common
+    assert linked > 2000
+
+
 class _FreshOnlySearch(_EmbedSearch):
     """The search with every used coordinate in a class of its own:
     quotiented only by the first use of fresh coordinates."""
 
-    def _candidates(self, i, used):
-        classes, self.same = self.same, [-1] * used
-        try:
-            return super()._candidates(i, used)
-        finally:
-            self.same = classes
+    def _classes(self, start, used):
+        self.same[start + 1 : used] = [-1] * (used - start - 1)
 
 
 # (m, n, nodes of the fresh-only search, nodes of the search); a case's id

@@ -19,6 +19,7 @@ from knotgenus.matrices import (
     as_matrix,
     as_vector,
     det,
+    format_matrix_text,
     leading_principal_minors,
     parse_matrix_text,
     search_deadline,
@@ -558,6 +559,29 @@ def test_parse_matrix_text_refusals(text, message):
     with pytest.raises(ValueError) as exc:
         parse_matrix_text(text)
     assert str(exc.value) == message
+
+
+def test_format_matrix_text_round_trips():
+    rng = random.Random(113)
+    for size in range(1, 9):
+        for _ in range(5):
+            m = tuple(tuple(rng.randint(-50, 50) for _ in range(size)) for _ in range(size))
+            assert parse_matrix_text(format_matrix_text(m)) == m
+    # lists, bools and numpy integers are written as the ints they stand for
+    assert format_matrix_text([[True]]) == "1\n1\n"
+    assert parse_matrix_text(format_matrix_text([[True]])) == ((1,),)
+    assert format_matrix_text(np.array([[2, -1], [-1, 2]])) == "2\n2 -1\n-1 2\n"
+
+
+def test_format_matrix_text_refuses_what_the_reader_refuses():
+    # each of these used to be written as text that parse_matrix_text refuses
+    with pytest.raises(ValueError, match="^matrix size must be positive$"):
+        format_matrix_text(())
+    for rows in ([[1, 2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            format_matrix_text(rows)
+    with pytest.raises(TypeError):
+        format_matrix_text([[1.5]])
 
 
 def test_as_matrix_refuses_a_matrix_that_is_not_square():
