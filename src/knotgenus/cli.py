@@ -16,12 +16,14 @@ level of the log records written to stderr: unset, empty or off, or info,
 in any case; any other value is an input error, refused before the command
 runs.  At info every embedding search logs its rank, dimension,
 verdict, node count and time, every curve search its dimension, bound,
-verdict, a-vectors scanned, pairs with intersection +-1, pairs verified
-and time, every positive-definiteness check its rank, verdict and time,
-and every signature and Alexander polynomial its matrix size and time.
-Stdout does not change.
+verdict, shells entered, isotropic c tried and time, every
+positive-definiteness check its rank, verdict and time, and every
+signature and Alexander polynomial its matrix size and time.  Stdout does
+not change.
 
-Only info, verify and curve import the curve search, and with it numpy;
+`knot curve` prints a certificate only once `verify_certificate` has
+accepted it, as `full_report` does for info and verify.  Only info, verify
+and curve import `pipeline` (see `knotgenus/__init__.py` for its cost);
 lattice, seifert and the argument parser start without it.
 """
 
@@ -35,7 +37,7 @@ import sys
 from . import lattice
 from .lattice import find_embedding, format_embedding, min_embedding_dim
 from .matrices import GramLattice, SearchBudgetExceeded, parse_matrix_text, symmetrize
-from .seifert import alexander, knot_determinant, signature
+from .seifert import alexander, knot_determinant, signature, verify_certificate
 from .two_bridge import KnotParams, seifert_matrix
 
 EXIT_OK = 0
@@ -173,6 +175,8 @@ def cmd_curve(args) -> int:
     else:
         raise ValueError("provide either --matrix or both --m and --n")
     cert = find_genus1_certificate(mat, bound, cap_seconds=args.cap_seconds)
+    if cert is not None and not verify_certificate(mat, cert):
+        raise RuntimeError("curve search returned an invalid certificate")
     if cert is None:
         print(f"NONE within bound {bound}")
     else:

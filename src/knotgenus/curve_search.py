@@ -1,42 +1,36 @@
-"""Search for genus-1 reduction certificates in a rank-4 Seifert lattice.
+"""Construct genus-1 reduction certificates of a Seifert lattice.
 
 The certificates and their one check, `verify_certificate`, are defined in
-`seifert`; this module only searches a box for them.
+`seifert`; this module only constructs them, in plain integers, and does
+not check what it returns: `pipeline.full_report` and `knot curve` do.
 
-The search space is normalized: a is primitive with positive first nonzero
-coordinate (flipping the sign of a or dividing out a common factor never
-destroys a certificate, so nothing is lost).  Within that space the
-enumeration is exhaustive in lexicographic order and the first valid pair
-is returned, so results are deterministic.
+A certificate exists iff some primitive c is isotropic, cMc = 0, and some
+d has (Mc).d = 0 and (M^T c).d = +-1.  Then (c, d) is one: its restricted
+form is [[0, +-1], [0, dMd]], which `verify_certificate` accepts.
+Conversely, the quadratic form of a certificate's restricted form S has
+discriminant (S01 + S10)^2 - 4 S00 S11 = (S01 - S10)^2 = 1, so it splits
+over Z into two independent primitive isotropic classes of span(a, b), a
+summand of Z^dim since the intersection form is unimodular on it.  In a
+basis (c, d) of the span with c isotropic, the trivial Alexander test
+leaves cMd dMc = 0: when dMc = 0, (c, d) has the shape above; when
+cMd = 0, (d - (dMd / dMc) c, c) has it.
 
-The b of a certificate is normalized too: (a, b) is a certificate exactly
-when (a, -b) is, so only the first half of the box [-bound, bound]^dim in
-lex order is scanned, the b with negative first nonzero coordinate, and the
-lex-first certificate of the whole box is found there.
+The constructor enumerates c by height.  One coordinate k, with the
+smallest nonzero |M_kk| (the last on ties), is solved for: cMc is a
+quadratic in c_k, whose integer roots come from an isqrt.  The other
+coordinates run over the shells of height (largest |entry|) 0, 1, ...,
+bound, each in lex order, so the bound caps the enumerated coordinates and
+not c_k.  With a zero diagonal there is no coordinate to solve for, and
+every coordinate is enumerated.  When M + M^T is definite, no c is
+isotropic and the answer None is exact, whatever the bound.
 
-The filters run in int64, and neither the half nor the a-vectors are
-materialized: each b of the half is a row of the box hi of the first
-dim // 2 coordinates followed by a row of the box lo of the rest, and the
-a-vectors are kept as the indices of such rows.  Every bilinear form in b
-is then a sum of one product over each part, and bMb is one outer sum over
-hi and lo per matrix.  All of it is ring arithmetic mod 2^64, so the split
-passes exactly the pairs one product over the whole box would; the exact
-check is verify_certificate, on the pair that would be returned.
-
-The pairs with intersection a(M - M^T)b = +-1 are the costly filter, and
-they depend on nothing but the bound, the dimension and M - M^T mod 2^64.
-So they are memoized under that key, the bytes of the int64 residue of
-M - M^T, and shared by every matrix with the same key: every K(m,n) has the
-Seifert matrix of K(0,0) less m E00 and n E11, so all of them share one
-M - M^T.  The memo holds, in blocks of consecutive a-vectors in scan order,
-each a's hit count and hits, so it is extended only as far as a search has
-scanned, and a search that reads it scans the same pairs in the same order
-as one that computes them; the Alexander filter and the exact check run per
-search, on its own M, and read only the hits.  A hit is stored as its hi
-row, with the sign of the intersection folded in, and its lo row: two int16
-entries, 4 bytes, in every box of dim >= 2 that the box guard admits.  Each
-a's hit count keeps the search statistics those of the scan one a at a
-time.  The hits are found mod 2^16 first, in int16, and confirmed in int64.
+For each primitive isotropic c, d comes from unimodular column operations:
+a basis of Z^dim in which Mc is nonzero on at most one vector gives the
+kernel of Mc, and the same reduction of M^T c on that kernel gives a d0
+with (M^T c).d0 = +-1 when one exists, and a basis of the common kernel of
+Mc and M^T c, which holds c.  d is d0 less the nearest kernel vector that
+one Babai rounding finds on a pairwise reduced basis of the kernel (for
+two vectors, Gauss's reduction), with the sign that makes cMd = 1.
 """
 
 from __future__ import annotations
@@ -44,296 +38,207 @@ from __future__ import annotations
 import logging
 import operator
 import time
-from dataclasses import dataclass, field
+from itertools import permutations, product
+from math import gcd, isqrt
 
-import numpy as np
-
-from .matrices import IntMatrix, as_matrix, as_vector, check_deadline, search_deadline
-from .seifert import CurveCertificate, restricted_form, verify_certificate
+from .matrices import as_matrix, check_deadline, det, mat_vec, search_deadline, symmetrize, transpose
+from .seifert import CurveCertificate, restricted_form, signature
 
 log = logging.getLogger(__name__)
 
-# The box is never built, but the search materializes int64 and int16
-# arrays over its first half: the bMb table, once per matrix, and the int16
-# intersection sum, once per a-vector; the box guard allows at most this
-# many entries in the whole box.  At the largest box it accepts (dim 4,
-# bound 18, 7,496,644 entries) `knot curve --matrix` on the Seifert matrix
-# of K(0,0) peaks at 64.2 MB RSS, against 30 MB for the import alone: the
-# bMb table (7.5 MB) and the int64 arrays of the first block's 135,309 hits
-# sit on top of it.  An absent search there (the identity) stopped by a
-# 20 s budget at 47.1 MB.
-# `knot curve --m 100 --n 100` (bound 12), whose memo fills MAX_STORED_HITS,
-# peaks at 43.9-44.5 MB (measured on 2-core x86-64).
-MAX_BOX_ENTRIES = 1 << 23
+# The size guard: a search enumerates at most this many vectors,
+# (2 bound + 1)^(dim - 1), or (2 bound + 1)^dim with a zero diagonal.  The
+# largest dim-4 search it admits, bound 39 (79^3 = 493,039 triples), takes
+# about 3 s when absent, on diag(1, 1, 1, -7) (2-core x86-64).
+MAX_SEARCH_VECTORS = 1 << 19
 
 
-# Blocks of this many consecutive a-vectors are the unit of the hit memo,
-# of the Alexander filter and of the budget check; the hits themselves are
-# generated one a at a time.
-_A_BLOCK = 16
-
-# The hit memo stores at most this many 4-byte entries over all its keys: one
-# hit count per a-vector, one entry per hit (its two int16 row indices, see
-# _boxes), and _BLOCK_HEADER per block for its array header.  Past
-# it, blocks are computed and not stored.  The 121 knots K(m,n), m, n <= 10,
-# need about 73,000 entries, the 961 of m, n <= 30 about 2.8 million, and
-# `knot curve --m 100 --n 100` about 7 million; with the memo full at this
-# cap, that run peaks at 43.9-44.5 MB RSS.
-MAX_STORED_HITS = 1 << 19
-_BLOCK_HEADER = 32
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
-@dataclass
-class _Box:
-    """The boxes of one (bound, dim), see _boxes, and the hit memo of every
-    M - M^T searched in them: per int64 residue of M - M^T (its bytes), the
-    hit blocks of the first a-vectors in scan order, see _hit_block."""
-
-    hi: np.ndarray
-    lo: np.ndarray
-    n: int  # the length of the box's first half
-    arows: np.ndarray  # the half row of each a-vector, in scan order
-    memo: dict[bytes, list[np.ndarray]] = field(default_factory=dict)
-    stored: int = 0
+def _nearest(num: int, den: int) -> int:
+    """The integer nearest num / den, for den > 0 (halves round up)."""
+    return (2 * num + den) // (2 * den)
 
 
-# The module's one cache: per (bound, dim), its boxes and their hit memo.
-_CACHE: dict[tuple[int, int], _Box] = {}
+def _shell(k: int, h: int):
+    """The vectors of Z^k of height (largest |entry|) h, in lex order."""
+    if k == 0:
+        if h == 0:
+            yield ()
+        return
+    entries = range(-h, h + 1)
+    for x in entries:
+        rest = product(entries, repeat=k - 1) if abs(x) == h else _shell(k - 1, h)
+        for t in rest:
+            yield (x, *t)
 
 
-def _box(bound: int, k: int):
-    """All vectors of [-bound, bound]^k as int64 rows in lex order; for
-    k = 0, the one empty vector."""
-    side = 2 * bound + 1
-    box = np.indices((side,) * k, dtype=np.int64).reshape(k, side**k).T - bound
-    return np.ascontiguousarray(box)
+def _completions(mat, k: int | None):
+    """The function that takes u, the coordinates of c other than k, to the
+    isotropic c with those coordinates, in ascending c_k; with k None, the
+    one that takes c to (c,) when it is isotropic, else to ()."""
+    if k is None:
+        return lambda c: (c,) if _dot(c, mat_vec(mat, c)) == 0 else ()
+    others = [i for i in range(len(mat)) if i != k]
+    a = mat[k][k]
+    lin = [mat[k][i] + mat[i][k] for i in others]
+    sub = [[mat[i][j] for j in others] for i in others]
+
+    def complete(u):
+        # cMc = a c_k^2 + b c_k + uM'u, M' the rows and columns other than k
+        b = _dot(lin, u)
+        disc = b * b - 4 * a * _dot(u, mat_vec(sub, u))
+        if disc < 0:
+            return ()
+        s = isqrt(disc)
+        if s * s != disc:
+            return ()
+        roots = (divmod(num, 2 * a) for num in sorted({-b - s, -b + s}, reverse=a < 0))
+        return [(*u[:k], t, *u[k:]) for t, r in roots if r == 0]
+
+    return complete
 
 
-def _boxes(bound: int, dim: int) -> _Box:
-    """The boxes hi of the first dim // 2 and lo of the other coordinates of
-    [-bound, bound]^dim, the length n of the box's first half, and the
-    a-vectors as rows of that half.  All are in lex order, so row
-    i * len(lo) + j of the box is hi[i] followed by lo[j]; hi is cut to the
-    rows that begin a row of the half, and neither the half nor the
-    a-vectors are built.  The box is symmetric, row len - 1 - r being minus
-    row r, and its middle row is the zero vector; so its first half holds
-    the vectors with negative first nonzero coordinate, and the a-vectors
-    are the primitive rows of the half negated and reversed.  Row
-    i * len(lo) + j is primitive when the gcd of hi[i] and the gcd of lo[j]
-    are coprime.
-
-    A stored hit holds its two row indices as int16, see _hit_block: every
-    box of dim >= 2 that the box guard admits has fewer than 2^15 hi and lo
-    rows (at most 2,047 at dim 2, 19,321 at dim 3), and at dim 1 M - M^T is
-    zero, so no hit is stored."""
-    key = (bound, dim)
-    if key not in _CACHE:
-        n = (2 * bound + 1) ** dim // 2
-        lo = _box(bound, dim - dim // 2)
-        hi = _box(bound, dim // 2)[: n // len(lo) + 1]
-        gcds = np.gcd.outer(np.gcd.reduce(np.abs(hi), axis=1), np.gcd.reduce(np.abs(lo), axis=1))
-        arows = np.flatnonzero(gcds.ravel()[:n] == 1)[::-1].astype(np.int32)
-        _CACHE[key] = _Box(hi, lo, n, arows)
-    return _CACHE[key]
+def _split(basis, f):
+    """Unimodular column operations on basis until the linear form f is
+    zero on all its vectors but one: returns f on that one (0 when f is
+    zero on every vector), that vector and the others."""
+    basis = list(basis)
+    vals = [_dot(f, v) for v in basis]
+    while sum(map(bool, vals)) > 1:
+        i = min((i for i, x in enumerate(vals) if x), key=lambda i: abs(vals[i]))
+        for j, x in enumerate(vals):
+            if j != i and x:
+                q = x // vals[i]
+                vals[j] -= q * vals[i]
+                basis[j] = tuple(y - q * z for y, z in zip(basis[j], basis[i]))
+    i = next((i for i, x in enumerate(vals) if x), 0)
+    return vals[i], basis[i], basis[:i] + basis[i + 1 :]
 
 
-def _wrap64(x: int) -> int:
-    """x reduced mod 2^64 into the int64 range."""
-    return (x + (1 << 63)) % (1 << 64) - (1 << 63)
+def _pair_reduced(basis):
+    """The basis with each vector shortened by the nearest multiple of
+    another while one gets shorter; for two vectors, Gauss's reduction."""
+    basis = list(basis)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in permutations(range(len(basis)), 2):
+            bi, bj = basis[i], basis[j]
+            mu = _nearest(_dot(bi, bj), _dot(bi, bi))
+            shorter = tuple(y - mu * x for x, y in zip(bi, bj))
+            if _dot(shorter, shorter) < _dot(bj, bj):
+                basis[j] = shorter
+                changed = True
+    return basis
 
 
-def _stored_entries() -> int:
-    """The entries the hit memo holds, counted as MAX_STORED_HITS counts them."""
-    return sum(box.stored for box in _CACHE.values())
+def _babai(d, basis):
+    """d less the lattice vector of the independent basis nearest it by
+    Babai rounding: the coordinates of d's projection on its span, by
+    Cramer's rule on the Gram matrix (whose determinant is > 0), rounded."""
+    gram = [[_dot(u, v) for v in basis] for u in basis]
+    rhs = [_dot(u, d) for u in basis]
+    g = det(gram)
+    for i, u in enumerate(basis):
+        mu = _nearest(det([row[:i] + [y] + row[i + 1 :] for row, y in zip(gram, rhs)]), g)
+        d = tuple(y - mu * z for y, z in zip(d, u))
+    return d
 
 
-def _hit_block(box: _Box, anti, avecs):
-    """The pairs of the a-vectors avecs and the b of the half box with
-    |a (M - M^T) b| = 1, in scan order, as one int32 array: the hit count of
-    each a, then two runs of int16 entries, one holding each hit's
-    (i + 1) p and one its j, for its half row i * len(lo) + j and its
-    intersection p.
-
-    The intersection is an outer sum of one product over hi and one over
-    lo.  The sum is first taken mod 2^16, in int16, and only the pairs where
-    it is +-1 there are summed in int64: +-1 mod 2^64 is +-1 mod 2^16, so no
-    hit is lost, and the int64 test drops the others."""
-    h = len(anti) // 2
-    counts, codes, cols = [], [], []
-    for a in avecs:
-        w = a @ anti
-        ph, pl = box.hi @ w[:h], box.lo @ w[h:]
-        low = (ph.astype(np.int16)[:, None] + pl.astype(np.int16)).ravel()[: box.n]
-        i, j = np.divmod(np.flatnonzero(np.abs(low) == 1), len(box.lo))
-        p = ph[i] + pl[j]
-        hit = np.abs(p) == 1
-        counts.append(np.count_nonzero(hit))
-        codes.append((i[hit] + 1) * p[hit])
-        cols.append(j[hit])
-    runs = [np.array(counts, np.int32).view(np.int16), np.concatenate(codes), np.concatenate(cols)]
-    return np.concatenate(runs, dtype=np.int16, casting="unsafe").view(np.int32)
-
-
-def _bmb_table(box: _Box, m) -> np.ndarray:
-    """bMb mod 2^64 for each b of the half box, for the int64 matrix m.  For
-    b = hi[i] followed by lo[j] it is hi[i] M_hh hi[i] + lo[j] M_ll lo[j] +
-    hi[i] (M + M^T)_hl lo[j], with M split into the blocks of the first
-    dim // 2 (h) and the other (l) coordinates: an outer sum of two tables
-    and one product, cut at the half."""
-    hi, lo, h = box.hi, box.lo, len(m) // 2
-    table = hi @ ((m + m.T)[:h, h:] @ lo.T)
-    table += np.einsum("ij,ij->i", lo @ m[h:, h:], lo)
-    table += np.einsum("ij,ij->i", hi @ m[:h, :h], hi)[:, None]
-    return table.ravel()[: box.n]
-
-
-def _search(
-    mat: IntMatrix, bound: int, deadline: float | None = None
-) -> tuple[CurveCertificate | None, int, int, int]:
-    """The lex-first certificate (or None), the number of a-vectors scanned,
-    the number of (a, b) pairs that passed the intersection filter and the
-    number of them whose exact restricted form was checked.
-
-    Only the first half of the box is scanned: the b with negative first
-    nonzero coordinate.  Negating b negates aMb, bMa and the intersection
-    and keeps bMb, so (a, b) passes each filter and verify_certificate
-    exactly when (a, -b) does, and the lex-first b that passes for an a lies
-    in the half.  The counts are those of the whole box: twice the half's,
-    except that for the a of the certificate the pairs checked end at the
-    certificate, so all of them lie in the half.
-
-    Every b of the half is hi[i] followed by lo[j], for the boxes hi and lo
-    of the first dim // 2 and the other coordinates, and every product runs
-    on hi and lo alone.  For each a, the intersection a(M - M^T)b is an
-    outer sum of one product over hi and one over lo, and so is aMb, taken
-    at the pairs that pass; bMb is one table per call, see _bmb_table.
-    bMa = aMb - a(M - M^T)b, so the Alexander test aMa bMb == aMb bMa needs
-    no product over b beyond these.
-
-    The filters run in int64 on the matrix reduced mod 2^64.  Each is an
-    equality of ring expressions, which reduction mod 2^64 preserves, so no
-    true pair is dropped; a pair that only passes mod 2^64 is rejected by
-    the exact check: the pair, with its restricted form computed in Python
-    integers, goes to verify_certificate.  Splitting the sums and negating
-    b change no residue, so every filter passes the same pairs as one
-    product over the whole box.
-
-    The pairs that pass the intersection filter depend only on the bound,
-    the dimension and the int64 residue of M - M^T, so they are memoized
-    under that key, in blocks of _A_BLOCK a-vectors: every K(m,n) has the
-    same M - M^T, and each call reuses the blocks that earlier calls
-    computed, and stores the ones it computes past them, up to
-    MAX_STORED_HITS entries.  A block holds the hit count of each of its
-    a-vectors, so the counts stay those of the scan one a at a time, even
-    where the block runs past the a of the certificate.  The Alexander
-    filter runs on a block's hits at once, reading the products and the
-    bMb table with flat takes, and the pairs that pass it go to the exact
-    check in scan order.  With a deadline (a time.monotonic
-    reading), check_deadline raises SearchBudgetExceeded before the first
-    block that starts past it.
-    """
+def _partner(mat, c):
+    """A short d with (Mc).d = 0 and cMd = (M^T c).d = 1, or None."""
     dim = len(mat)
-    h = dim // 2
-    # reshaped: a 0x0 matrix would otherwise make a 1-D array
-    m = np.array([[_wrap64(x) for x in row] for row in mat], dtype=np.int64).reshape(dim, dim)
-    anti = m - m.T
-    box = _boxes(bound, dim)
-    hi, lo = box.hi, box.lo
-    memo = box.memo.setdefault(anti.tobytes(), [])
-    bmb = _bmb_table(box, m)
-    hits = checked = 0
-    for k, start in enumerate(range(0, len(box.arows), _A_BLOCK)):
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    g, first, rest = _split(units, mat_vec(mat, c))
+    kernel = rest if g else [first, *rest]
+    g, d, common = _split(kernel, mat_vec(transpose(mat), c))
+    if abs(g) != 1:
+        return None
+    return tuple(g * x for x in _babai(d, _pair_reduced(common)))
+
+
+def _construct(mat, k: int | None, bound: int, deadline: float | None):
+    """The first certificate by the enumeration of the module docstring,
+    solving for coordinate k, or None; the shells entered, none when
+    M + M^T is definite; and the primitive isotropic c tried."""
+    dim = len(mat)
+    shells = tried = 0
+    if abs(signature(symmetrize(mat))) == dim:
+        return None, shells, tried
+    complete = _completions(mat, k)
+    for h in range(bound + 1):
         check_deadline(deadline)
-        ai, aj = np.divmod(box.arows[start : start + _A_BLOCK], len(lo))
-        block = -np.concatenate((hi.take(ai, axis=0), lo.take(aj, axis=0)), axis=1)
-        nb = len(block)
-        if k < len(memo):
-            stored = memo[k]
-        else:
-            stored = _hit_block(box, anti, block)
-            cost = len(stored) + _BLOCK_HEADER
-            if k == len(memo) and _stored_entries() + cost <= MAX_STORED_HITS:
-                memo.append(stored)
-                box.stored += cost
-        counts, runs = stored[:nb], stored[nb:].view(np.int16)
-        if not len(runs):
-            continue
-        code, j = runs.astype(np.int64).reshape(2, -1)
-        al = np.repeat(np.arange(nb), counts)  # the a of each hit
-        i = np.abs(code) - 1
-        p = np.sign(code)
-        u = block @ m
-        # a M b: the hi part at flat row i * nb + a, plus the lo part
-        x = (hi @ u[:, :h].T).ravel().take(i * nb + al)
-        x += (lo @ u[:, h:].T).ravel().take(j * nb + al)
-        ama = np.einsum("ij,ij->i", u, block)
-        ok = np.flatnonzero(ama.take(al) * bmb.take(i * len(lo) + j) == x * (x - p))
-        for n, t in enumerate(ok):
-            r = al[t]
-            at = as_vector(block[r])
-            b = as_vector(hi[i[t]]) + as_vector(lo[j[t]])
-            cert = CurveCertificate(at, b, restricted_form(mat, at, b))
-            if verify_certificate(mat, cert):
-                first = int(np.searchsorted(al[ok], r))  # passes of the block's earlier a
-                return (
-                    cert,
-                    start + int(r) + 1,
-                    hits + 2 * int(counts[: r + 1].sum()),
-                    checked + 2 * first + (n - first) + 1,
-                )
-        hits += 2 * len(code)
-        checked += 2 * len(ok)
-    return None, len(box.arows), hits, checked
+        shells += 1
+        for u in _shell(dim if k is None else dim - 1, h):
+            for c in complete(u):
+                if gcd(*c) == 1:
+                    tried += 1
+                    d = _partner(mat, c)
+                    if d is not None:
+                        return CurveCertificate(c, d, restricted_form(mat, c, d)), shells, tried
+    return None, shells, tried
 
 
-def _check_box_entries(dim: int, bound: int) -> None:
-    """Raise ValueError unless bound >= 1, or when the box of a search in
-    dimension dim at this bound holds more than MAX_BOX_ENTRIES entries."""
+def _solved_coordinate(mat) -> int | None:
+    """The coordinate with the smallest nonzero |M_kk|, the last on ties;
+    None when the diagonal is zero."""
+    diag = [abs(row[i]) for i, row in enumerate(mat)]
+    return min((i for i, x in enumerate(diag) if x), key=lambda i: (diag[i], -i), default=None)
+
+
+def _check_search_size(coordinates: int, bound: int) -> None:
+    """Raise ValueError unless bound >= 1, or when the shells up to bound
+    over this many enumerated coordinates hold more than MAX_SEARCH_VECTORS
+    vectors."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    entries = (2 * bound + 1) ** dim * dim
-    if entries > MAX_BOX_ENTRIES:
+    vectors = (2 * bound + 1) ** coordinates
+    if vectors > MAX_SEARCH_VECTORS:
         raise ValueError(
-            f"curve search box too large: dimension {dim} at bound {bound} "
-            f"holds {entries} entries, more than {MAX_BOX_ENTRIES}"
+            f"curve search box too large: {coordinates} coordinates at bound {bound} "
+            f"hold {vectors} vectors, more than {MAX_SEARCH_VECTORS}"
         )
 
 
 def find_genus1_certificate(
     mat, bound: int, cap_seconds: float | None = None
 ) -> CurveCertificate | None:
-    """Exhaustive search over the normalized box [-bound, bound]^(2 dim);
-    returns the lexicographically first certificate (a before b), or None.
+    """The first certificate the constructor of the module docstring finds
+    with the enumerated coordinates of c at most bound in absolute value, or
+    None: at once when M + M^T is definite, and no certificate exists, else
+    when none is found within the bound.  The certificate is not checked
+    here.
 
     Raises TypeError unless bound is an exact int (operator.index), and
-    ValueError, before allocating anything, unless bound >= 1 or when the
-    box holds more than MAX_BOX_ENTRIES entries.  Raises
-    SearchBudgetExceeded when the optional cap_seconds > 0 wall-clock
-    budget, counted from the call and read between blocks of a-vectors,
-    runs out before the search finishes.
+    ValueError, before any search, unless bound >= 1 or when the box
+    [-bound, bound] over the enumerated coordinates holds more than
+    MAX_SEARCH_VECTORS vectors.  Raises SearchBudgetExceeded when the
+    optional cap_seconds > 0 wall-clock budget, counted from the call and
+    read before each shell, runs out before the search finishes.
     A finished search logs one INFO record on the "knotgenus.curve_search"
-    logger with the dimension, the bound, the verdict, the number of
-    a-vectors scanned, the number of (a, b) pairs that passed the
-    intersection filter, how many of them went to the exact check of
-    verify_certificate, and the time.
+    logger with the dimension, the bound, the verdict (found, absent within
+    the bound, or none: M + M^T definite), the shells entered, the
+    primitive isotropic c tried and the time.
     """
     deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
     bound = operator.index(bound)
     dim = len(mat)
-    _check_box_entries(dim, bound)
+    k = _solved_coordinate(mat)
+    _check_search_size(dim if k is None else dim - 1, bound)
     start = time.perf_counter()
-    cert, scanned, hits, checked = _search(mat, bound, deadline)
+    cert, shells, tried = _construct(mat, k, bound, deadline)
+    verdict = "found" if cert is not None else "absent" if shells else "none"
     log.info(
-        "curve search: dim %d, bound %d, %s, %d a-vectors, "
-        "%d pairs with intersection +-1, %d verified, %.3f s",
+        "curve search: dim %d, bound %d, %s, %d shells, %d isotropic c tried, %.3f s",
         dim,
         bound,
-        "absent" if cert is None else "found",
-        scanned,
-        hits,
-        checked,
+        verdict,
+        shells,
+        tried,
         time.perf_counter() - start,
     )
     return cert
-

@@ -85,7 +85,7 @@ class Embedding:
 
 
 # A search in Z^M pads each of its rank witness vectors to M entries: at
-# most this many in all, the curve search box's limit.
+# most this many in all.
 MAX_WITNESS_ENTRIES = 1 << 23
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 
-from .curve_search import _check_box_entries, find_genus1_certificate
+from .curve_search import _check_search_size, find_genus1_certificate
 from .lattice import (
     Embedding,
     SearchBudgetExceeded,
@@ -64,7 +64,7 @@ class SliceReport:
     signature: int
     determinant: int
     alexander: LaurentPolynomial
-    curve_bound: int | None = None  # the box the curve search covered, if it ran
+    curve_bound: int | None = None  # the curve search's height cap, if it ran
     curve_certificate: CurveCertificate | None = None
     embedding_verdict: EmbeddingVerdict | None = None
 
@@ -140,8 +140,11 @@ def _certificate_families(k: KnotParams) -> list[str]:
 
 
 def default_search_bound(k: KnotParams) -> int:
-    """Search box guaranteed to contain the certificate families above:
-    max coordinate sqrt(m+2), sqrt(n+3) or 2, plus one of margin."""
+    """The curve search's height cap for k: the largest of sqrt(m+2),
+    sqrt(n+3) and 2, rounded up, plus one of margin, as the box search
+    that the constructor replaced needed to hold the certificate families
+    above.  The constructor finds a certificate of every K(m,n) with
+    m, n <= 100 at height 7 or less."""
     # ceil(sqrt(x)) is isqrt(x - 1) + 1 for x >= 1
     return max(3, isqrt(k.m + 1) + 1, isqrt(k.n + 2) + 1) + 1
 
@@ -179,10 +182,10 @@ def _search_sizes(k: KnotParams, curve_bound: int | None, sigma: int) -> tuple[i
     """The curve bound (default_search_bound(k) when None) and the
     obstruction dimension of the searches of one row, from m and n alone:
     Q(m,n) has rank 2m + 2n + 8, so nothing is built.  Raises the ValueError
-    of the curve-search box guard or of the witness guard."""
+    of the curve-search size guard or of the witness guard."""
     if curve_bound is None:
         curve_bound = default_search_bound(k)
-    _check_box_entries(4, curve_bound)  # the Seifert matrix of K(m,n) is 4x4
+    _check_search_size(3, curve_bound)  # K(m,n) is 4x4, and c3 is solved for (M33 = 1)
     rank = 2 * k.m + 2 * k.n + 8
     dim = obstruction_dim(rank, sigma)
     _check_witness_entries(rank, dim)
@@ -196,7 +199,7 @@ def full_report(
 ) -> SliceReport:
     """Run both searches and assemble the final verdicts.  embed_cap_seconds
     is the time budget of the embedding search, checked by find_embedding.
-    Raises the ValueError of the curve-search box guard or of the witness
+    Raises the ValueError of the curve-search size guard or of the witness
     guard from m and n alone, before either search runs or Q(m,n) is
     built.  A curve_bound that is not an exact int raises TypeError."""
     if curve_bound is not None:
@@ -232,7 +235,7 @@ def verify_theorem(
 
     Rows are independent; with jobs > 1 they run in a pool of at most jobs
     workers (and no more than the rows or the CPUs), in deterministic order.
-    Raises the ValueError of the curve-search box guard or of the witness
+    Raises the ValueError of the curve-search size guard or of the witness
     guard before any row runs when the last row, K(m_max, n_max), would
     raise it: both guards grow with m and n, and the check is the one each
     row's full_report makes, from m and n alone.  m_max, n_max, curve_bound

@@ -33,7 +33,8 @@ from knotgenus.two_bridge import (
     qmn_gram,
     seifert_matrix,
 )
-from test_curve_search import naive_double_loop, _random_seifert_like
+from box_search import box_certificate
+from test_curve_search import constructed, naive_double_loop, _random_seifert_like
 from test_lattice import a_chain, naive_find_embedding, _random_pd_gram
 from test_two_bridge import cf_value
 
@@ -243,8 +244,10 @@ def test_criterion_8_oracle_equivalence_curves():
     rng = random.Random(61)
     for _ in range(20):
         mat = _random_seifert_like(rng)
-        assert find_genus1_certificate(mat, 2) == naive_double_loop(mat, 2)
-    report("8b curve search vs naive (20 matrices)", time.monotonic() - t0)
+        slow = naive_double_loop(mat, 2)
+        assert box_certificate(mat, 2) == slow
+        constructed(mat, 2, slow)
+    report("8b curve constructor and box vs naive (20 matrices)", time.monotonic() - t0)
 
 
 def a_chain_witness(n, dim):

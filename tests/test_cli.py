@@ -305,7 +305,7 @@ def test_curve_restricted_form_case(capsys):
 
 
 def test_curve_without_a_certificate_in_the_bound(capsys, tmp_path):
-    # the identity has M - M^T = 0, so no pair intersects in +-1
+    # the identity has M + M^T definite, so no class is isotropic
     path = tmp_path / "id4.txt"
     path.write_text("4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
     code, out, err = run(capsys, ["curve", "--matrix", str(path), "--bound", "1"])
@@ -337,17 +337,18 @@ def test_curve_box_too_large_is_usage_error(capsys, tmp_path):
         tracemalloc.stop()
     assert code == 1 and out == ""
     assert err.startswith("knot: error: curve search box too large") and err.count("\n") == 1
-    assert peak < 1 << 20  # refused before the 7^8-vector box is built
+    assert peak < 1 << 20  # refused before any of the 7^7 vectors is enumerated
 
 
 def test_curve_budget_exceeded_exits_two(capsys, tmp_path):
-    # an absent search: the identity intersects every pair in 0
-    path = tmp_path / "id4.txt"
-    path.write_text(format_matrix_text([[int(i == j) for j in range(4)] for i in range(4)]))
-    argv = ["curve", "--matrix", str(path), "--bound", "9", "--cap-seconds", "0.2"]
+    # an absent search: diag(1, 1, 1, -7) is indefinite, and no class is
+    # isotropic (7 w^2 is a sum of three squares only at w = 0)
+    path = tmp_path / "q7.txt"
+    path.write_text("4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 -7\n")
+    argv = ["curve", "--matrix", str(path), "--bound", "39", "--cap-seconds", "0.2"]
     start = time.monotonic()
     code, out, err = run(capsys, argv)
-    assert time.monotonic() - start < 5  # the whole search takes about 8 s
+    assert time.monotonic() - start < 2  # the whole search takes about 3 s
     assert code == 2 and out == ""
     assert err.startswith("knot: search stopped:") and err.count("\n") == 1
     for cap in ("0", "-1", "nan"):
@@ -460,22 +461,25 @@ def test_bad_input_exits_one_through_the_entry_point(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
-    "args, status, loads_numpy",
+    "args, status",
     [
-        (["-c", "import knotgenus"], 0, False),
-        (["-c", "import knotgenus.cli"], 0, False),
-        (["-m", "knotgenus.cli", "seifert", "m00.txt", "--sig", "--det", "--alex"], 0, False),
-        (["-m", "knotgenus.cli", "lattice", "a3.txt", "--mindim"], 0, False),
-        (["-m", "knotgenus.cli", "--help"], 0, False),
-        (["-m", "knotgenus.cli", "seifert", "missing.txt", "--sig"], 1, False),
-        (["-m", "knotgenus.cli", "curve", "--m", "0", "--n", "0"], 0, True),
-        (["-m", "knotgenus.cli", "info", "--m", "0", "--n", "0"], 0, True),
+        (["-c", "import knotgenus"], 0),
+        (["-c", "import knotgenus.cli"], 0),
+        (["-m", "knotgenus.cli", "seifert", "m00.txt", "--sig", "--det", "--alex"], 0),
+        (["-m", "knotgenus.cli", "lattice", "a3.txt", "--mindim"], 0),
+        (["-m", "knotgenus.cli", "--help"], 0),
+        (["-m", "knotgenus.cli", "seifert", "missing.txt", "--sig"], 1),
+        (["-m", "knotgenus.cli", "curve", "--m", "0", "--n", "0"], 0),
+        (["-m", "knotgenus.cli", "info", "--m", "0", "--n", "0"], 0),
+        (["-m", "knotgenus.cli", "verify", "--m-max", "1", "--n-max", "1"], 0),
     ],
-    ids=["import", "import-cli", "seifert", "lattice", "help", "missing-file", "curve", "info"],
+    ids=[
+        "import", "import-cli", "seifert", "lattice", "help", "missing-file", "curve", "info",
+        "verify",
+    ],
 )
-def test_only_the_curve_search_commands_load_numpy(tmp_path, args, status, loads_numpy):
-    # numpy comes in with curve_search, which info, verify and curve import
-    # when they run; `-X importtime` lists every module the run imported
+def test_no_command_loads_numpy(tmp_path, args, status):
+    # `-X importtime` lists every module the run imported
     proc = _fresh_interpreter(tmp_path, ["-X", "importtime", *args])
     assert proc.returncode == status
     imported = {
@@ -484,7 +488,7 @@ def test_only_the_curve_search_commands_load_numpy(tmp_path, args, status, loads
         if line.startswith("import time:")
     }
     assert "knotgenus" in imported
-    assert ("numpy" in imported) is loads_numpy
+    assert "numpy" not in imported
 
 
 @pytest.mark.parametrize("value", ["inof", "verbose", "1", " info", "warning", "debug", "DEBUG"])

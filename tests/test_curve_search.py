@@ -7,10 +7,9 @@ import pytest
 
 import numpy as np
 
-from knotgenus import curve_search
-from knotgenus.curve_search import (
+import box_search
+from box_search import (
     MAX_BOX_ENTRIES,
-    CurveCertificate,
     _bmb_table,
     _box,
     _boxes,
@@ -18,8 +17,10 @@ from knotgenus.curve_search import (
     _search,
     _stored_entries,
     _wrap64,
-    find_genus1_certificate,
+    box_certificate,
 )
+from knotgenus import cli, curve_search, pipeline
+from knotgenus.curve_search import MAX_SEARCH_VECTORS, find_genus1_certificate
 from knotgenus.lattice import SearchBudgetExceeded
 from knotgenus.matrices import as_matrix, det
 from knotgenus.pipeline import default_search_bound
@@ -45,6 +46,12 @@ def antisymmetrize(m):
     """m - m^T."""
     n = len(m)
     return tuple(tuple(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
+
+
+# Indefinite, with no isotropic vector: x^2 + y^2 + z^2 = 7 w^2 only at 0,
+# as 7 w^2 for odd w is 7 mod 8, which no sum of three squares is, and even
+# x, y, z, w halve
+NO_ISOTROPIC_VECTOR = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -7))
 
 
 def naive_double_loop(mat, bound):
@@ -198,9 +205,11 @@ def test_find_certificate_k00():
         (1, 0, 0, 1), (1, 1, 0, 2), restricted_form(m, (1, 0, 0, 1), (1, 1, 0, 2))
     )
     assert verify_certificate(m, known)
-    # frozen regression: lexicographically first certificate in the box
-    assert cert.a == (0, 0, 1, 0)
-    assert cert.b == (-1, -1, -3, -2)
+    # frozen regressions: the constructor's first certificate, and the
+    # lexicographically first certificate in the box of the oracle
+    assert (cert.a, cert.b) == ((-1, -1, 0, -2), (0, 0, 1, 0))
+    first = box_certificate(m, 3)
+    assert (first.a, first.b) == ((0, 0, 1, 0), (-1, -1, -3, -2))
 
 
 def test_find_certificate_k20():
@@ -218,9 +227,9 @@ def test_find_certificate_k11_bound1_regression():
     # verdict frozen from the brute-force enumerator: present
     m = seifert_matrix(KnotParams(1, 1))
     cert = find_genus1_certificate(m, 1)
-    assert cert is not None
-    assert cert.a == (0, 0, 1, 1)
-    assert cert.b == (-1, -1, 1, -1)
+    assert (cert.a, cert.b) == ((-1, -1, -1, 2), (0, 1, 0, -1))
+    first = box_certificate(m, 1)
+    assert (first.a, first.b) == ((0, 0, 1, 1), (-1, -1, 1, -1))
 
 
 def test_bound_validation():
@@ -229,32 +238,44 @@ def test_bound_validation():
 
 
 def test_box_guard():
-    # every default bound for m, n <= 286 fits; K(287, 287) needs bound 19
-    for m in range(287):
+    # the guard counts the box of the enumerated coordinates, three of a
+    # K(m,n) Seifert matrix: every default bound for m, n <= 1441 fits, and
+    # K(1442, 1442) needs bound 40
+    for m in range(1442):
         bound = default_search_bound(KnotParams(m, m))
-        assert (2 * bound + 1) ** 4 * 4 <= MAX_BOX_ENTRIES
-    with pytest.raises(ValueError, match="box too large"):
-        find_genus1_certificate(seifert_matrix(KnotParams(287, 287)), 19)
-    with pytest.raises(ValueError, match="box too large"):
+        assert (2 * bound + 1) ** 3 <= MAX_SEARCH_VECTORS
+    assert default_search_bound(KnotParams(1442, 1442)) == 40
+    with pytest.raises(ValueError, match="box too large: 3 coordinates at bound 40"):
+        find_genus1_certificate(seifert_matrix(KnotParams(1442, 1442)), 40)
+    # seven coordinates of an 8x8 matrix with a nonzero diagonal entry, and
+    # all eight of a zero diagonal
+    unit = [[int(i == j == 0) for j in range(8)] for i in range(8)]
+    with pytest.raises(ValueError, match="box too large: 7 coordinates at bound 4"):
+        find_genus1_certificate(unit, 4)
+    with pytest.raises(ValueError, match="box too large: 8 coordinates at bound 3"):
         find_genus1_certificate([[0] * 8 for _ in range(8)], 3)
+    # the oracle's guard, on the whole box of pairs: K(286,287) needs bound 19
+    with pytest.raises(ValueError, match="box too large"):
+        box_certificate(seifert_matrix(KnotParams(286, 287)), 19)
+    assert (2 * 19 + 1) ** 4 * 4 > MAX_BOX_ENTRIES
 
 
 def test_search_logs_one_info_record(caplog):
     with caplog.at_level(logging.INFO, logger="knotgenus.curve_search"):
         assert find_genus1_certificate(seifert_matrix(KnotParams(0, 0)), 4) is not None
         assert find_genus1_certificate([[1, 0], [0, 1]], 1) is None
+        assert find_genus1_certificate(NO_ISOTROPIC_VECTOR, 3) is None
     records = [r for r in caplog.records if r.name == "knotgenus.curve_search"]
-    assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
-    # a = (0, 0, 1, 0) is the sixth normalized a-vector, and the first pair
-    # that passes both int64 filters is the certificate; [-1, 1]^2 holds
-    # four, and a symmetric matrix intersects every pair in 0
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    # K(0,0): c = (-1, -1, 0, -2), the first isotropic c, in shell 1, has a
+    # partner; the identity is definite, so no shell is entered; and
+    # diag(1, 1, 1, -7) enters the shells 0 to 3 and finds no isotropic c
     assert (
-        "dim 4, bound 4, found, 6 a-vectors, "
-        "5400 pairs with intersection +-1, 1 verified, " in records[0].getMessage()
+        "dim 4, bound 4, found, 2 shells, 1 isotropic c tried, " in records[0].getMessage()
     )
+    assert "dim 2, bound 1, none, 0 shells, 0 isotropic c tried, " in records[1].getMessage()
     assert (
-        "dim 2, bound 1, absent, 4 a-vectors, "
-        "0 pairs with intersection +-1, 0 verified, " in records[1].getMessage()
+        "dim 4, bound 3, absent, 4 shells, 0 isotropic c tried, " in records[2].getMessage()
     )
 
 
@@ -264,21 +285,34 @@ def test_default_search_bound():
     assert default_search_bound(KnotParams(0, 22)) == 6
 
 
-def test_the_exact_check_is_verify_certificate(monkeypatch):
-    # the search's exact check is the module's verify_certificate, on the
-    # certificate it returns; a check that rejects every pair leaves none
+def test_the_exact_check_is_verify_certificate(monkeypatch, capsys):
+    # the constructor checks nothing; full_report and knot curve check each
+    # certificate they report exactly once, with seifert's verify_certificate,
+    # and a check that rejects it stops them
+    assert not hasattr(curve_search, "verify_certificate")
     calls = []
 
     def recording(mat, cert):
         calls.append(cert)
         return verify_certificate(mat, cert)
 
-    mat = seifert_matrix(KnotParams(0, 0))
-    monkeypatch.setattr(curve_search, "verify_certificate", recording)
-    cert = find_genus1_certificate(mat, 4)
-    assert calls[-1] is cert and cert.a == (0, 0, 1, 0)
-    monkeypatch.setattr(curve_search, "verify_certificate", lambda mat, cert: False)
-    assert find_genus1_certificate(mat, 4) is None
+    monkeypatch.setattr(pipeline, "verify_certificate", recording)
+    monkeypatch.setattr(cli, "verify_certificate", recording)
+    for m, n in [(0, 0), (3, 4), (30, 30)]:
+        report = pipeline.full_report(KnotParams(m, n))
+        assert calls == [report.curve_certificate]
+        calls.clear()
+        assert cli.main(["curve", "--m", str(m), "--n", str(n)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == pipeline.format_certificate(calls[0]) + "\n"
+        calls.clear()
+    monkeypatch.setattr(pipeline, "verify_certificate", lambda mat, cert: False)
+    monkeypatch.setattr(cli, "verify_certificate", lambda mat, cert: False)
+    with pytest.raises(RuntimeError, match="invalid certificate"):
+        pipeline.full_report(KnotParams(0, 0))
+    with pytest.raises(RuntimeError, match="invalid certificate"):
+        cli.main(["curve", "--m", "0", "--n", "0"])
+    assert capsys.readouterr().out == ""
 
 
 def _random_seifert_like(rng, size=4):
@@ -298,29 +332,78 @@ def _random_seifert_like(rng, size=4):
     return mat
 
 
+def _bezout(x, y):
+    """(s, t) with s x + t y = 1, for coprime x and y."""
+    if y == 0:
+        return (x, 0)  # x is +-1
+    s, t = _bezout(y, x % y)
+    return t, s - (x // y) * t
+
+
+def converse_class(mat, cert):
+    """The isotropic c that the converse in the curve_search docstring
+    builds from the certificate (a, b): a primitive isotropic class of
+    span(a, b) with a partner d in the span, (Mc).d = 0 and
+    (M^T c).d = +-1."""
+    a, b = cert.a, cert.b
+    (p, q), (r, s) = cert.restricted_form
+    # an isotropic (x, y) of p x^2 + (q + r) x y + s y^2, whose
+    # discriminant is 1: y = 0 when p = 0, else x / y = (1 - q - r) / 2p
+    x, y = (1, 0) if p == 0 else (1 - q - r, 2 * p)
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    t, u = _bezout(x, y)  # c = x a + y b and d = -u a + t b span it
+    c = tuple(x * i + y * j for i, j in zip(a, b))
+    d = tuple(-u * i + t * j for i, j in zip(a, b))
+    dmc = bilinear(d, mat, c)
+    assert bilinear(c, mat, c) == 0 and (dmc == 0 or bilinear(c, mat, d) == 0)
+    if dmc:
+        return tuple(i - bilinear(d, mat, d) * dmc * j for i, j in zip(d, c))
+    return c
+
+
+def constructed(mat, bound, expected):
+    """The constructor's certificate at bound, which verify_certificate
+    accepts.  When the box found expected, the converse class of expected
+    has a partner, and the constructor finds a certificate if the class's
+    enumerated coordinates are within bound."""
+    cert = find_genus1_certificate(mat, bound)
+    assert cert is None or verify_certificate(mat, cert), mat
+    if expected is not None:
+        mat = as_matrix(mat)
+        c = converse_class(mat, expected)
+        assert curve_search._partner(mat, c) is not None
+        k = curve_search._solved_coordinate(mat)
+        height = max((abs(v) for i, v in enumerate(c) if i != k), default=0)
+        assert cert is not None or height > bound, mat
+    return cert
+
+
 def test_search_matches_naive_double_loop():
+    # the box oracle returns the naive loop's certificate, and the
+    # constructor finds one wherever they do
     rng = random.Random(41)
     for _ in range(20):
         mat = _random_seifert_like(rng)
-        fast = find_genus1_certificate(mat, 2)
         slow = naive_double_loop(mat, 2)
-        if slow is None:
-            assert fast is None
-        else:
-            assert fast == slow
+        assert box_certificate(mat, 2) == slow
+        constructed(mat, 2, slow)
     # odd dimensions: dim 1 splits into an empty and a one-coordinate half,
     # and intersects every pair in 0
-    assert find_genus1_certificate([[1]], 2) is None
-    assert find_genus1_certificate([[0]], 2) is None
+    for mat in ([[1]], [[0]]):
+        assert box_certificate(mat, 2) is None
+        assert find_genus1_certificate(mat, 2) is None
     # dim 0: the empty box scans no a-vector
+    assert box_certificate([], 3) is None
     assert find_genus1_certificate([], 3) is None
     # small entries in dim 5 leave a certificate, large ones often none
     verdicts = []
     for dim, r in [(1, 2), (1, 9), (5, 2), (5, 2), (5, 9), (5, 9), (5, 9)]:
         mat = [[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)]
-        cert = find_genus1_certificate(mat, 1)
-        assert cert == naive_double_loop(mat, 1), mat
-        verdicts.append(cert is not None)
+        slow = naive_double_loop(mat, 1)
+        assert box_certificate(mat, 1) == slow, mat
+        constructed(mat, 1, slow)
+        verdicts.append(slow is not None)
     assert verdicts[:2] == [False, False] and set(verdicts[2:]) == {False, True}
 
 
@@ -394,14 +477,14 @@ def full_box_cases():
 @pytest.fixture
 def empty_cache(monkeypatch):
     """An empty box and hit cache for the test, the module's one restored after it."""
-    monkeypatch.setattr(curve_search, "_CACHE", {})
+    monkeypatch.setattr(box_search, "_CACHE", {})
 
 
 def test_split_box_passes_the_full_box_pairs(full_box_cases, monkeypatch):
     # same certificate, a-vectors scanned, and pairs passed by each filter,
     # with the memo cleared before each case, then warm with its own hits
     for mat, bound, expected in full_box_cases:
-        monkeypatch.setattr(curve_search, "_CACHE", {})
+        monkeypatch.setattr(box_search, "_CACHE", {})
         assert _search(mat, bound) == expected, mat
         assert _search(mat, bound) == expected, mat
     verdicts = {1: set(), 3: set(), 5: set()}
@@ -426,8 +509,8 @@ def test_memo_is_shared_across_the_grid_in_any_order(full_box_cases, empty_cache
         mat, bound = seifert_matrix(k), default_search_bound(k)
         assert _search(mat, bound) == expected[mat, bound], (m, n)
     # one M - M^T for the whole grid: one memo key per bound
-    assert sorted(curve_search._CACHE) == [(4, 4), (5, 4)]
-    assert all(len(box.memo) == 1 for box in curve_search._CACHE.values())
+    assert sorted(box_search._CACHE) == [(4, 4), (5, 4)]
+    assert all(len(box.memo) == 1 for box in box_search._CACHE.values())
     # every case, warm from the grid and from the cases before it
     for mat, bound, result in full_box_cases:
         assert _search(mat, bound) == result, mat
@@ -441,7 +524,7 @@ def test_memo_key_is_the_int64_residue(empty_cache):
         twin = as_matrix([[_wrap64(x) for x in row] for row in mat])
         assert mat != twin
         _search(twin, bound)
-        box = curve_search._CACHE[bound, len(mat)]
+        box = box_search._CACHE[bound, len(mat)]
         keys = len(box.memo)
         blocks = {key: list(stored) for key, stored in box.memo.items()}
         assert _search(mat, bound) == full_box_search(mat, bound), mat
@@ -453,7 +536,7 @@ def test_memo_key_is_the_int64_residue(empty_cache):
 
 def test_memo_cap(full_box_cases, empty_cache, monkeypatch):
     # past the cap blocks are computed and not stored; results do not change
-    monkeypatch.setattr(curve_search, "MAX_STORED_HITS", 400)
+    monkeypatch.setattr(box_search, "MAX_STORED_HITS", 400)
     for _ in range(2):
         for mat, bound, expected in full_box_cases:
             assert _search(mat, bound) == expected, mat
@@ -463,24 +546,23 @@ def test_memo_cap(full_box_cases, empty_cache, monkeypatch):
     # nb hit counts, then 4 bytes, one int32 entry, per hit (two int16 row
     # indices)
     counted = 0
-    step = curve_search._A_BLOCK
-    for box in curve_search._CACHE.values():
+    step = box_search._A_BLOCK
+    for box in box_search._CACHE.values():
         for blocks in box.memo.values():
             for k, block in enumerate(blocks):
                 nb = len(box.arows[k * step : (k + 1) * step])
                 assert block.dtype == np.int32
                 assert len(block) == nb + int(block[:nb].sum())
-                counted += len(block) + curve_search._BLOCK_HEADER
+                counted += len(block) + box_search._BLOCK_HEADER
     assert counted == _stored_entries()
 
 
 def test_curve_search_time_budget():
-    identity = [[int(i == j) for j in range(4)] for i in range(4)]
     for cap in (0, -1, float("nan")):
         with pytest.raises(ValueError, match="time budget must be > 0"):
-            find_genus1_certificate(identity, 2, cap_seconds=cap)
+            find_genus1_certificate(NO_ISOTROPIC_VECTOR, 2, cap_seconds=cap)
     with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
-        find_genus1_certificate(identity, 9, cap_seconds=1e-9)
+        find_genus1_certificate(NO_ISOTROPIC_VECTOR, 39, cap_seconds=1e-9)
     # a budget that lasts changes nothing
     k = KnotParams(3, 4)
     cert = find_genus1_certificate(seifert_matrix(k), default_search_bound(k), cap_seconds=60)
@@ -605,8 +687,9 @@ def test_certificates_are_symmetric_in_the_sign_of_b():
             assert ok == verify_certificate(mat, CurveCertificate(a, minus_b, ((p, -q), (-r, s))))
             accepted += ok
     assert accepted > 100
-    # so the lex-first b lies in the half box scanned
-    for a, b in FIRST_CERTIFICATES.values():
+    # so the lex-first b lies in the half box the oracle scans
+    for m, n in product(range(4), repeat=2):
+        b = box_certificate(seifert_matrix(KnotParams(m, n)), 3).b
         assert next(x for x in b if x) < 0
 
 
@@ -614,140 +697,140 @@ def test_search_matches_naive_double_loop_beyond_int64():
     rng = random.Random(47)
     present = 0
     for mat, bound in _wide_entry_matrices(rng):
-        cert = find_genus1_certificate(mat, bound)
-        assert cert == naive_double_loop(mat, bound)
-        present += cert is not None
+        slow = naive_double_loop(mat, bound)
+        assert box_certificate(mat, bound) == slow
+        constructed(mat, bound, slow)
+        present += slow is not None
     assert present == 12
 
 
-# (a, b) of the lex-first certificate at the default bound, recorded with the
-# earlier chunked numpy search: the 121 knots of the grid m, n <= 10, then
-# K(30,30) and K(40,40); K(60,60) with the full-box int64 search.
+# (a, b) of the certificate the constructor finds at the default bound: the
+# 121 knots of the grid m, n <= 10, then K(30,30), K(40,40) and K(60,60).
 FIRST_CERTIFICATES = {
-    (0, 0): ((0, 0, 1, 0), (-1, -1, -4, -2)),
-    (0, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (0, 2): ((0, 0, 1, 1), (-1, -1, -2, -4)),
-    (0, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (0, 4): ((0, 1, -1, -3), (-3, 0, 0, 2)),
-    (0, 5): ((0, 0, 2, 3), (-2, 1, -3, -3)),
-    (0, 6): ((0, 1, -2, 3), (-3, -1, 3, -3)),
-    (0, 7): ((0, 1, -5, 4), (-3, -3, -1, -2)),
-    (0, 8): ((0, 1, -2, 3), (-1, -1, 4, -4)),
-    (0, 9): ((0, 0, 2, 3), (-2, -1, -1, -3)),
-    (0, 10): ((0, 1, 1, 3), (-1, -3, 1, -3)),
-    (1, 0): ((0, 0, 3, 4), (-1, -2, -1, -3)),
-    (1, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (1, 2): ((0, 0, 3, 4), (-1, -2, 1, -1)),
-    (1, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (1, 4): ((0, 1, -2, -2), (-1, -4, 2, -1)),
-    (1, 5): ((0, 0, 2, 3), (-2, -1, -1, -3)),
-    (1, 6): ((0, 1, -3, 3), (-1, -2, 3, -4)),
-    (1, 7): ((0, 1, -5, 4), (-5, -4, 2, -4)),
-    (1, 8): ((0, 1, 0, 1), (-1, -5, 3, 0)),
-    (1, 9): ((0, 1, -4, 4), (-4, -1, 5, -4)),
-    (1, 10): ((0, 1, 2, -3), (-1, -1, -2, 3)),
-    (2, 0): ((0, 0, 1, 1), (-1, -3, 0, -4)),
-    (2, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (2, 2): ((0, 1, -3, -4), (-1, 0, 2, 4)),
-    (2, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (2, 4): ((0, 0, 2, 3), (-1, 3, -3, -2)),
-    (2, 5): ((0, 1, -3, -4), (-1, 0, 2, 4)),
-    (2, 6): ((0, 1, -3, -4), (-1, 0, 2, 4)),
-    (2, 7): ((0, 0, 2, 3), (-2, 3, -5, -4)),
-    (2, 8): ((0, 1, -3, -4), (-1, 0, 2, 4)),
-    (2, 9): ((0, 1, -5, 4), (-2, -2, 1, -2)),
-    (2, 10): ((0, 0, 2, 3), (-1, 1, -3, -3)),
-    (3, 0): ((0, 0, 1, 1), (-1, -2, -1, -4)),
-    (3, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (3, 2): ((0, 0, 2, 3), (-1, 2, -3, -3)),
-    (3, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (3, 4): ((0, 1, 0, -1), (-1, -2, 0, 4)),
-    (3, 5): ((0, 1, -3, 3), (-4, -3, 4, -4)),
-    (3, 6): ((0, 1, -3, 3), (-1, 0, 3, -2)),
-    (3, 7): ((0, 1, -2, -4), (-2, 0, 1, 4)),
-    (3, 8): ((0, 1, 2, -1), (-5, -5, -2, -5)),
-    (3, 9): ((0, 0, 2, 3), (-1, 1, -3, -3)),
-    (3, 10): ((0, 0, 2, 3), (-1, -2, -1, -4)),
-    (4, 0): ((0, 1, -2, -3), (-1, -3, 2, 2)),
-    (4, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (4, 2): ((0, 1, -2, -4), (-1, -2, 2, 4)),
-    (4, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (4, 4): ((0, 1, 0, 1), (-1, -4, -4, -1)),
-    (4, 5): ((0, 1, -2, 2), (-1, -3, 2, -3)),
-    (4, 6): ((0, 1, -2, 3), (-3, -1, 3, -3)),
-    (4, 7): ((0, 1, -3, 3), (-2, 4, 3, 3)),
-    (4, 8): ((0, 0, 2, 3), (-1, 1, -3, -3)),
-    (4, 9): ((0, 1, -5, 4), (-3, -5, -2, -3)),
-    (4, 10): ((0, 0, 2, 3), (-1, -1, -1, -3)),
-    (5, 0): ((0, 0, 3, 4), (-1, 2, -4, -3)),
-    (5, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (5, 2): ((0, 1, -2, 2), (-1, -3, 2, -3)),
-    (5, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (5, 4): ((0, 1, -3, 3), (-1, -2, 3, -4)),
-    (5, 5): ((0, 1, -3, 3), (-1, 0, 3, -2)),
-    (5, 6): ((0, 1, -2, 3), (-3, -1, 3, -3)),
-    (5, 7): ((0, 0, 2, 3), (-2, -3, -1, -5)),
-    (5, 8): ((0, 1, -2, 3), (-1, -2, 4, -5)),
-    (5, 9): ((0, 0, 2, 3), (-1, -3, -1, -5)),
-    (5, 10): ((0, 1, 2, -3), (-1, -1, -2, 3)),
-    (6, 0): ((0, 0, 3, 4), (-1, -3, -1, -4)),
-    (6, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (6, 2): ((0, 1, -1, 2), (-1, 0, 4, -2)),
-    (6, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (6, 4): ((0, 1, -1, 2), (-3, 4, 4, 2)),
-    (6, 5): ((0, 1, -2, -2), (-1, 2, 0, 3)),
-    (6, 6): ((0, 0, 2, 3), (-1, 1, -3, -3)),
-    (6, 7): ((0, 1, -3, -4), (-1, -3, 3, 2)),
-    (6, 8): ((0, 0, 2, 3), (-1, -1, -1, -3)),
-    (6, 9): ((0, 1, -4, 4), (-4, -1, 5, -4)),
-    (6, 10): ((0, 1, -1, -4), (-3, -2, 0, 2)),
-    (7, 0): ((0, 1, -2, -3), (-3, 4, -2, 2)),
-    (7, 1): ((0, 0, 1, 0), (0, -1, -4, -2)),
-    (7, 2): ((0, 0, 2, 3), (-1, -2, -1, -3)),
-    (7, 3): ((0, 0, 1, 1), (0, -1, -2, -4)),
-    (7, 4): ((0, 1, -2, -3), (-1, -3, 3, 3)),
-    (7, 5): ((0, 0, 2, 3), (-1, -4, 1, -2)),
-    (7, 6): ((0, 1, -2, -3), (-1, -3, 3, 3)),
-    (7, 7): ((0, 0, 2, 3), (-1, -1, -1, -3)),
-    (7, 8): ((0, 0, 2, 3), (-1, 2, -5, -5)),
-    (7, 9): ((0, 0, 2, 3), (-1, -2, -1, -4)),
-    (7, 10): ((0, 1, -2, -3), (-1, -3, 3, 3)),
-    (8, 0): ((0, 1, -2, -4), (-1, -2, 2, 4)),
-    (8, 1): ((0, 0, 1, 0), (0, -1, -5, -2)),
-    (8, 2): ((0, 1, -4, -5), (-1, -5, 3, 0)),
-    (8, 3): ((0, 0, 1, 1), (0, -1, -3, -5)),
-    (8, 4): ((0, 0, 2, 3), (-1, -3, -1, -4)),
-    (8, 5): ((0, 1, 2, 4), (-2, 2, -3, -3)),
-    (8, 6): ((0, 0, 2, 3), (-1, -1, -1, -3)),
-    (8, 7): ((0, 1, -3, -5), (-1, 1, 0, 1)),
-    (8, 8): ((0, 0, 2, 3), (-1, 3, -5, -4)),
-    (8, 9): ((0, 1, -5, 4), (-2, -5, -4, -2)),
-    (8, 10): ((0, 1, -3, 3), (-1, 1, 3, -1)),
-    (9, 0): ((0, 0, 3, 4), (-1, -2, -2, -5)),
-    (9, 1): ((0, 0, 1, 0), (0, -1, -5, -2)),
-    (9, 2): ((0, 1, -1, -1), (-1, -1, 2, 5)),
-    (9, 3): ((0, 0, 1, 1), (0, -1, -3, -5)),
-    (9, 4): ((0, 1, -1, -1), (-1, -1, 2, 5)),
-    (9, 5): ((0, 0, 2, 3), (-1, -1, -1, -3)),
-    (9, 6): ((0, 1, -2, -5), (-5, -1, 0, 2)),
-    (9, 7): ((0, 1, -1, -4), (-1, -1, 1, 4)),
-    (9, 8): ((0, 1, -2, -5), (-1, 0, 0, 1)),
-    (9, 9): ((0, 1, -4, 4), (-4, -1, 5, -4)),
-    (9, 10): ((0, 1, -5, 4), (-1, -3, 4, -5)),
-    (10, 0): ((0, 1, -2, -3), (-1, -4, 3, 3)),
-    (10, 1): ((0, 0, 1, 0), (0, -1, -5, -2)),
-    (10, 2): ((0, 0, 2, 3), (-1, 1, -3, -3)),
-    (10, 3): ((0, 0, 1, 1), (0, -1, -3, -5)),
-    (10, 4): ((0, 0, 2, 3), (-1, -1, -1, -3)),
-    (10, 5): ((0, 1, -5, 4), (-1, -4, 0, -4)),
-    (10, 6): ((0, 1, -2, -5), (-5, -1, 0, 2)),
-    (10, 7): ((0, 1, -5, 4), (-2, -5, 1, -5)),
-    (10, 8): ((0, 1, -1, 2), (-1, 1, 5, -2)),
-    (10, 9): ((0, 1, -5, 4), (-1, -3, 4, -5)),
-    (10, 10): ((0, 1, 0, -1), (-3, 4, -2, 5)),
-    (30, 30): ((0, 1, -3, 4), (-1, 0, 4, -4)),
-    (40, 40): ((0, 0, 5, 8), (-1, -1, -3, -6)),
-    (60, 60): ((0, 1, 1, -7), (-5, 1, -1, 5)),
+    (0, 0): ((-1, -1, 0, -2), (0, 0, 1, 0)),
+    (0, 1): ((0, -1, 0, -2), (0, 0, 1, 0)),
+    (0, 2): ((-1, -1, -1, -3), (-1, 0, 1, 0)),
+    (0, 3): ((-1, 1, 0, -3), (-1, 0, 0, -1)),
+    (0, 4): ((-1, 1, -1, 3), (2, 1, -2, 1)),
+    (0, 5): ((-1, -1, 0, -3), (2, -1, -1, -2)),
+    (0, 6): ((-1, -1, 1, -3), (-1, 1, 1, 2)),
+    (0, 7): ((0, -1, 1, -3), (-1, 0, 1, 0)),
+    (0, 8): ((-1, 2, 2, -6), (6, 1, 2, 0)),
+    (0, 9): ((-2, -1, 1, 5), (2, -1, 1, 2)),
+    (0, 10): ((-1, 1, 0, -4), (3, 1, 1, -1)),
+    (1, 0): ((-2, -1, -2, -5), (-1, 2, 0, -1)),
+    (1, 1): ((-1, -1, -1, 2), (0, 1, 0, -1)),
+    (1, 2): ((-1, 1, 0, -3), (2, 1, 1, 1)),
+    (1, 3): ((-2, -1, 0, -4), (2, -1, -1, 1)),
+    (1, 4): ((-1, -1, 0, -3), (2, -1, -1, -1)),
+    (1, 5): ((-1, -1, 1, -3), (2, -1, -1, -1)),
+    (1, 6): ((0, -1, 0, -3), (3, 0, -1, -1)),
+    (1, 7): ((-1, -1, -1, -4), (3, 0, 0, 2)),
+    (1, 8): ((-2, 1, 0, -5), (3, 1, 1, 2)),
+    (1, 9): ((-1, 1, 0, -4), (-1, 0, 0, -1)),
+    (1, 10): ((-1, -2, 1, -7), (8, -1, -3, -2)),
+    (2, 0): ((-1, -1, -1, -3), (0, -1, 0, -1)),
+    (2, 1): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 2): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 3): ((-1, -1, 0, -3), (1, 0, 0, 1)),
+    (2, 4): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 5): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 6): ((-1, -1, -1, 3), (5, -2, 1, 0)),
+    (2, 7): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 8): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 9): ((-1, 0, 0, -2), (0, -1, 0, 0)),
+    (2, 10): ((-1, -1, 0, -4), (3, -1, -1, -1)),
+    (3, 0): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (3, 1): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (3, 2): ((-1, -1, 0, -3), (2, -1, -1, 1)),
+    (3, 3): ((-1, -1, 1, -3), (-1, 2, 2, 2)),
+    (3, 4): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (3, 5): ((-1, -1, -1, -4), (-2, 1, 1, 0)),
+    (3, 6): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (3, 7): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (3, 8): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (3, 9): ((-1, -1, 0, -4), (1, 0, 0, 1)),
+    (3, 10): ((-1, 0, -1, -3), (0, 2, 0, -1)),
+    (4, 0): ((-1, 1, -1, 3), (0, -1, 0, -1)),
+    (4, 1): ((-1, -1, 0, -3), (1, -2, -1, -1)),
+    (4, 2): ((-1, -1, 1, -3), (1, -1, -1, 0)),
+    (4, 3): ((-2, -1, 1, -5), (-1, 0, 1, -2)),
+    (4, 4): ((-2, -1, 2, -5), (1, -5, -3, -4)),
+    (4, 5): ((-2, -1, -1, 5), (-2, 5, -1, -2)),
+    (4, 6): ((-1, 1, 0, -4), (2, 2, 1, -1)),
+    (4, 7): ((0, -1, 1, -3), (-1, 0, 1, 0)),
+    (4, 8): ((-1, -1, 0, -4), (3, -1, -1, 1)),
+    (4, 9): ((-2, -1, -3, 5), (2, -1, 1, -2)),
+    (4, 10): ((-1, -1, 1, 5), (-3, 1, -1, 0)),
+    (5, 0): ((-1, -1, 0, -3), (0, -1, 0, -1)),
+    (5, 1): ((-1, -1, 1, -3), (0, 1, 1, 1)),
+    (5, 2): ((-1, -2, 0, -5), (-1, 0, 1, -1)),
+    (5, 3): ((-1, -1, -1, -4), (-1, 0, 0, -2)),
+    (5, 4): ((-2, -1, -2, -7), (1, 0, 1, 3)),
+    (5, 5): ((-1, 1, 0, -4), (-1, 0, 0, -2)),
+    (5, 6): ((0, -1, 0, -3), (3, 0, -1, -1)),
+    (5, 7): ((-1, -1, 0, -4), (-1, 1, 1, 1)),
+    (5, 8): ((-1, -2, 0, -7), (-6, 2, 3, 2)),
+    (5, 9): ((-1, -1, 1, -4), (2, -1, -1, 0)),
+    (5, 10): ((-1, -2, -1, -8), (-1, 1, 1, 3)),
+    (6, 0): ((-1, -1, 1, -3), (0, -1, 0, -1)),
+    (6, 1): ((0, -1, 0, -2), (0, 0, 1, 0)),
+    (6, 2): ((-1, -1, -1, 3), (0, 1, 0, -1)),
+    (6, 3): ((-2, -1, 0, -6), (0, 2, 1, 2)),
+    (6, 4): ((-1, 1, 0, -4), (2, 2, 1, 1)),
+    (6, 5): ((-2, 1, -2, 6), (2, 4, -1, 1)),
+    (6, 6): ((-1, -1, 0, -4), (2, -2, -1, -1)),
+    (6, 7): ((0, -1, 1, -3), (-1, 0, 1, 0)),
+    (6, 8): ((-1, -1, 1, 5), (-6, 3, -2, 1)),
+    (6, 9): ((-2, -1, -1, -7), (3, -4, -1, 0)),
+    (6, 10): ((-1, 1, 2, -4), (-4, -2, -1, -2)),
+    (7, 0): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (7, 1): ((-1, -1, -1, -4), (0, -1, 0, -1)),
+    (7, 2): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (7, 3): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (7, 4): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (7, 5): ((-1, -1, 0, -4), (-1, 1, 1, 0)),
+    (7, 6): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (7, 7): ((-1, -1, 1, -4), (-2, 3, 2, 3)),
+    (7, 8): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (7, 9): ((-1, -1, -1, -5), (-1, 0, 0, -2)),
+    (7, 10): ((-1, 0, 0, -3), (0, -1, 0, 0)),
+    (8, 0): ((-1, -1, -1, 3), (0, 2, 0, -1)),
+    (8, 1): ((0, -1, 0, -2), (0, 0, 1, 0)),
+    (8, 2): ((-1, 1, 0, -4), (1, 3, 1, -1)),
+    (8, 3): ((-1, 2, 0, -6), (0, -1, 0, 2)),
+    (8, 4): ((-1, -1, 0, -4), (2, -2, -1, 1)),
+    (8, 5): ((-2, -1, -2, -8), (-2, 8, 1, 2)),
+    (8, 6): ((-1, -1, 1, 5), (-6, 4, -2, 3)),
+    (8, 7): ((0, -1, 1, -3), (-1, 0, 1, 0)),
+    (8, 8): ((-2, -1, 0, -7), (1, -3, -1, -2)),
+    (8, 9): ((-2, 1, -1, 7), (-1, -1, 0, 1)),
+    (8, 10): ((-1, -1, -2, -6), (-3, 3, 1, 2)),
+    (9, 0): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 1): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 2): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 3): ((-1, -1, 0, -4), (-1, 1, 1, -1)),
+    (9, 4): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 5): ((-1, -1, 1, -4), (2, -3, -2, -1)),
+    (9, 6): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 7): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 8): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 9): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (9, 10): ((-1, 0, -1, -4), (0, 3, 0, -1)),
+    (10, 0): ((-1, 1, 0, -4), (1, 3, 1, 1)),
+    (10, 1): ((0, -1, 0, -2), (0, 0, 1, 0)),
+    (10, 2): ((-1, -1, 0, -4), (1, -3, -1, -1)),
+    (10, 3): ((-2, 1, 1, -7), (3, 8, 3, 4)),
+    (10, 4): ((-1, -1, 1, 5), (3, -3, 1, -2)),
+    (10, 5): ((-2, -1, 1, -7), (3, -10, -5, -2)),
+    (10, 6): ((-1, -1, -1, -5), (-3, 4, 1, 0)),
+    (10, 7): ((0, -1, 1, -3), (-1, 0, 1, 0)),
+    (10, 8): ((-2, 1, 2, -7), (-5, -9, -4, -4)),
+    (10, 9): ((-1, 1, 0, -5), (2, 3, 1, -2)),
+    (10, 10): ((0, -1, -2, -5), (-1, 0, 1, 1)),
+    (30, 30): ((-1, -1, 0, -8), (4, -4, -1, -1)),
+    (40, 40): ((-1, 2, -2, -16), (-17, -9, -1, 3)),
+    (60, 60): ((-3, -1, 2, 26), (-18, 48, -9, 8)),
 }
 
 
@@ -791,3 +874,99 @@ def test_unimodular_invariance_of_certificates():
         b2 = tuple(int(x) for x in (pinv * sympy.Matrix(cert.b)))
         mapped = CurveCertificate((a2), (b2), restricted_form(conj, a2, b2))
         assert verify_certificate(conj, mapped)
+
+
+def test_box_and_constructor_agree_on_the_grid():
+    # at the default bound both find a certificate for every knot of the
+    # 11 x 11 grid
+    for m, n in product(range(11), repeat=2):
+        k = KnotParams(m, n)
+        mat, bound = seifert_matrix(k), default_search_bound(k)
+        assert constructed(mat, bound, box_certificate(mat, bound)) is not None, (m, n)
+
+
+def _small_matrices(rng, count):
+    """Seeded square matrices of dim 2-5 with entries up to 1-9, and the
+    bound of the box oracle for each."""
+    cases = []
+    for _ in range(count):
+        dim = rng.choice((2, 3, 4, 5))
+        r = rng.choice((1, 2, 3, 5, 9))
+        mat = [[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)]
+        cases.append((mat, 2 if dim < 4 else 1))
+    return cases
+
+
+def test_constructor_finds_wherever_the_box_does():
+    # at the same bound, but for the few box certificates whose converse
+    # class lies above it; and beyond the box, with c_k or d outside it
+    verdicts = {}
+    for mat, bound in _small_matrices(random.Random(5), 400):
+        expected = box_certificate(mat, bound)
+        cert = constructed(mat, bound, expected)
+        key = (expected is not None, cert is not None)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # (box found, constructor found): one box certificate of the 195 has its
+    # converse class above the bound, and the constructor finds none there
+    assert verdicts == {(False, False): 182, (False, True): 23, (True, False): 1, (True, True): 194}
+
+
+def test_every_knot_up_to_30_has_a_certificate_within_the_default_bound():
+    largest = 0
+    for m, n in product(range(31), repeat=2):
+        k = KnotParams(m, n)
+        bound = default_search_bound(k)
+        cert = constructed(seifert_matrix(k), bound, None)
+        assert cert is not None and max(map(abs, cert.a[:3])) <= bound, (m, n)
+        largest = max(largest, *map(abs, cert.b))
+    # the reduction of d modulo the common kernel keeps it short
+    assert largest == 36
+
+
+def test_a_definite_form_has_no_certificate(monkeypatch):
+    # no c is isotropic, so None is exact: no shell is entered, at the
+    # largest bound the size guard admits
+    def no_shell(k, h):
+        raise AssertionError("a shell was entered")
+
+    monkeypatch.setattr(curve_search, "_shell", no_shell)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    negative = [[-3, 1, 0], [-1, -2, 0], [0, 0, -1]]  # M + M^T = diag(-6, -4, -2)
+    for mat in (identity, negative, [[1]], [[2, 5], [-5, 1]]):
+        assert find_genus1_certificate(mat, 39) is None
+    monkeypatch.undo()
+    for mat in (identity, negative, [[1]], [[2, 5], [-5, 1]]):
+        assert box_certificate(mat, 2) is None
+
+
+def test_degenerate_sizes_and_zero_diagonals():
+    # 0x0: nothing to enumerate; 1x1: definite, or zero with M - M^T = 0
+    assert find_genus1_certificate([], 1) is None
+    for x in (-2, 0, 5):
+        assert find_genus1_certificate([[x]], 3) is None
+    # a zero diagonal has no coordinate to solve for: every one is
+    # enumerated, and every e_i is isotropic
+    cert = constructed([[0, 1], [0, 0]], 1, box_certificate([[0, 1], [0, 0]], 1))
+    assert (cert.a, cert.b) == ((-1, 0), (0, -1))
+    assert find_genus1_certificate([[0, 1], [1, 0]], 3) is None  # symmetric
+    rng = random.Random(67)
+    found = 0
+    for dim in (2, 3, 4) * 10:
+        mat = [[0 if i == j else rng.randint(-2, 2) for j in range(dim)] for i in range(dim)]
+        found += constructed(mat, 1, box_certificate(mat, 1)) is not None
+    assert 0 < found < 30
+
+
+def test_shells_enumerate_every_vector_once_in_lex_order():
+    for k, h in product(range(4), range(4)):
+        box = product(range(-h, h + 1), repeat=k)
+        assert list(curve_search._shell(k, h)) == [v for v in box if max(map(abs, v), default=0) == h]
+
+
+def test_k286_287_runs():
+    # the box guard of the search the constructor replaced refused its
+    # default bound, 19 (see test_box_guard)
+    k = KnotParams(286, 287)
+    assert default_search_bound(k) == 19
+    cert = constructed(seifert_matrix(k), 19, None)
+    assert (cert.a, cert.b) == ((-2, 1, 0, -38), (8, 15, 1, 7))

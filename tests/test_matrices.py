@@ -528,7 +528,7 @@ def test_every_constructor_refuses_entries_that_are_not_integers():
     k = KnotParams(0, 0)
     mat = seifert_matrix(k)
     cert = find_genus1_certificate(mat, default_search_bound(k))
-    assert cert.a == (0, 0, 1, 0) and verify_certificate(mat, cert)
+    assert cert.a == (-1, -1, 0, -2) and verify_certificate(mat, cert)
     with pytest.raises(TypeError):
         verify_certificate(mat, replace(cert, a=(0.5, 0.5, 1.5, 0.5)))
     with pytest.raises(TypeError):

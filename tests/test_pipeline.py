@@ -202,8 +202,9 @@ def test_full_report_refuses_an_oversized_row_before_any_search(monkeypatch):
     # Q(1444,0) has rank 2896, and its witness in Z^2898 more than 2^23 entries
     with pytest.raises(ValueError, match="embedding too large: rank 2896 in dimension 2898"):
         full_report(KnotParams(1444, 0), curve_bound=3)
+    # the default curve bound of K(1443,0) is 40: 81^3 vectors
     with pytest.raises(ValueError, match="curve search box too large"):
-        full_report(KnotParams(288, 0))
+        full_report(KnotParams(1443, 0))
 
 
 def test_verify_theorem_refuses_a_huge_range_from_m_and_n():
@@ -221,12 +222,12 @@ def test_verify_theorem_refuses_an_oversized_range_before_any_row(monkeypatch):
         raise AssertionError("a row ran before the range was refused")
 
     monkeypatch.setattr(pipeline, "full_report", no_row)
-    # the default curve bound of K(288,0) is 19: (2 * 19 + 1)^4 * 4 entries
-    last = seifert_matrix(KnotParams(288, 0))
+    # the default curve bound of K(1443,0) is 40: 81^3 vectors
+    last = seifert_matrix(KnotParams(1443, 0))
     with pytest.raises(ValueError) as refused:
-        find_genus1_certificate(last, default_search_bound(KnotParams(288, 0)))
+        find_genus1_certificate(last, default_search_bound(KnotParams(1443, 0)))
     with pytest.raises(ValueError, match="curve search box too large") as early:
-        verify_theorem(288, 0)
+        verify_theorem(1443, 0)
     assert str(early.value) == str(refused.value)
     # Q(1444,0) has rank 2896, and its witness in Z^2898 more than 2^23 entries
     with pytest.raises(ValueError, match="embedding too large: rank 2896 in dimension 2898"):
@@ -236,7 +237,7 @@ def test_verify_theorem_refuses_an_oversized_range_before_any_row(monkeypatch):
     # one row less passes both guards, and every row runs
     ran = []
     monkeypatch.setattr(pipeline, "full_report", lambda k, **options: ran.append(k))
-    assert len(verify_theorem(287, 0)) == 288
+    assert len(verify_theorem(1442, 0)) == 1443
     assert len(verify_theorem(1443, 0, curve_bound=3)) == 1444
     assert ran[-1] == KnotParams(1443, 0)
 

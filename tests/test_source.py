@@ -102,16 +102,16 @@ def _imports(tree, module_level_only):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def test_only_the_curve_search_imports_numpy():
-    # `import knotgenus` and `import knotgenus.cli` load no numpy: it comes
-    # in with curve_search, which only pipeline imports at module level
+def test_no_module_imports_numpy():
+    # and `import knotgenus` and `import knotgenus.cli` do not import
+    # pipeline or curve_search, whose names are resolved on first use
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     numpy = {
         name
         for name, tree in trees.items()
         if any(m.split(".")[0] == "numpy" for m in _imports(tree, module_level_only=False))
     }
-    assert numpy == {"curve_search.py"}
+    assert numpy == set()
     for name in ("__init__.py", "cli.py"):
         top = {m.split(".")[-1] for m in _imports(trees[name], module_level_only=True)}
         assert not {"pipeline", "curve_search"} & top
