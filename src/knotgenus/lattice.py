@@ -55,7 +55,7 @@ import operator
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 from math import isqrt
 
 from .matrices import GramLattice, SearchBudgetExceeded, as_vector, check_deadline, search_deadline
@@ -429,6 +429,70 @@ def min_embedding_dim(
         if find_embedding(g, dim, max_nodes, cap_seconds) is not None:
             return dim
     return None
+
+
+def contract_chain(weights, ambient_dim: int) -> tuple[tuple[int, ...], int]:
+    """The path lattice of `weights` (the `path_gram`: weight i on the
+    diagonal, -1 between neighbours) with every maximal run of >= 4
+    consecutive weight-2 vertices shortened to 2 or 3 of them, keeping the
+    run's parity, and ambient_dim lowered by the number of vertices
+    removed.  Raises ValueError when a weight exceeds 3.  weights and
+    ambient_dim are exact ints (TypeError otherwise).  Logs one INFO record
+    on the "knotgenus.lattice" logger with the rank and dimension before
+    and after.
+
+    Lemma: if the lattice embeds in Z^N, the contracted one embeds in
+    Z^(N - 2s), 2s the vertices removed.  It runs one way only: Q(0,0)
+    embeds in Z^11, Q(1,0) not in Z^13.  Proof: it suffices to shorten one
+    run u1, ..., uL (L >= 4) of an embedding v1, ..., vr by two vectors and
+    N by two, and to repeat.  Vectors are named up to a signed permutation
+    of the coordinates, which keeps every dot product.
+
+    1. A norm-2 vector of Z^N is +-e_a +- e_b, and two with dot product -1
+       share one coordinate: u1 = e_a - e_b, u2 = e_b - e_c.  u3 is
+       orthogonal to u1, so equal on a and b, to t say, and u3.u2 = -1
+       gives u3[c] = t + 1; norm 2 leaves u3 = e_c - e_d with d new, or
+       (t = -1) u3 = -e_a - e_b, the chain A3 = D3 on three coordinates.
+       The fourth vector rules D3 out: u4 is orthogonal to u1 and u2, so
+       equal on a, b and c, to t' say; norm 2 < 3t'^2 unless t' = 0, and
+       then u4.u3 = 0, not -1.  So u1, u2, u3 = e_a - e_b, e_b - e_c,
+       e_c - e_d, and u4, by the same norm bound 0 on a, b and c, with
+       u4.u3 = -1, is e_d - e_x, x new.
+    2. Replace u1, u2, u3 by their sum e_a - e_d.  It has norm 2, dot
+       product -1 with u4 and with the vector before the run, which is
+       adjacent to u1 alone, and 0 with every other vector, which is
+       orthogonal to all three: the contracted Gram matrix.
+    3. Every other vector is 0 on b and c.  A vector orthogonal to u1, u2
+       and u3 is equal on a, b, c and d, to t say, so its norm is at least
+       4t^2; all norms are <= 3, so t = 0.  This covers every vector but
+       the triple's end neighbours: the one before the run and u4.
+    4. u4 = e_d - e_x is 0 on b and c.  The vector before the run is
+       orthogonal to u2, u3 and u4, three consecutive run vectors on b, c,
+       d and x, so it is 0 there by step 3's argument.
+
+    Deleting coordinates b and c then keeps every dot product, and the
+    contracted lattice embeds in Z^(N-2).  The weights are used: (4,2,2,2,2)
+    embeds in Z^5, its contraction (4,2,2) not in Z^3.
+    """
+    weights = as_vector(weights)
+    ambient_dim = operator.index(ambient_dim)
+    if any(w > 3 for w in weights):
+        raise ValueError("chain contraction needs every weight <= 3")
+    contracted = []
+    for w, run in groupby(weights):
+        size = len(tuple(run))
+        if w == 2 and size >= 4:
+            size = 2 + size % 2
+        contracted += [w] * size
+    dim = ambient_dim - (len(weights) - len(contracted))
+    log.info(
+        "chain contraction: rank %d, dim %d -> rank %d, dim %d",
+        len(weights),
+        ambient_dim,
+        len(contracted),
+        dim,
+    )
+    return tuple(contracted), dim
 
 
 def verify_embedding(g: GramLattice, e: Embedding) -> bool:

@@ -3,8 +3,10 @@
 For each K(m,n): the signature gives g_top >= 1 and the genus-2 Seifert
 surface gives g_sm <= 2.  A genus-1 reduction certificate pins g_top = 1.
 Non-embeddability of the Goeritz lattice into Z^(rank - sigma) rules out
-g_sm = 1, pinning g_sm = 2.  Budget-limited searches report "inconclusive"
-rather than guessing.
+g_sm = 1, pinning g_sm = 2.  It is decided on the lattice's chain
+contraction (`lattice.contract_chain`), whose non-embeddability implies that
+of Q(m,n); when the contraction embeds, Q(m,n) itself is searched.
+Budget-limited searches report "inconclusive" rather than guessing.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .lattice import (
     Embedding,
     SearchBudgetExceeded,
     _check_witness_entries,
+    contract_chain,
     find_embedding,
     verify_embedding,
 )
@@ -42,6 +45,8 @@ from .two_bridge import (
     continued_fraction,
     crossing_count,
     knot_fraction,
+    path_gram,
+    plumbing_weights,
     qmn_gram,
     seifert_matrix,
 )
@@ -197,11 +202,16 @@ def full_report(
     curve_bound: int | None = None,
     embed_cap_seconds: float | None = None,
 ) -> SliceReport:
-    """Run both searches and assemble the final verdicts.  embed_cap_seconds
-    is the time budget of the embedding search, checked by find_embedding.
-    Raises the ValueError of the curve-search size guard or of the witness
-    guard from m and n alone, before either search runs or Q(m,n) is
-    built.  A curve_bound that is not an exact int raises TypeError."""
+    """Run both searches and assemble the final verdicts.  The embedding
+    search runs on the chain contraction of Q(m,n) at the contracted
+    dimension, Q(0,0) in Z^10 for every K(m,n): an absent result is exact by
+    the lemma of `contract_chain`, and a found one is not, so then Q(m,n)
+    itself is searched at the obstruction dimension and its witness, if
+    any, re-checked.  embed_cap_seconds is the time budget of each
+    embedding search, checked by find_embedding.  Raises the ValueError of
+    the curve-search size guard or of the witness guard from m and n alone,
+    before any search runs or any lattice is built.  A curve_bound that is
+    not an exact int raises TypeError."""
     if curve_bound is not None:
         curve_bound = operator.index(curve_bound)
     base = genus_bounds(k)
@@ -211,9 +221,15 @@ def full_report(
     if cert is not None and not verify_certificate(mat, cert):
         raise RuntimeError(f"curve search returned an invalid certificate for {k}")
 
-    g = qmn_gram(k)
+    # Q(m,n) in Z^dim contracts to Q(0,0) in Z^10, which the search rules
+    # out in 14 nodes; the lemma runs one way, so only Q(m,n) itself at dim
+    # may give a witness
+    weights, small_dim = contract_chain(plumbing_weights(k), dim)
     try:
-        witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
+        witness = find_embedding(path_gram(weights), small_dim, cap_seconds=embed_cap_seconds)
+        if witness is not None:
+            g = qmn_gram(k)
+            witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:
         verdict = EmbeddingVerdict(dim, "inconclusive", None)
     else:
@@ -259,8 +275,10 @@ def verify_theorem(
     # the pool starts all its workers at the first submit
     workers = min(jobs or 1, len(grid), os.cpu_count() or 1)
     if workers > 1:
+        # about four chunks per worker: one row is too little work to ship
+        chunksize = -(-len(grid) // (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(report, grid))
+            return list(pool.map(report, grid, chunksize=chunksize))
     return [report(k) for k in grid]
 
 

@@ -1,7 +1,7 @@
 import logging
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import isqrt
 
 import pytest
@@ -14,6 +14,7 @@ from knotgenus.lattice import (
     _dense,
     _EmbedSearch,
     _square_partitions,
+    contract_chain,
     find_embedding,
     format_embedding,
     min_embedding_dim,
@@ -813,3 +814,114 @@ def test_find_embedding_logs_one_info_record(caplog):
     assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
     assert "rank 8, dim 10, absent, 14 nodes" in records[0].getMessage()
     assert "rank 8, dim 11, found" in records[1].getMessage()
+
+
+def test_contract_chain_shortens_each_long_run_of_twos():
+    assert contract_chain((2, 2, 2, 2), 5) == ((2, 2), 3)
+    assert contract_chain((2,) * 7, 9) == ((2, 2, 2), 5)
+    # runs of 3 or fewer 2s, and runs of other weights, stay
+    assert contract_chain((2, 2, 2, 3, 3, 3, 3, 1), 9) == ((2, 2, 2, 3, 3, 3, 3, 1), 9)
+    assert contract_chain((1, 2, 2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2), 14) == (
+        (1, 2, 2, 3, 2, 2, 2),
+        8,
+    )
+    assert contract_chain((), 0) == ((), 0)
+    with pytest.raises(TypeError):
+        contract_chain((2.0, 2, 2, 2), 5)
+    with pytest.raises(TypeError):
+        contract_chain((2, 2, 2, 2), 5.0)
+
+
+def test_contract_chain_logs_one_info_record(caplog):
+    with caplog.at_level(logging.INFO, logger="knotgenus.lattice"):
+        contract_chain(plumbing_weights(KnotParams(30, 30)), 130)
+    assert [r.getMessage() for r in caplog.records] == [
+        "chain contraction: rank 128, dim 130 -> rank 8, dim 10"
+    ]
+
+
+def _first_long_run(weights):
+    """The index of the first vertex of the first run of >= 4 weight-2
+    vertices, or None."""
+    start = 0
+    for w, run in groupby(weights):
+        size = len(tuple(run))
+        if w == 2 and size >= 4:
+            return start
+        start += size
+    return None
+
+
+def _contract_witness(weights, vectors, p):
+    """The map of contract_chain's proof on the run starting at p: the
+    triple u1, u2, u3 there becomes its sum, and the coordinate u1 shares
+    with u2 and the one u2 shares with u3 are deleted."""
+    u1, u2, u3 = vectors[p : p + 3]
+    # a norm-2 vector is +-e_a +- e_b, and neighbours share one coordinate
+    (b,) = {i for i, (x, y) in enumerate(zip(u1, u2)) if x and y}
+    (c,) = {i for i, (x, y) in enumerate(zip(u2, u3)) if x and y}
+    total = tuple(map(sum, zip(u1, u2, u3)))
+    kept = [i for i in range(len(total)) if i not in (b, c)]
+    vectors = vectors[:p] + [total] + vectors[p + 3 :]
+    return weights[:p] + weights[p + 2 :], [tuple(v[i] for i in kept) for v in vectors]
+
+
+def test_contract_chain_lemma_on_seeded_witnesses():
+    # seeded path lattices of rank 4-8, weights in {1, 2, 3} with a run of
+    # >= 4 2s, each at its minimal dimension N: the proof's map, applied to
+    # the witness under a seeded signed permutation of the coordinates and
+    # repeated until no long run is left, gives a witness of each shorter
+    # lattice in two dimensions fewer, down to contract_chain's
+    rng = random.Random(2007)
+    lattices = steps = 0
+    while lattices < 200:
+        r = rng.randint(4, 8)
+        size = rng.randint(4, r)
+        at = rng.randint(0, r - size)
+        weights = [rng.choice((1, 2, 3)) for _ in range(r)]
+        weights[at : at + size] = [2] * size
+        weights = tuple(weights)
+        try:
+            g = path_gram(weights)
+        except ValueError:  # not positive definite
+            continue
+        dim = min_embedding_dim(g)
+        assert dim is not None
+        witness = find_embedding(g, dim)
+        order = rng.sample(range(dim), dim)
+        signs = [rng.choice((1, -1)) for _ in range(dim)]
+        vectors = [tuple(s * v[c] for s, c in zip(signs, order)) for v in witness.vectors]
+        small, small_dim = weights, dim
+        while (p := _first_long_run(small)) is not None:
+            small, vectors = _contract_witness(small, vectors, p)
+            small_dim -= 2
+            assert verify_embedding(path_gram(small), Embedding(vectors, small_dim))
+            steps += 1
+        assert contract_chain(weights, dim) == (small, small_dim)
+        lattices += 1
+    assert steps > lattices
+
+
+def test_contract_chain_needs_weights_at_most_3():
+    # a weight-4 neighbour can take the run's middle coordinates: the
+    # lattice embeds in Z^5, its contraction not in Z^3
+    assert find_embedding(path_gram((4, 2, 2, 2, 2)), 5) is not None
+    assert find_embedding(path_gram((4, 2, 2)), 3) is None
+    with pytest.raises(ValueError, match="every weight <= 3"):
+        contract_chain((4, 2, 2, 2, 2), 5)
+    with pytest.raises(ValueError, match="every weight <= 3"):
+        contract_chain((2, 2, 2, 2, 5), 6)
+
+
+def test_every_qmn_contracts_to_q00():
+    # the runs of Q(m,n) have 2m + 2 and 2n + 3 vertices: Q(m,n) in
+    # Z^(rank + 2) contracts to Q(0,0) in Z^10
+    q00 = plumbing_weights(KnotParams(0, 0))
+    for m, n in product(range(101), repeat=2):
+        weights = plumbing_weights(KnotParams(m, n))
+        assert contract_chain(weights, len(weights) + 2) == (q00, 10)
+    assert find_embedding(path_gram(q00), 10) is None
+    # the uncontracted search agrees with the contracted one
+    for m, n in product(range(7), repeat=2):
+        g = qmn_gram(KnotParams(m, n))
+        assert find_embedding(g, g.rank + 2) is None

@@ -197,8 +197,8 @@ def test_full_report_refuses_an_oversized_row_before_any_search(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a search or the Gram build ran before the row was refused")
 
-    monkeypatch.setattr(pipeline, "find_genus1_certificate", never)
-    monkeypatch.setattr(pipeline, "qmn_gram", never)
+    for name in ("find_genus1_certificate", "contract_chain", "path_gram", "qmn_gram"):
+        monkeypatch.setattr(pipeline, name, never)
     # Q(1444,0) has rank 2896, and its witness in Z^2898 more than 2^23 entries
     with pytest.raises(ValueError, match="embedding too large: rank 2896 in dimension 2898"):
         full_report(KnotParams(1444, 0), curve_bound=3)
@@ -259,6 +259,43 @@ def test_full_report_rechecks_search_results(monkeypatch):
         full_report(k)
 
 
+def test_full_report_searches_qmn_only_when_its_contraction_embeds(monkeypatch):
+    # the contraction's absence decides: Q(m,n) is not even built
+    searches = []
+
+    def recorded(g, dim, **budget):
+        witness = find_embedding(g, dim, **budget)
+        searches.append((g.rank, dim, witness is not None))
+        return witness
+
+    def never(k):
+        raise AssertionError("Q(m,n) was built after its contraction was found absent")
+
+    monkeypatch.setattr(pipeline, "find_embedding", recorded)
+    monkeypatch.setattr(pipeline, "qmn_gram", never)
+    r = full_report(KnotParams(3, 2))
+    assert searches == [(8, 10, False)]
+    assert r.embedding_verdict == EmbeddingVerdict(20, False, None)
+    monkeypatch.undo()
+
+    # one dimension up the lemma's converse fails: Q(0,0) embeds in Z^11,
+    # Q(1,0) not in Z^13; a found contraction runs the full search at dim,
+    # and its verdict is the report's
+    sizes = pipeline._search_sizes
+
+    def one_dimension_up(*args):
+        bound, dim = sizes(*args)
+        return bound, dim + 1
+
+    monkeypatch.setattr(pipeline, "find_embedding", recorded)
+    monkeypatch.setattr(pipeline, "_search_sizes", one_dimension_up)
+    searches.clear()
+    r = full_report(KnotParams(1, 0))
+    assert searches == [(8, 11, True), (10, 13, False)]
+    assert r.embedding_verdict == EmbeddingVerdict(13, False, None)
+    assert r.notes[-1] == "embedding search at dim 13 exhaustive: no embedding"
+
+
 def test_verify_theorem_grid():
     reports = verify_theorem(1, 1)
     assert [(r.params.m, r.params.n) for r in reports] == [
@@ -282,7 +319,7 @@ def test_verify_theorem_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
     # the pool starts all its workers at the first submit, so --jobs is an
     # upper bound; a fake pool records its size and starts no process
     serial = [report_to_dict(r) for r in verify_theorem(1, 1)]
-    started = []
+    started, chunks = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -294,7 +331,8 @@ def test_verify_theorem_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
@@ -307,6 +345,12 @@ def test_verify_theorem_starts_no_more_workers_than_rows_or_cpus(monkeypatch):
         reports = verify_theorem(1, 1, jobs=10**6)
         assert started == expected
         assert [report_to_dict(r) for r in reports] == serial
+    # about four chunks per worker, the rows in order
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    chunks.clear()
+    reports = verify_theorem(3, 3, jobs=2)
+    assert chunks == [2]
+    assert [(r.params.m, r.params.n) for r in reports] == [(m, n) for m in range(4) for n in range(4)]
 
 
 def test_cross_invariant_consistency():
