@@ -22,9 +22,13 @@ signature and Alexander polynomial its matrix size and time.  Stdout does
 not change.
 
 `knot curve` prints a certificate only once `verify_certificate` has
-accepted it, as `full_report` does for info and verify.  Only info, verify
-and curve import `pipeline` (see `knotgenus/__init__.py` for its cost);
-lattice, seifert and the argument parser start without it.
+accepted it, as `full_report` does for info and verify.  `knot lattice`
+prints EMBEDDABLE or MINDIM only once `verify_embedding` has accepted a
+witness of exactly that dimension; for MINDIM it is found by one more
+search at that dimension, under the same budgets.  A rejected certificate
+or witness raises RuntimeError.  Only info, verify and curve import
+`pipeline` (see `knotgenus/__init__.py` for its cost); lattice, seifert
+and the argument parser start without it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import os
 import sys
 
 from . import lattice
-from .lattice import find_embedding, format_embedding, min_embedding_dim
+from .lattice import find_embedding, format_embedding, min_embedding_dim, verify_embedding
 from .matrices import GramLattice, SearchBudgetExceeded, parse_matrix_text, symmetrize
 from .seifert import alexander, knot_determinant, signature, verify_certificate
 from .two_bridge import KnotParams, seifert_matrix
@@ -120,6 +124,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _check_witness(g, witness, dim: int) -> None:
+    """Raise RuntimeError unless witness embeds g in Z^dim."""
+    if witness is None or witness.ambient_dim != dim or not verify_embedding(g, witness):
+        raise RuntimeError("embedding search returned an invalid witness")
+
+
 def cmd_lattice(args) -> int:
     if args.cap is not None and not args.mindim:
         raise ValueError("--cap applies only with --mindim")
@@ -131,12 +141,15 @@ def cmd_lattice(args) -> int:
         if dim is None:
             print(f"NO EMBEDDING up to cap={cap}")
             return EXIT_INCONCLUSIVE
+        # min_embedding_dim keeps no witness, so the search at dim runs again
+        _check_witness(g, find_embedding(g, dim, **budget), dim)
         print(f"MINDIM={dim}")
     else:
         witness = find_embedding(g, args.dim, **budget)
         if witness is None:
             print(f"NOT EMBEDDABLE dim={args.dim}")
         else:
+            _check_witness(g, witness, args.dim)
             print(f"EMBEDDABLE dim={args.dim}")
             sys.stdout.write(format_embedding(witness))
     return EXIT_OK

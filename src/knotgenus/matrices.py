@@ -31,21 +31,20 @@ each true entry is a minor.  A stored zero is an exact zero, since every
 scale is a nonzero pivot, so the zero tests and the swap choice read the
 stored entries.  A row swap swaps the kept pivots with the rows.
 
-`GramLattice` passes the envelope of a symmetric matrix, the last column
-where each row is nonzero, which it reads off its sparse rows; the rows it
-eliminates are full lists when it has the dense matrix, and dicts of the
-nonzero entries otherwise (see `_bareiss_pivots`).  Let E[i] be the
-largest of those last columns over rows 0..i.  Elimination without swaps
-stays inside the envelope that E bounds (George and Liu, "Computer
-Solution of Large Sparse Positive Definite Systems", 1981): an update of
-row i at step k < i combines it with row k, so row i stays 0 past column
-E[i]; and the remaining block is symmetric, so column k is 0 below row
-E[k].  Step k therefore updates only the rows up to E[k], and, since E
-does not decrease, only their columns up to E[E[k]].  On a tridiagonal
-(path) Gram matrix E[k] = k + 1, so a step updates two entries of one row,
-and the pass costs O(n).  Dense callers (`det`, `signature`, `alexander`)
-pass no envelope: every step reaches the last row and column, which costs
-O(n^2) on a path (each step updates one row) and O(n^3) on dense input.
+`GramLattice` eliminates dicts of the nonzero entries of its sparse rows
+inside their envelope, the last column where each row is nonzero.  Let
+E[i] be the largest of those last columns over rows 0..i.  Elimination
+without swaps stays inside the envelope that E bounds (George and Liu,
+"Computer Solution of Large Sparse Positive Definite Systems", 1981): an
+update of row i at step k < i combines it with row k, so row i stays 0
+past column E[i]; and the remaining block is symmetric, so column k is 0
+below row E[k].  Step k therefore updates only the rows up to E[k], and,
+since E does not decrease, only their columns up to E[E[k]].  On a
+tridiagonal (path) Gram matrix E[k] = k + 1, so a step updates two entries
+of one row, and the pass costs O(n).  A dense caller (`det`, `signature`,
+`alexander`) has the whole matrix as its envelope, E[k] = n - 1: every
+step reaches the last row and column, which costs O(n^2) on a path (each
+step updates one row) and O(n^3) on dense input.
 
 The symmetric mode permutes rows and columns of the remaining block alike,
 which permutes its bordered minors, so each pivot is a leading principal
@@ -152,17 +151,18 @@ def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):
     that follows, and SearchBudgetExceeded is raised when it is past.
 
     ends, for "none" on a symmetric m only, is its envelope: ends[i] is the
-    last column where row i is nonzero.  With E the running maximum of
-    ends, step k then rescales row k up to column E[k] and updates the rows
-    up to E[k] in the columns up to E[E[k]] (see the module docstring).
-    The rows of m are then the pass's working rows, which it overwrites:
-    full rows as lists, or dicts of the nonzero entries that read 0 at any
-    other column.  Without ends every row is a full row of m, copied, and
-    every step reaches row and column n - 1.
+    last column where row i is nonzero.  The rows of m are then the pass's
+    working rows, which it overwrites: dicts of the nonzero entries that
+    read 0 at any other column.  Without ends m is dense: the pass works on
+    list copies of its rows, and its envelope is the whole matrix, every
+    end n - 1.  With E the running maximum of the ends, step k rescales row
+    k up to column E[k] and updates the rows up to E[k] in the columns up
+    to E[E[k]] (see the module docstring).
     """
     n = len(m)
     if ends is None:
         a = [list(row) for row in m]
+        ends = [n - 1] * n
     else:
         a = m
         ends = list(accumulate(ends, max))
@@ -184,7 +184,7 @@ def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):
         row_k = a[k]
         if at[k] != prev:
             s = at[k]
-            for j in range(k, n if ends is None else ends[k] + 1):
+            for j in range(k, ends[k] + 1):
                 row_k[j] = row_k[j] * prev // s
         pivot = row_k[k]
         yield sign * pivot
@@ -192,12 +192,9 @@ def _bareiss_pivots(m, pivoting: str, deadline: float | None = None, ends=None):
             check_deadline(deadline)
         if pivot == 0:
             return
-        if ends is None:
-            rows = cols = range(k + 1, n)
-        else:
-            end = ends[k]
-            rows, cols = range(k + 1, end + 1), range(k + 1, ends[end] + 1)
-        for i in rows:
+        end = ends[k]
+        cols = range(k + 1, ends[end] + 1)
+        for i in range(k + 1, end + 1):
             row_i = a[i]
             aik = row_i[k]
             if aik == 0:
@@ -271,20 +268,20 @@ class GramLattice:
 
     The lattice is kept as its sparse rows: rows[i] holds the nonzero
     entries (j, g[i][j]) of row i, in column order, so a path lattice holds
-    O(rank) entries.  The dense matrix `gram` is built from them on first
-    read; the public constructor takes it from the caller and keeps it.
-    Two lattices are equal when their Gram matrices are.
+    O(rank) entries.  No lattice keeps a dense matrix: `gram` is built from
+    the rows on first read.  Two lattices are equal when their rows are.
 
-    Both properties are checked once, when the lattice is built, so every
-    search on the lattice may rely on them.  The rank-0 lattice is positive
-    definite.  The positive-definiteness check stays inside the envelope
-    of the sparse rows; it works on a copy of the caller's full rows when
-    the public constructor has them, on dict rows otherwise, and logs one
-    INFO record on the "knotgenus.matrices" logger with the rank, the
-    verdict and the time.
-    cap_seconds (> 0, or None for no budget) bounds that check: it is read
-    between its pivots, and SearchBudgetExceeded is raised when it has run
-    out.  A bad value raises ValueError before the check.  It is not kept.
+    GramLattice(gram) converts one row at a time through as_vector
+    (TypeError on a non-integer entry), keeping its nonzero entries, and
+    raises ValueError unless the matrix is square.  It and `_of_rows` share
+    one builder: it refuses a matrix that is not symmetric, then checks
+    positive definiteness once on dict rows inside the envelope of the
+    sparse rows, so every search may rely on both, and logs one INFO record
+    on the "knotgenus.matrices" logger with the rank, the verdict and the
+    time.  The rank-0 lattice is positive definite.  cap_seconds (> 0, or
+    None for no budget) bounds the build from the call: it is read between
+    the pivots of the check, and SearchBudgetExceeded is raised when it
+    has run out.  A bad value raises ValueError before any work.
     """
 
     rows: SparseRows
@@ -292,26 +289,29 @@ class GramLattice:
 
     def __init__(self, gram, cap_seconds: float | None = None):
         deadline = search_deadline(cap_seconds)
-        gram = as_matrix(gram)
-        if not is_symmetric(gram):
-            raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
-        rows = tuple(tuple(compress(enumerate(row), row)) for row in gram)
-        # the check works on full rows, which index faster than dicts
-        self._check(rows, list(map(list, gram)), deadline)
+        rows, widths = [], set()
+        for row in gram:
+            row = as_vector(row)
+            widths.add(len(row))
+            rows.append(tuple(compress(enumerate(row), row)))
+        if widths - {len(rows)}:
+            raise ValueError("matrix must be square")
+        self._build(rows, deadline)
 
     @classmethod
-    def _of_rows(cls, rows: SparseRows) -> GramLattice:
-        """The lattice of sparse rows that the caller built symmetric, of
-        exact ints, and in column order; only positive definiteness is
-        checked, without a budget."""
+    def _of_rows(cls, rows) -> GramLattice:
+        """The lattice of sparse rows of exact ints, without a budget."""
         lattice = cls.__new__(cls)
-        lattice._check(rows, [defaultdict(int, row) for row in rows], None)
+        lattice._build(rows, None)
         return lattice
 
-    def _check(self, rows: SparseRows, work: list, deadline: float | None) -> None:
-        """Check positive definiteness on work, a fresh copy of rows as the
-        kernel's working rows, inside the envelope of rows, and keep rows."""
+    def _build(self, rows, deadline: float | None) -> None:
+        """Keep rows, of a square matrix, once every entry (i, j, x) has its
+        mirror (j, i, x) and every leading principal minor is positive."""
+        rows = tuple(rows)
+        work = [defaultdict(int, row) for row in rows]
+        if any(work[j].get(i) != x for i, row in enumerate(rows) for j, x in row):
+            raise ValueError("Gram matrix must be symmetric")
         start = time.perf_counter()
         ends = [row[-1][0] if row else 0 for row in rows]
         minors = leading_principal_minors(work, deadline, ends)

@@ -207,11 +207,12 @@ def full_report(
     dimension, Q(0,0) in Z^10 for every K(m,n): an absent result is exact by
     the lemma of `contract_chain`, and a found one is not, so then Q(m,n)
     itself is searched at the obstruction dimension and its witness, if
-    any, re-checked.  embed_cap_seconds is the time budget of each
-    embedding search, checked by find_embedding.  Raises the ValueError of
-    the curve-search size guard or of the witness guard from m and n alone,
-    before any search runs or any lattice is built.  A curve_bound that is
-    not an exact int raises TypeError."""
+    any, re-checked: its dot products and its dimension.
+    embed_cap_seconds is the time budget of each embedding search, checked
+    by find_embedding.  Raises the ValueError of the curve-search size guard
+    or of the witness guard from m and n alone, before any search runs or
+    any lattice is built.  A curve_bound that is not an exact int raises
+    TypeError."""
     if curve_bound is not None:
         curve_bound = operator.index(curve_bound)
     base = genus_bounds(k)
@@ -233,7 +234,7 @@ def full_report(
     except SearchBudgetExceeded:
         verdict = EmbeddingVerdict(dim, "inconclusive", None)
     else:
-        if witness is not None and not verify_embedding(g, witness):
+        if witness is not None and (witness.ambient_dim != dim or not verify_embedding(g, witness)):
             raise RuntimeError(f"embedding search returned an invalid witness for {k}")
         verdict = EmbeddingVerdict(dim, witness is not None, witness)
 

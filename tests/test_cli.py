@@ -127,6 +127,40 @@ def test_lattice_mindim(capsys, a2_file):
     assert out.strip() == "MINDIM=3"
 
 
+def test_lattice_rechecks_the_witness_it_reports(capsys, monkeypatch, q00_file, a2_file):
+    # a witness is printed, or its dimension reported, only once
+    # verify_embedding accepts it in exactly that dimension; the checks
+    # raise, not assert, so that python -O keeps them
+    from knotgenus import cli
+    from knotgenus.lattice import Embedding, find_embedding
+
+    g = qmn_gram(KnotParams(0, 0))
+    unit_vectors = Embedding([[int(i == j) for j in range(11)] for i in range(8)], 11)
+    too_high = find_embedding(g, 12)
+    for bogus in (unit_vectors, too_high):
+        monkeypatch.setattr(cli, "find_embedding", lambda g, dim, **budget: bogus)
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            main(["lattice", q00_file, "--dim", "11"])
+        assert capsys.readouterr().out == ""
+    # --mindim searches once more at the dimension found, under the same
+    # budgets, and checks that witness
+    searches = []
+
+    def recorded(g, dim, **budget):
+        searches.append((dim, budget))
+        return find_embedding(g, dim, **budget)
+
+    monkeypatch.setattr(cli, "find_embedding", recorded)
+    code, out, _ = run(capsys, ["lattice", a2_file, "--mindim", "--max-nodes", "50"])
+    assert code == 0 and out == "MINDIM=3\n"
+    assert searches == [(3, {"max_nodes": 50, "cap_seconds": None})]
+    for bogus in (None, Embedding([(1, -1, 0, 0), (0, 1, -1, 0)], 4)):
+        monkeypatch.setattr(cli, "find_embedding", lambda g, dim, **budget: bogus)
+        with pytest.raises(RuntimeError, match="invalid witness"):
+            main(["lattice", a2_file, "--mindim"])
+        assert capsys.readouterr().out == ""
+
+
 def test_lattice_mode_is_exactly_one_of_dim_or_mindim(capsys, a2_file):
     for mode in (["--dim", "5", "--mindim"], []):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import inspect
 import logging
 import random
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -297,17 +298,10 @@ def envelope(mat):
 
 
 def sparse_rows(mat):
-    """Fresh working rows of mat for the kernel, as GramLattice makes them
-    from sparse rows: dicts of the nonzero entries, reading 0 elsewhere;
-    and their envelope."""
+    """Fresh working rows of mat for the kernel, as GramLattice makes them:
+    dicts of the nonzero entries, reading 0 elsewhere; and their envelope."""
     rows = [defaultdict(int, {j: x for j, x in enumerate(row) if x}) for row in mat]
     return rows, envelope(mat)
-
-
-def full_rows(mat):
-    """Fresh working rows of mat for the kernel, as GramLattice makes them
-    from a dense matrix: full lists; and their envelope."""
-    return [list(row) for row in mat], envelope(mat)
 
 
 def _kernel_line_counts(mat, ends=None):
@@ -341,7 +335,7 @@ def test_row_updates_are_linear_in_the_rank_on_a_path_gram():
     # on a path Gram matrix only row k+1 is nonzero in pivot column k, so
     # the dense loop, which skips a row that is 0 in the pivot column,
     # updates one row per step; within the envelope (what GramLattice
-    # passes, on dict or full rows) that update also stops at column k+2.
+    # passes, on dict rows) that update also stops at column k+2.
     # On a dense matrix the dense loop updates all n(n-1)/2 rows below the
     # pivots, each to the last column
     rng = random.Random(53)
@@ -350,11 +344,10 @@ def test_row_updates_are_linear_in_the_rank_on_a_path_gram():
         minors, rows, _ = _kernel_line_counts(g.gram)
         assert minors == reference_minors(g.gram)
         assert rows == n - 1
-        for working in (sparse_rows, full_rows):
-            minors, rows, entries = _kernel_line_counts(*working(g.gram))
-            assert minors == reference_minors(g.gram)
-            assert rows == n - 1
-            assert entries == 2 * n - 3
+        minors, rows, entries = _kernel_line_counts(*sparse_rows(g.gram))
+        assert minors == reference_minors(g.gram)
+        assert rows == n - 1
+        assert entries == 2 * n - 3
     dense = tuple(tuple(7 * (i == j) + 1 for j in range(16)) for i in range(16))
     minors, rows, entries = _kernel_line_counts(dense)
     assert minors == reference_minors(dense)
@@ -396,8 +389,8 @@ def _symmetric_of_shape(rng, n, shape):
 
 def test_the_envelope_gives_the_minors_of_the_full_pass():
     # every pivot, up to the first zero one, and the leading minors up to
-    # the first nonpositive one, on dict and on full working rows with their
-    # envelope, and on the dense rows without it
+    # the first nonpositive one, on dict working rows with their envelope,
+    # and on the dense rows without it
     rng = random.Random(83)
     outcomes = Counter()
     for trial in range(1200):
@@ -407,11 +400,10 @@ def test_the_envelope_gives_the_minors_of_the_full_pass():
         assert list(_bareiss_pivots(mat, "none")) == pivots
         minors = leading_principal_minors(mat)
         assert minors == reference_minors(mat)
-        for working in (sparse_rows, full_rows):
-            rows, ends = working(mat)
-            assert list(_bareiss_pivots(rows, "none", None, ends)) == pivots
-            rows, ends = working(mat)
-            assert leading_principal_minors(rows, None, ends) == minors
+        rows, ends = sparse_rows(mat)
+        assert list(_bareiss_pivots(rows, "none", None, ends)) == pivots
+        rows, ends = sparse_rows(mat)
+        assert leading_principal_minors(rows, None, ends) == minors
         last = minors[-1]
         outcomes[shape, "definite" if last > 0 else "zero minor" if last == 0 else "negative"] += 1
     # each shape is seen definite, indefinite and stopped at a zero minor
@@ -472,6 +464,53 @@ def test_path_lattice_equals_the_lattice_of_its_dense_matrix(caplog):
         assert str(from_path.value) == str(from_dense.value)
     with pytest.raises(TypeError):
         path_gram([2, 2.0])
+
+
+def test_both_entries_share_one_builder():
+    # _of_rows checks symmetry as GramLattice(gram) does, with its message:
+    # an entry with no mirror, and a mirror of another value
+    for rows in (
+        (((0, 2), (1, -1)), ((1, 2),)),
+        (((0, 2), (1, -1)), ((0, 1), (1, 2))),
+    ):
+        with pytest.raises(ValueError, match="^Gram matrix must be symmetric$"):
+            GramLattice._of_rows(rows)
+    rows = path_gram([2, 3, 2]).rows
+    assert GramLattice._of_rows(row for row in rows).rows == rows
+    # no lattice keeps a dense matrix: both entries build gram on first read
+    for lattice in (GramLattice._of_rows(rows), GramLattice(_dense_path([2, 3, 2]))):
+        assert "gram" not in vars(lattice)
+        assert lattice.gram == _dense_path([2, 3, 2])
+        assert "gram" in vars(lattice)
+
+
+def test_gram_lattice_errors_come_in_a_fixed_order():
+    # a non-integer entry, then a shape that is not square, then asymmetry,
+    # then the minors: each input has the errors after the one it raises
+    # (the last matrix is not positive definite either)
+    with pytest.raises(TypeError):
+        GramLattice([[2, -1, 0], [-1, 2.0]])
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        GramLattice([[2, 1], [0, 2], [0, 0]])
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        GramLattice([[2, 1], [0]])
+    with pytest.raises(ValueError, match="^Gram matrix must be symmetric$"):
+        GramLattice([[1, 2], [3, 1]])
+
+
+def test_gram_lattice_holds_one_dense_row_at_a_time():
+    # the dense Q(250,0), rank 508, is 2.1 MB of row tuples; a build that
+    # copied it, transposed it or eliminated list copies of its rows peaked
+    # at 4.3 MB, the sparse build at 0.25 MB
+    dense = path_gram(plumbing_weights(KnotParams(250, 0))).gram
+    tracemalloc.start()
+    try:
+        lattice = GramLattice(dense)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lattice.rank == 508
+    assert peak < 1_000_000
 
 
 def dominant_gram(rng, n):

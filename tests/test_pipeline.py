@@ -22,7 +22,7 @@ from knotgenus.pipeline import (
     reports_to_csv,
     verify_theorem,
 )
-from knotgenus.two_bridge import KnotParams, knot_fraction, qmn_gram, seifert_matrix
+from knotgenus.two_bridge import KnotParams, knot_fraction, path_gram, qmn_gram, seifert_matrix
 from knotgenus.seifert import CurveCertificate, alexander, knot_determinant
 
 
@@ -255,6 +255,20 @@ def test_full_report_rechecks_search_results(monkeypatch):
     unit_vectors = [[int(i == j) for j in range(dim)] for i in range(dim - 2)]
     bogus_witness = Embedding(unit_vectors, dim)
     monkeypatch.setattr(pipeline, "find_embedding", lambda g, d, **budget: bogus_witness)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        full_report(k)
+    monkeypatch.undo()
+
+    # verify_embedding compares dot products only: an embedding of the A2
+    # chain in Z^4 passes it as well as one in Z^3.  So the re-check also
+    # compares the dimension: a true embedding of Q(0,0) one dimension too
+    # high is refused
+    a2_in_z4 = Embedding([(1, -1, 0, 0), (0, 1, -1, 0)], 4)
+    assert verify_embedding(path_gram((2, 2)), a2_in_z4)
+    g = qmn_gram(k)
+    too_high = find_embedding(g, dim + 1)
+    assert too_high is not None and verify_embedding(g, too_high)
+    monkeypatch.setattr(pipeline, "find_embedding", lambda g, d, **budget: too_high)
     with pytest.raises(RuntimeError, match="invalid witness"):
         full_report(k)
 
