@@ -15,8 +15,9 @@ line on stderr and exit 2.  The KNOT_LOG environment variable sets the
 level of the log records written to stderr: unset, empty or off, or info,
 in any case; any other value is an input error, refused before the command
 runs.  At info every embedding search logs its rank, dimension,
-verdict, node count and time, every curve search its dimension, bound,
-verdict, shells entered, isotropic c tried and time, every
+verdict, node count and time, or `memo` for a call that repeats the last
+search (see `lattice.find_embedding`), every curve search its dimension,
+bound, verdict, shells entered, isotropic c tried and time, every
 positive-definiteness check its rank, verdict and time, and every
 signature and Alexander polynomial its matrix size and time.  Stdout does
 not change.
@@ -24,9 +25,10 @@ not change.
 `knot curve` prints a certificate only once `verify_certificate` has
 accepted it, as `full_report` does for info and verify.  `knot lattice`
 prints EMBEDDABLE or MINDIM only once `verify_embedding` has accepted a
-witness of exactly that dimension; for MINDIM it is found by one more
-search at that dimension, under the same budgets.  A rejected certificate
-or witness raises RuntimeError.  Only info, verify and curve import
+witness of exactly that dimension; for MINDIM it is asked for by one more
+call at that dimension, under the same budgets, which repeats the last
+search and so is answered from `find_embedding`'s memo.  A rejected
+certificate or witness raises RuntimeError.  Only info, verify and curve import
 `pipeline` (see `knotgenus/__init__.py` for its cost); lattice, seifert
 and the argument parser start without it.
 """
@@ -141,7 +143,8 @@ def cmd_lattice(args) -> int:
         if dim is None:
             print(f"NO EMBEDDING up to cap={cap}")
             return EXIT_INCONCLUSIVE
-        # min_embedding_dim keeps no witness, so the search at dim runs again
+        # min_embedding_dim returns no witness; find_embedding remembers the
+        # search at dim, its last, and answers this call from that
         _check_witness(g, find_embedding(g, dim, **budget), dim)
         print(f"MINDIM={dim}")
     else:

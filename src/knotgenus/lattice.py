@@ -46,6 +46,12 @@ nonzero there.  Dense vectors are built only for a returned witness.
 A node derives the class of each coordinate it walks from the index, as
 classes are runs, so the placed vectors and their index are the search's
 whole backtracked state: a push or a pop changes only them.
+
+find_embedding remembers the last search that finished, by the lattice's
+sparse rows and the dimension, and answers a call that repeats it without a
+search: `full_report` searches Q(0,0) in Z^10 for every K(m,n), so a process
+runs that search once, and the witness of `min_embedding_dim`'s last search
+is one more call away.  Such a call logs `memo` where a search logs its time.
 """
 
 from __future__ import annotations
@@ -356,6 +362,11 @@ def _dense(entries, dim: int) -> tuple[int, ...]:
     return tuple(v)
 
 
+# The last search that finished, as (g.rows, ambient_dim, dense vectors or
+# None, nodes), or None.  One entry, so memory stays bounded by one witness.
+_last_search = None
+
+
 def find_embedding(
     g: GramLattice,
     ambient_dim: int,
@@ -374,7 +385,16 @@ def find_embedding(
     "knotgenus.lattice" logger with the rank, the dimension, the verdict,
     the node count and the time.  ambient_dim and max_nodes are exact ints
     (TypeError otherwise, by operator.index).
+
+    The last search that finished is remembered: a call with the same rows
+    (`GramLattice.rows`) and dimension builds no search and returns a fresh
+    Embedding of the same vectors, or None.  Its budgets act as on the search
+    it repeats: the deadline is read once, as at a search's first node, and
+    a node budget below the remembered node count raises the search's own
+    "node budget exceeded at max_nodes + 1".  A search that raises is not
+    remembered.  Its INFO record gives `memo` in place of the time.
     """
+    global _last_search
     ambient_dim = operator.index(ambient_dim)
     if max_nodes is not None:
         max_nodes = operator.index(max_nodes)
@@ -386,17 +406,27 @@ def find_embedding(
     deadline = search_deadline(cap_seconds)
     start = time.perf_counter()
     vectors, nodes = None, 0
+    took = None
     if ambient_dim >= g.rank:
-        search = _EmbedSearch(g, ambient_dim, max_nodes=max_nodes, deadline=deadline)
-        vectors = search.run()
-        nodes = search.nodes
+        last = _last_search
+        if last is not None and last[1] == ambient_dim and last[0] == g.rows:
+            check_deadline(deadline)
+            _, _, vectors, nodes = last
+            if max_nodes is not None and nodes > max_nodes:
+                raise SearchBudgetExceeded(f"node budget exceeded at {max_nodes + 1}")
+            took = "memo"
+        else:
+            search = _EmbedSearch(g, ambient_dim, max_nodes=max_nodes, deadline=deadline)
+            vectors = search.run()
+            nodes = search.nodes
+            _last_search = (g.rows, ambient_dim, vectors, nodes)
     log.info(
-        "embedding search: rank %d, dim %d, %s, %d nodes, %.3f s",
+        "embedding search: rank %d, dim %d, %s, %d nodes, %s",
         g.rank,
         ambient_dim,
         "absent" if vectors is None else "found",
         nodes,
-        time.perf_counter() - start,
+        took or f"{time.perf_counter() - start:.3f} s",
     )
     if vectors is None:
         return None
@@ -420,7 +450,9 @@ def min_embedding_dim(
     The budgets apply to, and are checked by, each find_embedding call.  The
     scan starts at the rank, and at 1 for the rank-0 lattice.  A cap whose
     witness would exceed MAX_WITNESS_ENTRIES raises ValueError before the
-    first search, even when a smaller dimension would answer."""
+    first search, even when a smaller dimension would answer.  The search
+    at the dimension returned is the last one, so find_embedding at that
+    dimension, called next, returns its witness from the memo."""
     cap = default_dim_cap(g) if cap is None else operator.index(cap)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")

@@ -207,7 +207,9 @@ def full_report(
     dimension, Q(0,0) in Z^10 for every K(m,n): an absent result is exact by
     the lemma of `contract_chain`, and a found one is not, so then Q(m,n)
     itself is searched at the obstruction dimension and its witness, if
-    any, re-checked: its dot products and its dimension.
+    any, re-checked: its dot products and its dimension.  find_embedding
+    remembers its last search, so in one process the first report searches
+    Q(0,0) and every later one is answered from that memo.
     embed_cap_seconds is the time budget of each embedding search, checked
     by find_embedding.  Raises the ValueError of the curve-search size guard
     or of the witness guard from m and n alone, before any search runs or

@@ -142,8 +142,8 @@ def test_lattice_rechecks_the_witness_it_reports(capsys, monkeypatch, q00_file, 
         with pytest.raises(RuntimeError, match="invalid witness"):
             main(["lattice", q00_file, "--dim", "11"])
         assert capsys.readouterr().out == ""
-    # --mindim searches once more at the dimension found, under the same
-    # budgets, and checks that witness
+    # --mindim asks find_embedding once more at the dimension found, under
+    # the same budgets, and checks that witness
     searches = []
 
     def recorded(g, dim, **budget):
@@ -523,6 +523,29 @@ def test_no_command_loads_numpy(tmp_path, args, status):
     }
     assert "knotgenus" in imported
     assert "numpy" not in imported
+
+
+def test_lattice_mindim_takes_its_witness_from_the_memo(tmp_path):
+    # the witness call repeats min_embedding_dim's last search, at 11, so
+    # find_embedding answers it without searching again
+    argv = ["-m", "knotgenus.cli", "lattice", "q00.txt", "--mindim"]
+    proc = _fresh_interpreter(tmp_path, argv, "info")
+    assert proc.returncode == 0 and proc.stdout == "MINDIM=11\n"
+    searches = [
+        line.split("embedding search: ", 1)[1].rsplit(", ", 1)
+        for line in proc.stderr.splitlines()
+        if "embedding search: " in line
+    ]
+    assert [s for s, _ in searches] == [
+        "rank 8, dim 8, absent, 12 nodes",
+        "rank 8, dim 9, absent, 13 nodes",
+        "rank 8, dim 10, absent, 14 nodes",
+        "rank 8, dim 11, found, 15 nodes",
+        "rank 8, dim 11, found, 15 nodes",
+    ]
+    took = [t for _, t in searches]
+    assert took[-1] == "memo"
+    assert all(t.endswith(" s") for t in took[:-1])
 
 
 @pytest.mark.parametrize("value", ["inof", "verbose", "1", " info", "warning", "debug", "DEBUG"])

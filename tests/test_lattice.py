@@ -1,8 +1,13 @@
 import logging
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 from itertools import combinations_with_replacement, groupby, product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -814,6 +819,148 @@ def test_find_embedding_logs_one_info_record(caplog):
     assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
     assert "rank 8, dim 10, absent, 14 nodes" in records[0].getMessage()
     assert "rank 8, dim 11, found" in records[1].getMessage()
+
+
+@pytest.fixture
+def searches_built(monkeypatch):
+    """An empty memo, and the list of (rank, dimension) of every
+    _EmbedSearch that find_embedding builds from here on."""
+    monkeypatch.setattr(lattice, "_last_search", None)
+    built = []
+
+    class Counted(_EmbedSearch):
+        def __init__(self, g, ambient_dim, **budget):
+            built.append((g.rank, ambient_dim))
+            super().__init__(g, ambient_dim, **budget)
+
+    monkeypatch.setattr(lattice, "_EmbedSearch", Counted)
+    return built
+
+
+def test_a_repeated_search_is_answered_from_the_memo(searches_built, caplog):
+    g = qmn_gram(KnotParams(0, 0))
+    found = find_embedding(g, 11)
+    # an equal lattice built anew, as full_report builds one per knot
+    again = find_embedding(GramLattice(g.gram), 11)
+    assert again == found and again is not found
+    assert verify_embedding(g, again)
+    with caplog.at_level(logging.INFO, logger="knotgenus.lattice"):
+        assert find_embedding(g, 10) is None
+        assert find_embedding(g, 10) is None
+    assert searches_built == [(8, 11), (8, 10)]
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0].startswith("embedding search: rank 8, dim 10, absent, 14 nodes, ")
+    assert messages[0].endswith(" s")
+    assert messages[1] == "embedding search: rank 8, dim 10, absent, 14 nodes, memo"
+
+
+def test_a_memo_hit_keeps_the_budgets_of_the_search(searches_built, monkeypatch):
+    g = qmn_gram(KnotParams(0, 0))
+    with pytest.raises(SearchBudgetExceeded, match="^node budget exceeded at 14$"):
+        find_embedding(g, 10, max_nodes=13)
+    assert find_embedding(g, 10, max_nodes=14) is None
+    # the search ran once: the hit raises the message the search raised
+    with pytest.raises(SearchBudgetExceeded, match="^node budget exceeded at 14$"):
+        find_embedding(g, 10, max_nodes=13)
+    with pytest.raises(SearchBudgetExceeded, match="^node budget exceeded at 2$"):
+        find_embedding(g, 10, max_nodes=1)
+    # an expired deadline stops a hit, as it stops a search at its first node
+    with monkeypatch.context() as expired:
+        expired.setattr(lattice, "search_deadline", lambda seconds: time.monotonic() - 1)
+        with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+            find_embedding(g, 10, cap_seconds=1)
+    assert find_embedding(g, 10) is None
+    assert searches_built == [(8, 10), (8, 10)]
+
+
+def test_a_stopped_search_is_not_remembered(searches_built, monkeypatch):
+    g, a2 = qmn_gram(KnotParams(0, 0)), a_chain(2)
+    with pytest.raises(SearchBudgetExceeded):
+        find_embedding(g, 10, max_nodes=13)
+    assert lattice._last_search is None
+    assert find_embedding(a2, 3) is not None
+    remembered = lattice._last_search
+    with pytest.raises(SearchBudgetExceeded):
+        find_embedding(g, 10, max_nodes=13)
+    monkeypatch.setattr(lattice, "search_deadline", lambda seconds: time.monotonic() - 1)
+    with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+        find_embedding(g, 10, cap_seconds=1)
+    assert lattice._last_search is remembered
+    assert searches_built == [(8, 10), (2, 3), (8, 10), (8, 10)]
+
+
+def test_the_memo_keeps_the_last_search_by_rows_and_dimension(searches_built):
+    g = qmn_gram(KnotParams(0, 0))
+    chain = a_chain(8)
+    assert find_embedding(g, 10) is None
+    # equal rows in another dimension, and another lattice of that rank in
+    # the same dimension, both miss
+    assert find_embedding(g, 11) is not None
+    assert find_embedding(chain, 11) is not None
+    # only the last search is kept: Q(0,0) at 10 and 11 are searched again
+    assert find_embedding(g, 10) is None
+    assert find_embedding(g, 11) is not None
+    assert find_embedding(g, 11) is not None
+    assert searches_built == [(8, 10), (8, 11), (8, 11), (8, 10), (8, 11)]
+    # min_embedding_dim's last search is the one a caller repeats for its
+    # witness
+    searches_built.clear()
+    assert min_embedding_dim(chain) == 9
+    assert verify_embedding(chain, find_embedding(chain, 9))
+    assert searches_built == [(8, 8), (8, 9)]
+
+
+def test_the_memo_holds_under_python_O(tmp_path):
+    # python -O strips assert statements, in the library and in these tests
+    # alike; this script checks by exiting, so -O keeps its checks
+    script = """
+import sys
+from knotgenus import lattice
+from knotgenus.lattice import SearchBudgetExceeded, find_embedding
+from knotgenus.two_bridge import KnotParams, qmn_gram
+
+def check(ok, what):
+    if not ok:
+        sys.exit(what)
+
+built = []
+class Counted(lattice._EmbedSearch):
+    def __init__(self, g, ambient_dim, **budget):
+        built.append(ambient_dim)
+        super().__init__(g, ambient_dim, **budget)
+lattice._EmbedSearch = Counted
+
+def stopped(dim, **budget):
+    try:
+        find_embedding(g, dim, **budget)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+g = qmn_gram(KnotParams(0, 0))
+check(sys.flags.optimize, "not run under -O")
+check(stopped(10, max_nodes=13) == "node budget exceeded at 14", "search budget")
+check(lattice._last_search is None, "a stopped search was remembered")
+found = find_embedding(g, 11)
+again = find_embedding(g, 11)
+check(again == found and again is not found, "a hit changed the witness")
+check(find_embedding(g, 10) is None and find_embedding(g, 10) is None, "absent")
+check(stopped(10, max_nodes=13) == "node budget exceeded at 14", "hit budget")
+check(find_embedding(g, 10, max_nodes=14) is None, "hit within its budget")
+check(stopped(10, cap_seconds=1e-9) == "time budget exceeded", "hit deadline")
+check(built == [10, 11, 10], f"searches built: {built}")
+"""
+    src = str(Path(lattice.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if proc.returncode:
+        pytest.fail(proc.stderr)
 
 
 def test_contract_chain_shortens_each_long_run_of_twos():

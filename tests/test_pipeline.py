@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotgenus import pipeline
+from knotgenus import lattice, pipeline
 from knotgenus.curve_search import find_genus1_certificate
 from knotgenus.lattice import Embedding, find_embedding, verify_embedding
 from knotgenus.pipeline import (
@@ -308,6 +308,32 @@ def test_full_report_searches_qmn_only_when_its_contraction_embeds(monkeypatch):
     assert searches == [(8, 11, True), (10, 13, False)]
     assert r.embedding_verdict == EmbeddingVerdict(13, False, None)
     assert r.notes[-1] == "embedding search at dim 13 exhaustive: no embedding"
+
+
+def test_one_contracted_search_decides_a_grid(monkeypatch):
+    # every K(m,n) contracts to Q(0,0) in Z^10, so a serial grid searches
+    # it once and answers every later row from the memo of find_embedding
+    built = []
+
+    class Counted(lattice._EmbedSearch):
+        def __init__(self, g, ambient_dim, **budget):
+            built.append((g.rank, ambient_dim))
+            super().__init__(g, ambient_dim, **budget)
+
+    monkeypatch.setattr(lattice, "_EmbedSearch", Counted)
+    monkeypatch.setattr(lattice, "_last_search", None)
+    remembered = verify_theorem(5, 5)
+    assert built == [(8, 10)]
+
+    def forgetting(k, **options):
+        monkeypatch.setattr(lattice, "_last_search", None)
+        return full_report(k, **options)
+
+    built.clear()
+    monkeypatch.setattr(pipeline, "full_report", forgetting)
+    searched = verify_theorem(5, 5)
+    assert built == [(8, 10)] * 36
+    assert remembered == searched
 
 
 def test_verify_theorem_grid():
