@@ -22,15 +22,13 @@ positive-definiteness check its rank, verdict and time, and every
 signature and Alexander polynomial its matrix size and time.  Stdout does
 not change.
 
-`knot curve` prints a certificate only once `verify_certificate` has
-accepted it, as `full_report` does for info and verify.  `knot lattice`
-prints EMBEDDABLE or MINDIM only once `verify_embedding` has accepted a
-witness of exactly that dimension; for MINDIM it is asked for by one more
-call at that dimension, under the same budgets, which repeats the last
-search and so is answered from `find_embedding`'s memo.  A rejected
-certificate or witness raises RuntimeError.  Only info, verify and curve import
-`pipeline` (see `knotgenus/__init__.py` for its cost); lattice, seifert
-and the argument parser start without it.
+Each search checks what it returns: `find_genus1_certificate` with
+`verify_certificate`, `find_embedding` with `verify_embedding`, so `knot
+curve` and `knot lattice` print only what that check accepted, and a
+rejected certificate or witness raises RuntimeError before anything is
+printed.  Only info, verify and curve import `pipeline` (see
+`knotgenus/__init__.py` for its cost); lattice, seifert and the argument
+parser start without it.
 """
 
 from __future__ import annotations
@@ -41,9 +39,9 @@ import os
 import sys
 
 from . import lattice
-from .lattice import find_embedding, format_embedding, min_embedding_dim, verify_embedding
+from .lattice import find_embedding, format_embedding, min_embedding_dim
 from .matrices import GramLattice, SearchBudgetExceeded, parse_matrix_text, symmetrize
-from .seifert import alexander, knot_determinant, signature, verify_certificate
+from .seifert import alexander, knot_determinant, signature
 from .two_bridge import KnotParams, seifert_matrix
 
 EXIT_OK = 0
@@ -126,12 +124,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _check_witness(g, witness, dim: int) -> None:
-    """Raise RuntimeError unless witness embeds g in Z^dim."""
-    if witness is None or witness.ambient_dim != dim or not verify_embedding(g, witness):
-        raise RuntimeError("embedding search returned an invalid witness")
-
-
 def cmd_lattice(args) -> int:
     if args.cap is not None and not args.mindim:
         raise ValueError("--cap applies only with --mindim")
@@ -143,16 +135,12 @@ def cmd_lattice(args) -> int:
         if dim is None:
             print(f"NO EMBEDDING up to cap={cap}")
             return EXIT_INCONCLUSIVE
-        # min_embedding_dim returns no witness; find_embedding remembers the
-        # search at dim, its last, and answers this call from that
-        _check_witness(g, find_embedding(g, dim, **budget), dim)
         print(f"MINDIM={dim}")
     else:
         witness = find_embedding(g, args.dim, **budget)
         if witness is None:
             print(f"NOT EMBEDDABLE dim={args.dim}")
         else:
-            _check_witness(g, witness, args.dim)
             print(f"EMBEDDABLE dim={args.dim}")
             sys.stdout.write(format_embedding(witness))
     return EXIT_OK
@@ -191,8 +179,6 @@ def cmd_curve(args) -> int:
     else:
         raise ValueError("provide either --matrix or both --m and --n")
     cert = find_genus1_certificate(mat, bound, cap_seconds=args.cap_seconds)
-    if cert is not None and not verify_certificate(mat, cert):
-        raise RuntimeError("curve search returned an invalid certificate")
     if cert is None:
         print(f"NONE within bound {bound}")
     else:

@@ -1,8 +1,8 @@
 """Construct genus-1 reduction certificates of a Seifert lattice.
 
 The certificates and their one check, `verify_certificate`, are defined in
-`seifert`; this module only constructs them, in plain integers, and does
-not check what it returns: `pipeline.full_report` and `knot curve` do.
+`seifert`; this module constructs them, in plain integers, and passes each
+one it returns through that check.
 
 A certificate exists iff some primitive c is isotropic, cMc = 0, and some
 d has (Mc).d = 0 and (M^T c).d = +-1.  Then (c, d) is one: its restricted
@@ -42,7 +42,7 @@ from itertools import permutations, product
 from math import gcd, isqrt
 
 from .matrices import as_matrix, check_deadline, det, mat_vec, search_deadline, symmetrize, transpose
-from .seifert import CurveCertificate, restricted_form, signature
+from .seifert import CurveCertificate, restricted_form, signature, verify_certificate
 
 log = logging.getLogger(__name__)
 
@@ -209,8 +209,9 @@ def find_genus1_certificate(
     """The first certificate the constructor of the module docstring finds
     with the enumerated coordinates of c at most bound in absolute value, or
     None: at once when M + M^T is definite, and no certificate exists, else
-    when none is found within the bound.  The certificate is not checked
-    here.
+    when none is found within the bound.  A certificate is returned once
+    `verify_certificate` has accepted it; one it rejects raises
+    RuntimeError.
 
     Raises TypeError unless bound is an exact int (operator.index), and
     ValueError, before any search, unless bound >= 1 or when the box
@@ -231,6 +232,8 @@ def find_genus1_certificate(
     _check_search_size(dim if k is None else dim - 1, bound)
     start = time.perf_counter()
     cert, shells, tried = _construct(mat, k, bound, deadline)
+    if cert is not None and not verify_certificate(mat, cert):
+        raise RuntimeError("curve search returned an invalid certificate")
     verdict = "found" if cert is not None else "absent" if shells else "none"
     log.info(
         "curve search: dim %d, bound %d, %s, %d shells, %d isotropic c tried, %.3f s",

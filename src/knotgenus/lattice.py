@@ -47,11 +47,12 @@ A node derives the class of each coordinate it walks from the index, as
 classes are runs, so the placed vectors and their index are the search's
 whole backtracked state: a push or a pop changes only them.
 
-find_embedding remembers the last search that finished, by the lattice's
-sparse rows and the dimension, and answers a call that repeats it without a
-search: `full_report` searches Q(0,0) in Z^10 for every K(m,n), so a process
-runs that search once, and the witness of `min_embedding_dim`'s last search
-is one more call away.  Such a call logs `memo` where a search logs its time.
+find_embedding checks every witness it finds with `verify_embedding`, the
+one check of a witness, before it remembers or returns it.  It remembers the
+last search that finished, by the lattice's sparse rows and the dimension,
+and answers a call that repeats it without a search: `full_report` searches
+Q(0,0) in Z^10 for every K(m,n), so a process runs that search once.  Such a
+call logs `memo` where a search logs its time.
 """
 
 from __future__ import annotations
@@ -362,8 +363,9 @@ def _dense(entries, dim: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-# The last search that finished, as (g.rows, ambient_dim, dense vectors or
-# None, nodes), or None.  One entry, so memory stays bounded by one witness.
+# The last search that finished, as (g.rows, ambient_dim, its checked dense
+# vectors or None, nodes), or None.  One entry, so memory stays bounded by
+# one witness.
 _last_search = None
 
 
@@ -376,23 +378,26 @@ def find_embedding(
     """Complete search for an isometric embedding of g into Z^ambient_dim.
 
     g is positive definite: GramLattice checks that once, when it is built.
-    Returns a witness iff one exists.  Raises ValueError, before allocating
-    anything, when rank x ambient_dim exceeds MAX_WITNESS_ENTRIES.  Raises
-    SearchBudgetExceeded when the optional budget of this one search runs
-    out before it finishes: a max_nodes >= 1 node budget, or a
-    cap_seconds > 0 wall-clock budget counted from the call, both read
-    between search nodes.  A finished search logs one INFO record on the
-    "knotgenus.lattice" logger with the rank, the dimension, the verdict,
-    the node count and the time.  ambient_dim and max_nodes are exact ints
-    (TypeError otherwise, by operator.index).
+    Returns a witness iff one exists, once `verify_embedding` has accepted
+    it; a witness it rejects raises RuntimeError and is not remembered.
+    Raises ValueError, before allocating anything, when rank x ambient_dim
+    exceeds MAX_WITNESS_ENTRIES.  Raises SearchBudgetExceeded when the
+    optional budget of this one search runs out before it finishes: a
+    max_nodes >= 1 node budget, or a cap_seconds > 0 wall-clock budget
+    counted from the call, both read between search nodes.  A finished
+    search logs one INFO record on the "knotgenus.lattice" logger with the
+    rank, the dimension, the verdict, the node count and the time.
+    ambient_dim and max_nodes are exact ints (TypeError otherwise, by
+    operator.index).
 
     The last search that finished is remembered: a call with the same rows
     (`GramLattice.rows`) and dimension builds no search and returns a fresh
-    Embedding of the same vectors, or None.  Its budgets act as on the search
-    it repeats: the deadline is read once, as at a search's first node, and
-    a node budget below the remembered node count raises the search's own
-    "node budget exceeded at max_nodes + 1".  A search that raises is not
-    remembered.  Its INFO record gives `memo` in place of the time.
+    Embedding of the same vectors, which were checked when found, or None.
+    Its budgets act as on the search it repeats: the deadline is read once,
+    as at a search's first node, and a node budget below the remembered node
+    count raises the search's own "node budget exceeded at max_nodes + 1".
+    A search that raises is not remembered.  Its INFO record gives `memo`
+    in place of the time.
     """
     global _last_search
     ambient_dim = operator.index(ambient_dim)
@@ -419,6 +424,8 @@ def find_embedding(
             search = _EmbedSearch(g, ambient_dim, max_nodes=max_nodes, deadline=deadline)
             vectors = search.run()
             nodes = search.nodes
+            if vectors is not None and not verify_embedding(g, Embedding(vectors, ambient_dim)):
+                raise RuntimeError("embedding search returned an invalid witness")
             _last_search = (g.rows, ambient_dim, vectors, nodes)
     log.info(
         "embedding search: rank %d, dim %d, %s, %d nodes, %s",
@@ -451,8 +458,9 @@ def min_embedding_dim(
     scan starts at the rank, and at 1 for the rank-0 lattice.  A cap whose
     witness would exceed MAX_WITNESS_ENTRIES raises ValueError before the
     first search, even when a smaller dimension would answer.  The search
-    at the dimension returned is the last one, so find_embedding at that
-    dimension, called next, returns its witness from the memo."""
+    at the dimension returned checked its witness and is the last one, so
+    find_embedding at that dimension, called next, returns that witness
+    from the memo."""
     cap = default_dim_cap(g) if cap is None else operator.index(cap)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")

@@ -65,7 +65,7 @@ import logging
 import operator
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 
@@ -285,7 +285,6 @@ class GramLattice:
     """
 
     rows: SparseRows
-    _det: int = field(compare=False, repr=False)
 
     def __init__(self, gram, cap_seconds: float | None = None):
         deadline = search_deadline(cap_seconds)
@@ -328,8 +327,6 @@ class GramLattice:
                 f"{len(minors)} is {minors[-1]}"
             )
         object.__setattr__(self, "rows", rows)
-        # the last leading principal minor of a positive-definite matrix
-        object.__setattr__(self, "_det", minors[-1] if minors else 1)
 
     @cached_property
     def gram(self) -> IntMatrix:
@@ -343,9 +340,6 @@ class GramLattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def determinant(self) -> int:
-        return self._det
 
 
 def format_matrix_text(m) -> str:

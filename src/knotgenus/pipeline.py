@@ -29,7 +29,6 @@ from .lattice import (
     _check_witness_entries,
     contract_chain,
     find_embedding,
-    verify_embedding,
 )
 from .matrices import symmetrize
 from .seifert import (
@@ -38,7 +37,6 @@ from .seifert import (
     alexander,
     knot_determinant,
     signature,
-    verify_certificate,
 )
 from .two_bridge import (
     KnotParams,
@@ -206,10 +204,11 @@ def full_report(
     search runs on the chain contraction of Q(m,n) at the contracted
     dimension, Q(0,0) in Z^10 for every K(m,n): an absent result is exact by
     the lemma of `contract_chain`, and a found one is not, so then Q(m,n)
-    itself is searched at the obstruction dimension and its witness, if
-    any, re-checked: its dot products and its dimension.  find_embedding
-    remembers its last search, so in one process the first report searches
-    Q(0,0) and every later one is answered from that memo.
+    itself is searched at the obstruction dimension.  Each search checks
+    what it returns, the certificate and the witness, and raises
+    RuntimeError on one its check rejects.  find_embedding remembers its
+    last search, so in one process the first report searches Q(0,0) and
+    every later one is answered from that memo.
     embed_cap_seconds is the time budget of each embedding search, checked
     by find_embedding.  Raises the ValueError of the curve-search size guard
     or of the witness guard from m and n alone, before any search runs or
@@ -221,8 +220,6 @@ def full_report(
     curve_bound, dim = _search_sizes(k, curve_bound, base.signature)
     mat = seifert_matrix(k)
     cert = find_genus1_certificate(mat, curve_bound)
-    if cert is not None and not verify_certificate(mat, cert):
-        raise RuntimeError(f"curve search returned an invalid certificate for {k}")
 
     # Q(m,n) in Z^dim contracts to Q(0,0) in Z^10, which the search rules
     # out in 14 nodes; the lemma runs one way, so only Q(m,n) itself at dim
@@ -231,13 +228,10 @@ def full_report(
     try:
         witness = find_embedding(path_gram(weights), small_dim, cap_seconds=embed_cap_seconds)
         if witness is not None:
-            g = qmn_gram(k)
-            witness = find_embedding(g, dim, cap_seconds=embed_cap_seconds)
+            witness = find_embedding(qmn_gram(k), dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:
         verdict = EmbeddingVerdict(dim, "inconclusive", None)
     else:
-        if witness is not None and (witness.ambient_dim != dim or not verify_embedding(g, witness)):
-            raise RuntimeError(f"embedding search returned an invalid witness for {k}")
         verdict = EmbeddingVerdict(dim, witness is not None, witness)
 
     return replace(base, curve_bound=curve_bound, curve_certificate=cert, embedding_verdict=verdict)

@@ -14,7 +14,7 @@ import knotgenus
 from knotgenus.cli import main
 from knotgenus.matrices import format_matrix_text
 from knotgenus.two_bridge import KnotParams, qmn_gram, seifert_matrix
-from test_lattice import e8_gram
+from test_lattice import e8_gram, unit_vector_run
 from test_matrices import BAD_MATRIX_TEXTS
 
 
@@ -128,37 +128,18 @@ def test_lattice_mindim(capsys, a2_file):
 
 
 def test_lattice_rechecks_the_witness_it_reports(capsys, monkeypatch, q00_file, a2_file):
-    # a witness is printed, or its dimension reported, only once
-    # verify_embedding accepts it in exactly that dimension; the checks
-    # raise, not assert, so that python -O keeps them
-    from knotgenus import cli
-    from knotgenus.lattice import Embedding, find_embedding
+    # find_embedding checks every witness it finds, so a search that returns
+    # wrong dot products stops --dim and --mindim before anything is
+    # printed; the check raises, not asserts, so that python -O keeps it
+    from knotgenus import lattice
 
-    g = qmn_gram(KnotParams(0, 0))
-    unit_vectors = Embedding([[int(i == j) for j in range(11)] for i in range(8)], 11)
-    too_high = find_embedding(g, 12)
-    for bogus in (unit_vectors, too_high):
-        monkeypatch.setattr(cli, "find_embedding", lambda g, dim, **budget: bogus)
+    monkeypatch.setattr(lattice, "_last_search", None)
+    monkeypatch.setattr(lattice._EmbedSearch, "run", unit_vector_run)
+    for argv in ([q00_file, "--dim", "11"], [a2_file, "--mindim"]):
         with pytest.raises(RuntimeError, match="invalid witness"):
-            main(["lattice", q00_file, "--dim", "11"])
+            main(["lattice", *argv])
         assert capsys.readouterr().out == ""
-    # --mindim asks find_embedding once more at the dimension found, under
-    # the same budgets, and checks that witness
-    searches = []
-
-    def recorded(g, dim, **budget):
-        searches.append((dim, budget))
-        return find_embedding(g, dim, **budget)
-
-    monkeypatch.setattr(cli, "find_embedding", recorded)
-    code, out, _ = run(capsys, ["lattice", a2_file, "--mindim", "--max-nodes", "50"])
-    assert code == 0 and out == "MINDIM=3\n"
-    assert searches == [(3, {"max_nodes": 50, "cap_seconds": None})]
-    for bogus in (None, Embedding([(1, -1, 0, 0), (0, 1, -1, 0)], 4)):
-        monkeypatch.setattr(cli, "find_embedding", lambda g, dim, **budget: bogus)
-        with pytest.raises(RuntimeError, match="invalid witness"):
-            main(["lattice", a2_file, "--mindim"])
-        assert capsys.readouterr().out == ""
+    assert lattice._last_search is None
 
 
 def test_lattice_mode_is_exactly_one_of_dim_or_mindim(capsys, a2_file):
@@ -525,9 +506,10 @@ def test_no_command_loads_numpy(tmp_path, args, status):
     assert "numpy" not in imported
 
 
-def test_lattice_mindim_takes_its_witness_from_the_memo(tmp_path):
-    # the witness call repeats min_embedding_dim's last search, at 11, so
-    # find_embedding answers it without searching again
+def test_lattice_mindim_searches_each_dimension_once(tmp_path):
+    # the search at the dimension found checked its witness, so --mindim
+    # makes no call after min_embedding_dim, and nothing is answered from
+    # the memo
     argv = ["-m", "knotgenus.cli", "lattice", "q00.txt", "--mindim"]
     proc = _fresh_interpreter(tmp_path, argv, "info")
     assert proc.returncode == 0 and proc.stdout == "MINDIM=11\n"
@@ -541,11 +523,9 @@ def test_lattice_mindim_takes_its_witness_from_the_memo(tmp_path):
         "rank 8, dim 9, absent, 13 nodes",
         "rank 8, dim 10, absent, 14 nodes",
         "rank 8, dim 11, found, 15 nodes",
-        "rank 8, dim 11, found, 15 nodes",
     ]
-    took = [t for _, t in searches]
-    assert took[-1] == "memo"
-    assert all(t.endswith(" s") for t in took[:-1])
+    assert all(t.endswith(" s") for _, t in searches)
+    assert "memo" not in proc.stderr
 
 
 @pytest.mark.parametrize("value", ["inof", "verbose", "1", " info", "warning", "debug", "DEBUG"])

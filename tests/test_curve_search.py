@@ -286,18 +286,20 @@ def test_default_search_bound():
 
 
 def test_the_exact_check_is_verify_certificate(monkeypatch, capsys):
-    # the constructor checks nothing; full_report and knot curve check each
-    # certificate they report exactly once, with seifert's verify_certificate,
-    # and a check that rejects it stops them
-    assert not hasattr(curve_search, "verify_certificate")
+    # the constructor checks each certificate it returns exactly once, with
+    # seifert's verify_certificate; full_report and knot curve check nothing
+    # again, and a certificate the check rejects stops them before anything
+    # is printed
+    assert curve_search.verify_certificate is verify_certificate
+    assert not hasattr(pipeline, "verify_certificate")
+    assert not hasattr(cli, "verify_certificate")
     calls = []
 
     def recording(mat, cert):
         calls.append(cert)
         return verify_certificate(mat, cert)
 
-    monkeypatch.setattr(pipeline, "verify_certificate", recording)
-    monkeypatch.setattr(cli, "verify_certificate", recording)
+    monkeypatch.setattr(curve_search, "verify_certificate", recording)
     for m, n in [(0, 0), (3, 4), (30, 30)]:
         report = pipeline.full_report(KnotParams(m, n))
         assert calls == [report.curve_certificate]
@@ -306,8 +308,12 @@ def test_the_exact_check_is_verify_certificate(monkeypatch, capsys):
         assert len(calls) == 1
         assert capsys.readouterr().out == pipeline.format_certificate(calls[0]) + "\n"
         calls.clear()
-    monkeypatch.setattr(pipeline, "verify_certificate", lambda mat, cert: False)
-    monkeypatch.setattr(cli, "verify_certificate", lambda mat, cert: False)
+    monkeypatch.undo()
+
+    bogus = CurveCertificate((1, 0, 0, 0), (0, 1, 0, 0), ((0, 0), (0, 0)))
+    monkeypatch.setattr(curve_search, "_construct", lambda mat, k, bound, deadline: (bogus, 1, 1))
+    with pytest.raises(RuntimeError, match="invalid certificate"):
+        find_genus1_certificate(seifert_matrix(KnotParams(0, 0)), 3)
     with pytest.raises(RuntimeError, match="invalid certificate"):
         pipeline.full_report(KnotParams(0, 0))
     with pytest.raises(RuntimeError, match="invalid certificate"):

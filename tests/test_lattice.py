@@ -821,6 +821,13 @@ def test_find_embedding_logs_one_info_record(caplog):
     assert "rank 8, dim 11, found" in records[1].getMessage()
 
 
+def unit_vector_run(search):
+    """A stand-in for _EmbedSearch.run that "finds" the first rank unit
+    vectors of Z^M, whose dot products match no Gram matrix but the
+    identity's."""
+    return tuple(tuple(int(i == j) for j in range(search.M)) for i in range(search.rank))
+
+
 @pytest.fixture
 def searches_built(monkeypatch):
     """An empty memo, and the list of (rank, dimension) of every
@@ -887,6 +894,32 @@ def test_a_stopped_search_is_not_remembered(searches_built, monkeypatch):
         find_embedding(g, 10, cap_seconds=1)
     assert lattice._last_search is remembered
     assert searches_built == [(8, 10), (2, 3), (8, 10), (8, 10)]
+
+
+def test_a_rejected_witness_is_not_remembered(searches_built, monkeypatch):
+    # a found witness is checked once, before it is remembered, and a hit
+    # returns it unchecked; one that verify_embedding rejects raises and is
+    # not remembered, so an equal call searches, and raises, again
+    g = qmn_gram(KnotParams(0, 0))
+    checked = []
+
+    def recording(g, e):
+        checked.append(e.ambient_dim)
+        return verify_embedding(g, e)
+
+    monkeypatch.setattr(lattice, "verify_embedding", recording)
+    assert find_embedding(g, 11) == find_embedding(g, 11)
+    assert find_embedding(g, 10) is None
+    assert checked == [11]
+    remembered = lattice._last_search
+
+    monkeypatch.setattr(_EmbedSearch, "run", unit_vector_run)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="^embedding search returned an invalid witness$"):
+            find_embedding(g, 11)
+        assert lattice._last_search is remembered
+    assert checked == [11, 11, 11]
+    assert searches_built == [(8, 11), (8, 10), (8, 11), (8, 11)]
 
 
 def test_the_memo_keeps_the_last_search_by_rows_and_dimension(searches_built):

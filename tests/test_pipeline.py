@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from knotgenus import lattice, pipeline
+from knotgenus import curve_search, lattice, pipeline
 from knotgenus.curve_search import find_genus1_certificate
-from knotgenus.lattice import Embedding, find_embedding, verify_embedding
+from knotgenus.lattice import find_embedding, verify_embedding
+from knotgenus.matrices import det
 from knotgenus.pipeline import (
     EmbeddingVerdict,
     SliceReport,
@@ -24,6 +25,7 @@ from knotgenus.pipeline import (
 )
 from knotgenus.two_bridge import KnotParams, knot_fraction, path_gram, qmn_gram, seifert_matrix
 from knotgenus.seifert import CurveCertificate, alexander, knot_determinant
+from test_lattice import unit_vector_run
 
 
 def test_genus_bounds_k00():
@@ -243,32 +245,22 @@ def test_verify_theorem_refuses_an_oversized_range_before_any_row(monkeypatch):
 
 
 def test_full_report_rechecks_search_results(monkeypatch):
-    # the checks must raise, not assert, so that python -O keeps them
+    # each search checks what it returns, so a bogus certificate or witness
+    # stops the report; the checks raise, not assert, so that python -O
+    # keeps them
     k = KnotParams(0, 0)
     bogus_cert = CurveCertificate((1, 0, 0, 0), (0, 1, 0, 0), ((0, 0), (0, 0)))
-    monkeypatch.setattr(pipeline, "find_genus1_certificate", lambda mat, bound: bogus_cert)
+    monkeypatch.setattr(
+        curve_search, "_construct", lambda mat, k, bound, deadline: (bogus_cert, 1, 1)
+    )
     with pytest.raises(RuntimeError, match="invalid certificate"):
         full_report(k)
     monkeypatch.undo()
 
-    dim = qmn_gram(k).rank + 2
-    unit_vectors = [[int(i == j) for j in range(dim)] for i in range(dim - 2)]
-    bogus_witness = Embedding(unit_vectors, dim)
-    monkeypatch.setattr(pipeline, "find_embedding", lambda g, d, **budget: bogus_witness)
-    with pytest.raises(RuntimeError, match="invalid witness"):
-        full_report(k)
-    monkeypatch.undo()
-
-    # verify_embedding compares dot products only: an embedding of the A2
-    # chain in Z^4 passes it as well as one in Z^3.  So the re-check also
-    # compares the dimension: a true embedding of Q(0,0) one dimension too
-    # high is refused
-    a2_in_z4 = Embedding([(1, -1, 0, 0), (0, 1, -1, 0)], 4)
-    assert verify_embedding(path_gram((2, 2)), a2_in_z4)
-    g = qmn_gram(k)
-    too_high = find_embedding(g, dim + 1)
-    assert too_high is not None and verify_embedding(g, too_high)
-    monkeypatch.setattr(pipeline, "find_embedding", lambda g, d, **budget: too_high)
+    # the contraction's search, not answered from the memo, "finds" unit
+    # vectors, whose dot products are not those of the path lattice
+    monkeypatch.setattr(lattice, "_last_search", None)
+    monkeypatch.setattr(lattice._EmbedSearch, "run", unit_vector_run)
     with pytest.raises(RuntimeError, match="invalid witness"):
         full_report(k)
 
@@ -402,7 +394,7 @@ def test_cross_invariant_consistency():
             at_minus_one = sum(-c if e % 2 else c for e, c in alexander(mat).coeffs.items())
             assert abs(at_minus_one) == d
             assert knot_fraction(k).numerator == d
-            assert abs(qmn_gram(k).determinant()) == d
+            assert abs(det(qmn_gram(k).gram)) == d
 
 
 def test_verdict_soundness():

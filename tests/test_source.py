@@ -187,3 +187,23 @@ def test_every_library_name_has_a_caller_or_is_exported():
         and not any(name in r for j, r in enumerate(refs) if j != i)
     ]
     assert unused == []
+
+
+def test_each_result_is_checked_by_the_function_that_finds_it():
+    # the one check of a witness and the one check of a certificate are each
+    # called by the search that finds the result and nowhere else, so every
+    # caller of the library gets checked results and none checks them again
+    callers = {"verify_embedding": set(), "verify_certificate": set()}
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in callers:
+                    callers[name].add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert callers == {
+        "verify_embedding": {"lattice.find_embedding"},
+        "verify_certificate": {"curve_search.find_genus1_certificate"},
+    }

@@ -113,11 +113,11 @@ def test_qmn_gram_examples():
 
 
 def test_qmn_gram_determinant_is_knot_determinant():
-    assert qmn_gram(KnotParams(0, 0)).determinant() == 107
+    assert det(qmn_gram(KnotParams(0, 0)).gram) == 107
     for m in range(6):
         for n in range(6):
             k = KnotParams(m, n)
-            assert abs(qmn_gram(k).determinant()) == knot_fraction(k).numerator
+            assert abs(det(qmn_gram(k).gram)) == knot_fraction(k).numerator
 
 
 def test_qmn_gram_positive_definite():
