@@ -53,6 +53,10 @@ last search that finished, by the lattice's sparse rows and the dimension,
 and answers a call that repeats it without a search: `full_report` searches
 Q(0,0) in Z^10 for every K(m,n), so a process runs that search once.  Such a
 call logs `memo` where a search logs its time.
+
+min_embedding_dim skips, without a search, each dimension up to rank + 2
+that the lattice's local invariants over Q_p rule out (_local_obstructions);
+find_embedding has no such test, so every other caller searches as asked.
 """
 
 from __future__ import annotations
@@ -446,6 +450,127 @@ def default_dim_cap(g: GramLattice) -> int:
     return g.rank + 6
 
 
+# Trial division for the local test finds the odd primes below this bound,
+# and a cofactor below its square, which is prime.
+_TRIAL_BOUND = 1 << 10
+
+
+def _odd_primes(n: int):
+    """The odd primes of the positive int n that trial division by the odd
+    numbers below _TRIAL_BOUND finds, with the cofactor left when it is
+    below _TRIAL_BOUND^2 and so prime."""
+    n >>= (n & -n).bit_length() - 1
+    q = 3
+    while q < _TRIAL_BOUND and q * q <= n:
+        if n % q == 0:
+            yield q
+            while n % q == 0:
+                n //= q
+        q += 2
+    if 1 < n < _TRIAL_BOUND * _TRIAL_BOUND:
+        yield n
+
+
+def _split(a: int, p: int) -> tuple[int, int]:
+    """(v, u) with a = p^v u and u prime to p, for a nonzero int a."""
+    if p == 2:
+        v = (a & -a).bit_length() - 1
+        return v, a >> v
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v, a
+
+
+def _hilbert_symbol(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol (a, b)_p of nonzero ints a, b at the prime p, by
+    Serre, A Course in Arithmetic, III Thm 1: with a = p^alpha u and
+    b = p^beta v, it is (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha
+    for odd p, and (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u))
+    at 2, where eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8 mod 2."""
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
+    if p == 2:
+        u, v = u % 8, v % 8
+        odd = (u % 4 == 3 and v % 4 == 3) + alpha * (v in (3, 5)) + beta * (u in (3, 5))
+    else:
+        odd = alpha * beta * (p % 4 == 3)
+        if beta % 2:
+            odd += pow(u, (p - 1) // 2, p) != 1
+        if alpha % 2:
+            odd += pow(v, (p - 1) // 2, p) != 1
+    return -1 if odd % 2 else 1
+
+
+def _hasse_invariant(ds, p: int, js) -> int:
+    """eps_p of the form <d_1/d_0, ..., d_r/d_(r-1)>, ds = (d_0 = 1, d_1,
+    ..., d_r) nonzero: the product of (d_(j-1), -d_j)_p over js, which
+    holds every j >= 2 whose factor is not 1 (see _local_obstructions)."""
+    eps = 1
+    for j in js:
+        eps *= _hilbert_symbol(ds[j - 1], -ds[j], p)
+    return eps
+
+
+def _local_obstructions(minors) -> tuple[str | None, str | None, str | None]:
+    """For k = 0, 1, 2: why the positive-definite lattice L with these
+    leading principal minors d_1 .. d_r does not embed in Z^(r + k), or
+    None where its local invariants allow it.  Absence only: a None proves
+    nothing.
+
+    Proof.  Over Q, L is <a_1, ..., a_r> with a_j = d_j/d_(j-1) (d_0 = 1),
+    of determinant d = d_r.  Its Hasse invariant at a prime p (Serre, A
+    Course in Arithmetic, IV.2.1), eps_p = prod_(i<j) (a_i, a_j)_p,
+    telescopes: the a_i with i < j multiply to d_(j-1), the symbol reads
+    square classes only, and (x, x)_p = (x, -1)_p, so eps_p = prod_(j>=2)
+    (d_(j-1), d_j d_(j-1))_p = prod_(j>=2) (d_(j-1), -d_j)_p.  If L embeds
+    in Z^(r+k), then Q_p^(r+k) = L_p + W_p, an orthogonal sum with W_p of
+    dimension k.  The unit form has determinant 1 and eps_p 1; determinants
+    multiply, and eps_p(L + W) = eps_p(L) eps_p(W) (d(L), d(W))_p, so d(W)
+    = d up to squares and eps_p(W) = c_p := eps_p(L) (d, -1)_p.
+    - k = 0: W = 0, so d is a square, and then (d, -1)_p = 1 and c_p =
+      eps_p(L) = 1.
+    - k = 1: W = <d> has eps_p 1, an empty product, so c_p = 1.
+    - k = 2: where -d is a square in Q_p, W has determinant -1 up to
+      squares, so it represents 0 (Serre IV.2.2, Thm 6) and is a
+      hyperbolic plane <a, -a>, and c_p = (a, -a)_p = 1.
+    A prime p where the condition fails rules out the dimension.  For k >=
+    3 every pair (d, eps) is the invariant of some form (Serre IV.2.3,
+    Prop. 6), so there is nothing to test.
+
+    Only p = 2 and odd p dividing some d_j can give c_p = -1: at an odd p
+    the symbol of two units is 1.  The odd p are those `_odd_primes` finds,
+    and one it misses only makes the test weaker.  At an odd p the factor
+    of j is not 1 only where p divides d_(j-1) or d_j, so eps_p takes only
+    those j; at 2 it takes every j.  The reason names the determinant when
+    it is not a square (by its size past 10^30), else the least prime that
+    fails."""
+    d = minors[-1] if minors else 1
+    ds = (1, *minors)
+    r = len(minors)
+    divides = defaultdict(set)  # odd p -> the j with p | d_j
+    for j in range(1, r + 1):
+        for p in _odd_primes(ds[j]):
+            divides[p].add(j)
+    failing = []  # (p, -d a square in Q_p) for each p with c_p = -1
+    for p in (2, *sorted(divides)):
+        js = range(2, r + 1)
+        if p > 2:
+            js = {i for j in divides[p] for i in (j, j + 1) if 2 <= i <= r}
+        if _hasse_invariant(ds, p, js) * _hilbert_symbol(d, -1, p) < 0:
+            v, u = _split(-d, p)
+            unit_square = u % 8 == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1
+            failing.append((p, v % 2 == 0 and unit_square))
+    first = next((f"at p = {p}" for p, _ in failing), None)
+    hyperbolic = next((f"at p = {p}" for p, square in failing if square), None)
+    if isqrt(d) ** 2 != d:
+        # past the interpreter's limit on int to str, a determinant is named by its size
+        shown = d if d < 10**30 else f"of {d.bit_length()} bits"
+        return f"determinant {shown} is not a square", first, hyperbolic
+    return first, first, hyperbolic
+
+
 def min_embedding_dim(
     g: GramLattice,
     cap: int | None = None,
@@ -454,18 +579,27 @@ def min_embedding_dim(
 ) -> int | None:
     """Smallest M <= cap admitting an embedding, or None.  The default cap
     is default_dim_cap(g); a cap that is not an exact int raises TypeError.
-    The budgets apply to, and are checked by, each find_embedding call.  The
-    scan starts at the rank, and at 1 for the rank-0 lattice.  A cap whose
-    witness would exceed MAX_WITNESS_ENTRIES raises ValueError before the
-    first search, even when a smaller dimension would answer.  The search
-    at the dimension returned checked its witness and is the last one, so
-    find_embedding at that dimension, called next, returns that witness
-    from the memo."""
+    The scan starts at the rank, and at 1 for the rank-0 lattice.  A
+    dimension up to rank + 2 that the local invariants rule out (see
+    _local_obstructions: at the rank, a determinant that is not a square)
+    is skipped without a search, and logs one INFO record on the
+    "knotgenus.lattice" logger with the rank, the dimension and the reason.
+    The budgets apply to, and are checked by, each find_embedding call, so
+    a skipped dimension reads none.  A cap whose witness would exceed
+    MAX_WITNESS_ENTRIES raises ValueError before the first search, even
+    when a smaller dimension would answer.  The search at the dimension
+    returned checked its witness and is the last one, so find_embedding at
+    that dimension, called next, returns that witness from the memo."""
     cap = default_dim_cap(g) if cap is None else operator.index(cap)
     if cap < g.rank:
         raise ValueError("cap must be at least the rank")
     _check_witness_entries(g.rank, cap)
+    obstructions = _local_obstructions(g._minors)
     for dim in range(max(g.rank, 1), cap + 1):
+        k = dim - g.rank
+        if k < len(obstructions) and obstructions[k]:
+            log.info("local obstruction: rank %d, dim %d, %s", g.rank, dim, obstructions[k])
+            continue
         if find_embedding(g, dim, max_nodes, cap_seconds) is not None:
             return dim
     return None

@@ -281,7 +281,10 @@ class GramLattice:
     time.  The rank-0 lattice is positive definite.  cap_seconds (> 0, or
     None for no budget) bounds the build from the call: it is read between
     the pivots of the check, and SearchBudgetExceeded is raised when it
-    has run out.  A bad value raises ValueError before any work.
+    has run out.  A bad value raises ValueError before any work.  The
+    check's leading principal minors are kept, private, for the local test
+    of `lattice.min_embedding_dim`; equality and the hash read the rows
+    only.
     """
 
     rows: SparseRows
@@ -327,6 +330,7 @@ class GramLattice:
                 f"{len(minors)} is {minors[-1]}"
             )
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_minors", tuple(minors))
 
     @cached_property
     def gram(self) -> IntMatrix:

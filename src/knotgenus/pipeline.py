@@ -195,6 +195,14 @@ def _search_sizes(k: KnotParams, curve_bound: int | None, sigma: int) -> tuple[i
     return curve_bound, dim
 
 
+@functools.lru_cache(maxsize=1)
+def _contracted_lattice(weights: tuple[int, ...]):
+    """path_gram(weights), kept for the last weights: every row of a grid
+    contracts to the weights of Q(0,0), so a process builds that lattice
+    once."""
+    return path_gram(weights)
+
+
 def full_report(
     k: KnotParams,
     curve_bound: int | None = None,
@@ -207,8 +215,9 @@ def full_report(
     itself is searched at the obstruction dimension.  Each search checks
     what it returns, the certificate and the witness, and raises
     RuntimeError on one its check rejects.  find_embedding remembers its
-    last search, so in one process the first report searches Q(0,0) and
-    every later one is answered from that memo.
+    last search, and `_contracted_lattice` the last contracted lattice, so
+    in one process the first report builds and searches Q(0,0) and every
+    later one is answered from that memo.
     embed_cap_seconds is the time budget of each embedding search, checked
     by find_embedding.  Raises the ValueError of the curve-search size guard
     or of the witness guard from m and n alone, before any search runs or
@@ -226,7 +235,9 @@ def full_report(
     # may give a witness
     weights, small_dim = contract_chain(plumbing_weights(k), dim)
     try:
-        witness = find_embedding(path_gram(weights), small_dim, cap_seconds=embed_cap_seconds)
+        witness = find_embedding(
+            _contracted_lattice(weights), small_dim, cap_seconds=embed_cap_seconds
+        )
         if witness is not None:
             witness = find_embedding(qmn_gram(k), dim, cap_seconds=embed_cap_seconds)
     except SearchBudgetExceeded:

@@ -509,20 +509,24 @@ def test_no_command_loads_numpy(tmp_path, args, status):
 def test_lattice_mindim_searches_each_dimension_once(tmp_path):
     # the search at the dimension found checked its witness, so --mindim
     # makes no call after min_embedding_dim, and nothing is answered from
-    # the memo
+    # the memo; the local invariants rule out dims 8 (det 107) and 9 (at
+    # p = 2 and 107) with no search
     argv = ["-m", "knotgenus.cli", "lattice", "q00.txt", "--mindim"]
     proc = _fresh_interpreter(tmp_path, argv, "info")
     assert proc.returncode == 0 and proc.stdout == "MINDIM=11\n"
-    searches = [
-        line.split("embedding search: ", 1)[1].rsplit(", ", 1)
+    records = [
+        line.removeprefix("INFO:knotgenus.lattice:")
         for line in proc.stderr.splitlines()
-        if "embedding search: " in line
+        if line.startswith("INFO:knotgenus.lattice:")
     ]
+    assert records[:2] == [
+        "local obstruction: rank 8, dim 8, determinant 107 is not a square",
+        "local obstruction: rank 8, dim 9, at p = 2",
+    ]
+    searches = [r.rsplit(", ", 1) for r in records[2:]]
     assert [s for s, _ in searches] == [
-        "rank 8, dim 8, absent, 12 nodes",
-        "rank 8, dim 9, absent, 13 nodes",
-        "rank 8, dim 10, absent, 14 nodes",
-        "rank 8, dim 11, found, 15 nodes",
+        "embedding search: rank 8, dim 10, absent, 14 nodes",
+        "embedding search: rank 8, dim 11, found, 15 nodes",
     ]
     assert all(t.endswith(" s") for _, t in searches)
     assert "memo" not in proc.stderr

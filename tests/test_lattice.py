@@ -18,6 +18,9 @@ from knotgenus.lattice import (
     SearchBudgetExceeded,
     _dense,
     _EmbedSearch,
+    _hasse_invariant,
+    _hilbert_symbol,
+    _local_obstructions,
     _square_partitions,
     contract_chain,
     find_embedding,
@@ -561,6 +564,166 @@ def test_search_matches_the_reference_on_the_plumbing_catalogue():
         assert dim == min_embedding_dim(g)
 
 
+def _prime_factors(n):
+    """Every prime dividing the nonzero int n, by trial division."""
+    n, primes, q = abs(n), [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] * (n > 1)
+
+
+def test_hilbert_symbol_values_from_serre():
+    # Serre, A Course in Arithmetic, III.1: (-1, -1) is -1 at 2 only, (p,
+    # p)_p = (-1/p), and a unit and p give the Legendre symbol of the unit
+    values = {
+        (-1, -1, 2): -1, (-1, -1, 3): 1, (-1, -1, 5): 1, (2, -1, 2): 1, (2, 2, 2): 1,
+        (-1, 3, 2): -1, (2, 3, 2): -1, (2, 5, 2): -1, (3, 5, 2): 1, (3, 7, 2): -1,
+        (3, 3, 3): -1, (5, 5, 5): 1, (7, 7, 7): -1, (2, 3, 3): -1, (5, 3, 3): -1,
+        (7, 3, 3): 1, (2, 5, 5): -1, (2, 7, 7): 1, (3, 7, 7): -1, (12, 7, 3): 1,
+    }
+    for (a, b, p), symbol in values.items():
+        assert _hilbert_symbol(a, b, p) == symbol == _hilbert_symbol(b, a, p), (a, b, p)
+
+
+def test_hilbert_symbols_satisfy_the_product_formula():
+    # prod over all places of (a, b)_v is 1, the real place giving -1 iff a
+    # and b are both negative; and (a, -a) = (a, 1 - a) = 1
+    rng = random.Random(97)
+    for _ in range(400):
+        a, b = (rng.choice((1, -1)) * rng.randint(1, 3000) for _ in range(2))
+        product = -1 if a < 0 and b < 0 else 1
+        for p in {2, *_prime_factors(a), *_prime_factors(b)}:
+            product *= _hilbert_symbol(a, b, p)
+            assert _hilbert_symbol(a, -a, p) == 1
+            if a != 1:
+                assert _hilbert_symbol(a, 1 - a, p) == 1
+        assert product == 1, (a, b)
+
+
+def _leading_minors(g):
+    return tuple(matrices.det([row[:i] for row in g.gram[:i]]) for i in range(1, g.rank + 1))
+
+
+def _square_mod(u, m):
+    return any((y * y - u) % m == 0 for y in range(m))
+
+
+def _pairwise_hasse(minors, p):
+    """eps_p = prod_(i<j) (a_i, a_j)_p of <a_1, ..., a_r>, with a_i = d_i
+    d_(i-1), the square class of d_i / d_(i-1)."""
+    ds = (1, *minors)
+    a = [ds[i] * ds[i - 1] for i in range(1, len(ds))]
+    eps = 1
+    for j in range(len(a)):
+        for i in range(j):
+            eps *= _hilbert_symbol(a[i], a[j], p)
+    return eps
+
+
+def _reference_obstructions(minors):
+    """_local_obstructions from _pairwise_hasse at every prime of 2 d_1 ...
+    d_r, with -d a square in Q_p by Hensel: an even valuation and a unit
+    that is a square mod p, or mod 8 at 2."""
+    d = minors[-1]
+    failing = []
+    for p in sorted({2, *(q for x in minors for q in _prime_factors(x))}):
+        if _pairwise_hasse(minors, p) * _hilbert_symbol(d, -1, p) < 0:
+            v, u = 0, -d
+            while u % p == 0:
+                u, v = u // p, v + 1
+            failing.append((p, v % 2 == 0 and _square_mod(u, 8 if p == 2 else p)))
+    first = [f"at p = {p}" for p, _ in failing] + [None]
+    hyperbolic = [f"at p = {p}" for p, square in failing if square] + [None]
+    at_rank = first[0] if isqrt(d) ** 2 == d else f"determinant {d} is not a square"
+    return at_rank, first[0], hyperbolic[0]
+
+
+def test_the_local_test_matches_its_definition_on_small_lattices():
+    # the kept minors are the leading minors; eps_p telescopes to the
+    # product of (d_(j-1), -d_j)_p; and the primes and j the test reads
+    # lose nothing against every prime and every pair i < j
+    rng = random.Random(101)
+    fired = lattices = 0
+    while lattices < 300:
+        g = _random_gram(rng, rng.randint(1, 6))
+        if g is None:
+            continue
+        lattices += 1
+        assert g._minors == _leading_minors(g)
+        for p in {2, 3, 5, 7, *(q for x in g._minors for q in _prime_factors(x))}:
+            telescoped = _hasse_invariant((1, *g._minors), p, range(2, g.rank + 1))
+            assert telescoped == _pairwise_hasse(g._minors, p)
+        reasons = _local_obstructions(g._minors)
+        assert reasons == _reference_obstructions(g._minors), g.gram
+        fired += sum(r is not None for r in reasons)
+    assert fired > 300
+
+
+def test_every_local_obstruction_is_absent_by_the_reference_search():
+    # the local test only proves absence: each dimension it rules out is
+    # one the reference search, without the class rule, finds empty; one
+    # the reference cannot finish in 2,000 nodes is left out, rarely
+    rng = random.Random(103)
+    lattices = checked = over_budget = 0
+    while lattices < 300:
+        g = _random_gram(rng, rng.randint(1, 6))
+        if g is None:
+            continue
+        lattices += 1
+        for k, reason in enumerate(_local_obstructions(g._minors)):
+            if reason is None:
+                continue
+            try:
+                absent = _ReferenceSearch(g.gram, g.rank + k, max_nodes=2000).run() is None
+            except SearchBudgetExceeded:
+                over_budget += 1
+                continue
+            assert absent, (g.gram, k, reason)
+            checked += 1
+    assert checked > 300 and over_budget <= 10
+
+
+def test_a_huge_determinant_is_named_by_its_size():
+    # str() refuses an int of more than 4,300 digits, and such a
+    # determinant takes a diagonal lattice of two entries
+    huge = GramLattice([[3 * 10**2500, 0], [0, 7 * 10**2500]])
+    assert _local_obstructions(huge._minors)[0] == (
+        f"determinant of {(21 * 10**5000).bit_length()} bits is not a square"
+    )
+    assert _local_obstructions(GramLattice([[3, 1], [1, 5]])._minors)[0] == (
+        "determinant 14 is not a square"
+    )
+
+
+def test_min_embedding_dim_answers_alike_without_the_local_test(monkeypatch):
+    cases = list(_plumbing_catalogue()) + [a_chain(n) for n in range(1, 7)]
+    cases += [qmn_gram(KnotParams(m, n)) for m, n in product(range(4), repeat=2)]
+    with_test = [min_embedding_dim(g) for g in cases]
+    monkeypatch.setattr(lattice, "_local_obstructions", lambda minors: (None, None, None))
+    assert [min_embedding_dim(g) for g in cases] == with_test
+
+
+def test_the_local_test_reads_each_prime_only_where_it_divides(monkeypatch):
+    # at an odd p only the j with p dividing d_(j-1) or d_j, at 2 every j:
+    # a few symbols per basis vector on Q(1000,0), whose 2,008 minors have
+    # hundreds of odd primes
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(p)
+        return _hilbert_symbol(a, b, p)
+
+    monkeypatch.setattr(lattice, "_hilbert_symbol", counted)
+    g = qmn_gram(KnotParams(1000, 0))
+    reasons = _local_obstructions(g._minors)
+    assert reasons == ("determinant 56107 is not a square", "at p = 2", None)
+    assert len(set(calls)) > 300 and len(calls) < 6 * g.rank
+
+
 def test_candidate_order_matches_dense_reference():
     rng = random.Random(61)
     nodes = 0
@@ -762,7 +925,10 @@ def test_path_and_dense_lattices_search_alike(caplog):
             path_result, path_searches = _searches(caplog, lambda: run(from_path))
             assert _searches(caplog, lambda: run(from_dense)) == (path_result, path_searches)
             assert path_searches
-            assert all(s.startswith(f"embedding search: rank {r}, ") for s in path_searches)
+            assert all(
+                s.startswith((f"embedding search: rank {r}, ", f"local obstruction: rank {r}, "))
+                for s in path_searches
+            )
         assert path_result is not None and verify_embedding(from_path, path_result)
         assert verify_embedding(from_dense, path_result)
 

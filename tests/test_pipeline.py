@@ -328,6 +328,21 @@ def test_one_contracted_search_decides_a_grid(monkeypatch):
     assert remembered == searched
 
 
+def test_a_grid_builds_the_contracted_lattice_once(monkeypatch):
+    # every row contracts to the weights of Q(0,0), and the last contracted
+    # lattice is kept, so a serial grid builds it once
+    built = []
+
+    def counted(weights):
+        built.append(weights)
+        return path_gram(weights)
+
+    monkeypatch.setattr(pipeline, "path_gram", counted)
+    pipeline._contracted_lattice.cache_clear()
+    verify_theorem(5, 5)
+    assert built == [(2, 2, 3, 2, 2, 2, 3, 3)]
+
+
 def test_verify_theorem_grid():
     reports = verify_theorem(1, 1)
     assert [(r.params.m, r.params.n) for r in reports] == [
