@@ -455,20 +455,24 @@ def default_dim_cap(g: GramLattice) -> int:
 _TRIAL_BOUND = 1 << 10
 
 
-def _odd_primes(n: int):
+def _odd_primes(n: int) -> tuple[list[int], int]:
     """The odd primes of the positive int n that trial division by the odd
     numbers below _TRIAL_BOUND finds, with the cofactor left when it is
-    below _TRIAL_BOUND^2 and so prime."""
+    below _TRIAL_BOUND^2 and so prime; and the cofactor left unfactored, 1
+    when there is none, whose primes are all at least _TRIAL_BOUND."""
     n >>= (n & -n).bit_length() - 1
+    primes = []
     q = 3
     while q < _TRIAL_BOUND and q * q <= n:
         if n % q == 0:
-            yield q
+            primes.append(q)
             while n % q == 0:
                 n //= q
         q += 2
     if 1 < n < _TRIAL_BOUND * _TRIAL_BOUND:
-        yield n
+        primes.append(n)
+        n = 1
+    return primes, n
 
 
 def _split(a: int, p: int) -> tuple[int, int]:
@@ -540,19 +544,32 @@ def _local_obstructions(minors) -> tuple[str | None, str | None, str | None]:
     Prop. 6), so there is nothing to test.
 
     Only p = 2 and odd p dividing some d_j can give c_p = -1: at an odd p
-    the symbol of two units is 1.  The odd p are those `_odd_primes` finds,
-    and one it misses only makes the test weaker.  At an odd p the factor
-    of j is not 1 only where p divides d_(j-1) or d_j, so eps_p takes only
-    those j; at 2 it takes every j.  The reason names the determinant when
-    it is not a square (by its size past 10^30), else the least prime that
-    fails."""
+    the symbol of two units is 1.  The odd p are those `_odd_primes` finds
+    in some d_j, and one it misses in every d_j only makes the test weaker.
+    At an odd p the factor of j is not 1 only where p divides d_(j-1) or
+    d_j, so eps_p takes only those j; at 2 it takes every j.  Each p found
+    is matched against every d_j, also one where trial division left a
+    cofactor it could not split, so no such j is lost.  The reason names
+    the determinant when it is not a square (by its size past 10^30), else
+    the least prime that fails."""
     d = minors[-1] if minors else 1
     ds = (1, *minors)
     r = len(minors)
     divides = defaultdict(set)  # odd p -> the j with p | d_j
+    unfactored = []  # (j, the part of d_j that trial division left)
     for j in range(1, r + 1):
-        for p in _odd_primes(ds[j]):
+        primes, rest = _odd_primes(ds[j])
+        for p in primes:
             divides[p].add(j)
+        if rest > 1:
+            unfactored.append((j, rest))
+    # a prime found in one minor may hide in another's unfactored part,
+    # which holds primes from _TRIAL_BOUND up only
+    large = [p for p in divides if p >= _TRIAL_BOUND]
+    for j, rest in unfactored:
+        for p in large:
+            if rest % p == 0:
+                divides[p].add(j)
     failing = []  # (p, -d a square in Q_p) for each p with c_p = -1
     for p in (2, *sorted(divides)):
         js = range(2, r + 1)

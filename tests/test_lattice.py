@@ -663,6 +663,36 @@ def test_the_local_test_matches_its_definition_on_small_lattices():
     assert fired > 300
 
 
+def test_a_prime_found_in_one_minor_is_read_in_every_minor():
+    # trial division finds 1031 in d_1 but cannot split d_3 = 3 * 1031 *
+    # 1033 (no factor below 1024 past the 3, a cofactor above 2^20); the
+    # factor (d_2, -d_3)_1031 = (14/1031) = -1 of j = 3 must still be read,
+    # else c_1031 reads -1 and rank + 1 is ruled out wrongly
+    minors = (1031, 14, 3 * 1031 * 1033)
+    assert _local_obstructions(minors) == _reference_obstructions(minors)
+    assert _local_obstructions(minors)[1:] == (None, None)
+    # seeded minors with one or two primes above the trial bound each; a
+    # minor with two cannot be split, and each such prime is also alone in
+    # some other minor, where trial division finds it
+    rng = random.Random(107)
+    large = (1031, 1033, 1039, 1049, 1051, 2003)
+    cases = hidden = 0
+    while cases < 400:
+        factors = [
+            (rng.randint(1, 30), rng.choice((1, *large)), rng.choice((1, 1, *large)))
+            for _ in range(rng.randint(2, 5))
+        ]
+        alone = {a * b for _, a, b in factors if min(a, b) == 1}
+        paired = {p for _, a, b in factors if min(a, b) > 1 for p in (a, b)}
+        if not paired <= alone:
+            continue
+        cases += 1
+        hidden += bool(paired)
+        minors = tuple(s * a * b for s, a, b in factors)
+        assert _local_obstructions(minors) == _reference_obstructions(minors), minors
+    assert hidden > 50
+
+
 def test_every_local_obstruction_is_absent_by_the_reference_search():
     # the local test only proves absence: each dimension it rules out is
     # one the reference search, without the class rule, finds empty; one
@@ -919,16 +949,26 @@ def test_path_and_dense_lattices_search_alike(caplog):
         from_path, from_dense = qmn_gram(KnotParams(m, n)), GramLattice(dense)
         for run in (
             lambda g: find_embedding(g, g.rank + 2),
-            lambda g: min_embedding_dim(g),
             lambda g: find_embedding(g, g.rank + (3 if m == 0 else 4)),
         ):
             path_result, path_searches = _searches(caplog, lambda: run(from_path))
             assert _searches(caplog, lambda: run(from_dense)) == (path_result, path_searches)
             assert path_searches
-            assert all(
-                s.startswith((f"embedding search: rank {r}, ", f"local obstruction: rank {r}, "))
-                for s in path_searches
-            )
+            assert all(s.startswith(f"embedding search: rank {r}, ") for s in path_searches)
+        # min_embedding_dim logs each dimension from the rank up once, those
+        # the local test rules out first and then the searches
+        found, records = _searches(caplog, lambda: min_embedding_dim(from_path))
+        assert _searches(caplog, lambda: min_embedding_dim(from_dense)) == (found, records)
+        reasons = _local_obstructions(from_path._minors)
+        ruled_out = [k < len(reasons) and reasons[k] is not None for k in range(found - r + 1)]
+        assert ruled_out == sorted(ruled_out, reverse=True) and not ruled_out[-1]
+        assert len(records) == len(ruled_out)
+        for k, (s, out) in enumerate(zip(records, ruled_out)):
+            if out:
+                assert s == f"local obstruction: rank {r}, dim {r + k}"
+            else:
+                assert s.startswith(f"embedding search: rank {r}, dim {r + k}, ")
+        assert records[-1].startswith(f"embedding search: rank {r}, dim {found}, found, ")
         assert path_result is not None and verify_embedding(from_path, path_result)
         assert verify_embedding(from_dense, path_result)
 
