@@ -151,8 +151,8 @@ def cmd_seifert(args) -> int:
         raise ValueError("provide at least one of --sig, --det, --alex")
     mat = _read_matrix(args.matrix_path)
     cap = args.cap_seconds
-    # every value is computed before any is printed, so an error or a spent
-    # budget leaves stdout empty
+    # every value is computed and formatted before any is printed, so an
+    # error or a spent budget leaves stdout empty
     values = []
     if args.sig:
         values.append(signature(symmetrize(mat), cap_seconds=cap))
@@ -160,9 +160,25 @@ def cmd_seifert(args) -> int:
         values.append(knot_determinant(mat, cap_seconds=cap))
     if args.alex:
         values.append(alexander(mat, cap_seconds=cap))
-    for value in values:
-        print(value)
+    sys.stdout.write(_unlimited_text(values))
     return EXIT_OK
+
+
+def _unlimited_text(values) -> str:
+    """The values one a line, each through str with the interpreter's limit
+    on the digits of an int (4,300 by default) lifted: they are results
+    already computed under the command's budget, and the determinant of a
+    matrix with entries of 2,200 digits has more.  The limit is restored
+    after, so the input is still read under it."""
+    lines = (f"{value}\n" for value in values)
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7, no limit
+        return "".join(lines)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return "".join(lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_curve(args) -> int:

@@ -17,20 +17,30 @@ cMd = 0, (d - (dMd / dMc) c, c) has it.
 
 The constructor enumerates c by height.  One coordinate k, with the
 smallest nonzero |M_kk| (the last on ties), is solved for: cMc is a
-quadratic in c_k, whose integer roots come from an isqrt.  The other
-coordinates run over the shells of height (largest |entry|) 0, 1, ...,
-bound, each in lex order, so the bound caps the enumerated coordinates and
-not c_k.  With a zero diagonal there is no coordinate to solve for, and
-every coordinate is enumerated.  When M + M^T is definite, no c is
-isotropic and the answer None is exact, whatever the bound.
+quadratic a c_k^2 + b c_k + uM'u in c_k, u the other coordinates, whose
+integer roots come from an isqrt of its discriminant b^2 - 4a uM'u.  That
+discriminant is a quadratic form in u, built once per search (at most six
+terms for dim 4), so a candidate u costs one evaluation of it, and b is
+read only when it is a square.  The other coordinates run over the shells
+of height (largest |entry|) 0, 1, ..., bound, each in lex order, so the
+bound caps the enumerated coordinates and not c_k.  With a zero diagonal
+there is no coordinate to solve for, and every coordinate is enumerated.
+When M + M^T is definite, no c is isotropic and the answer None is exact,
+whatever the bound.
 
-For each primitive isotropic c, d comes from unimodular column operations:
-a basis of Z^dim in which Mc is nonzero on at most one vector gives the
-kernel of Mc, and the same reduction of M^T c on that kernel gives a d0
-with (M^T c).d0 = +-1 when one exists, and a basis of the common kernel of
-Mc and M^T c, which holds c.  d is d0 less the nearest kernel vector that
-one Babai rounding finds on a pairwise reduced basis of the kernel (for
-two vectors, Gauss's reduction), with the sign that makes cMd = 1.
+For each primitive isotropic c, an exact test on u = Mc and v = M^T c
+decides first whether a d exists (`_partner_exists`: gcd(v) = 1 when
+u = 0, else the gcd of the 2 x 2 minors u_i v_j - u_j v_i equals gcd(u)),
+so a c without one costs no column operations; on the 11 x 11 grid, 77 of
+the 198 c tried have none.  For the others, d comes from unimodular column
+operations: a basis of Z^dim in which Mc is nonzero on at most one vector
+gives the kernel of Mc, and the same reduction of M^T c on that kernel
+gives a d0 with (M^T c).d0 = +-1, and a basis of the common kernel of Mc
+and M^T c, which holds c.  d is d0 less the nearest kernel vector that one
+Babai rounding finds on a pairwise reduced basis of the kernel (for two
+vectors, Gauss's reduction), with the sign that makes cMd = 1.  The
+certificate's form is then [[0, 1], [0, dMd]], so only dMd is computed;
+`verify_certificate` recomputes all of it.
 """
 
 from __future__ import annotations
@@ -38,18 +48,18 @@ from __future__ import annotations
 import logging
 import operator
 import time
-from itertools import permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, isqrt
 
 from .matrices import as_matrix, check_deadline, det, mat_vec, search_deadline, symmetrize, transpose
-from .seifert import CurveCertificate, restricted_form, signature, verify_certificate
+from .seifert import CurveCertificate, signature, verify_certificate
 
 log = logging.getLogger(__name__)
 
 # The size guard: a search enumerates at most this many vectors,
 # (2 bound + 1)^(dim - 1), or (2 bound + 1)^dim with a zero diagonal.  The
 # largest dim-4 search it admits, bound 39 (79^3 = 493,039 triples), takes
-# about 3 s when absent, on diag(1, 1, 1, -7) (2-core x86-64).
+# about 0.4 s when absent, on diag(1, 1, 1, -7) (in process, 2-core x86-64).
 MAX_SEARCH_VECTORS = 1 << 19
 
 
@@ -63,16 +73,40 @@ def _nearest(num: int, den: int) -> int:
 
 
 def _shell(k: int, h: int):
-    """The vectors of Z^k of height (largest |entry|) h, in lex order."""
+    """The vectors of Z^k of height (largest |entry|) h, in lex order: for
+    each first entry x, x = +-h before every vector of [-h, h]^(k - 1), or
+    |x| < h before the shell of Z^(k - 1).  Built from itertools, so no
+    vector passes through a Python frame."""
     if k == 0:
-        if h == 0:
-            yield ()
-        return
+        return [()] if h == 0 else []
+    if k == 1:
+        return [(-h,), (h,)] if h else [(0,)]
     entries = range(-h, h + 1)
-    for x in entries:
-        rest = product(entries, repeat=k - 1) if abs(x) == h else _shell(k - 1, h)
-        for t in rest:
-            yield (x, *t)
+    box = (entries,) * (k - 1)
+    return chain.from_iterable(
+        product((x,), *box) if abs(x) == h else map((x,).__add__, _shell(k - 1, h))
+        for x in entries
+    )
+
+
+def _form_terms(q):
+    """The nonzero terms (coefficient, i, j), i <= j, of the quadratic form
+    x -> xQx: Q_ii for i = j, Q_ij + Q_ji for i < j."""
+    n = len(q)
+    terms = ((q[i][j] + q[j][i] if i < j else q[i][i], i, j) for i in range(n) for j in range(i, n))
+    return [term for term in terms if term[0]]
+
+
+def _discriminant(mat, k: int):
+    """(lin, terms): cMc = a c_k^2 + b c_k + uM'u, with u the coordinates
+    of c other than k, a = M_kk, b = lin.u and M' the rows and columns
+    other than k; terms are those of u -> b^2 - 4a uM'u, its discriminant in
+    c_k, the form of lin lin^T - 4a M' (at most six terms for dim 4)."""
+    others = [i for i in range(len(mat)) if i != k]
+    a = mat[k][k]
+    lin = [mat[k][i] + mat[i][k] for i in others]
+    q = [[x * y - 4 * a * mat[i][j] for j, y in zip(others, lin)] for i, x in zip(others, lin)]
+    return lin, _form_terms(q)
 
 
 def _completions(mat, k: int | None):
@@ -81,20 +115,17 @@ def _completions(mat, k: int | None):
     one that takes c to (c,) when it is isotropic, else to ()."""
     if k is None:
         return lambda c: (c,) if _dot(c, mat_vec(mat, c)) == 0 else ()
-    others = [i for i in range(len(mat)) if i != k]
     a = mat[k][k]
-    lin = [mat[k][i] + mat[i][k] for i in others]
-    sub = [[mat[i][j] for j in others] for i in others]
+    lin, disc_terms = _discriminant(mat, k)
 
     def complete(u):
-        # cMc = a c_k^2 + b c_k + uM'u, M' the rows and columns other than k
-        b = _dot(lin, u)
-        disc = b * b - 4 * a * _dot(u, mat_vec(sub, u))
+        disc = sum([t * u[i] * u[j] for t, i, j in disc_terms])
         if disc < 0:
             return ()
         s = isqrt(disc)
         if s * s != disc:
             return ()
+        b = _dot(lin, u)
         roots = (divmod(num, 2 * a) for num in sorted({-b - s, -b + s}, reverse=a < 0))
         return [(*u[:k], t, *u[k:]) for t, r in roots if r == 0]
 
@@ -148,16 +179,44 @@ def _babai(d, basis):
     return d
 
 
-def _partner(mat, c):
-    """A short d with (Mc).d = 0 and cMd = (M^T c).d = 1, or None."""
+def _partner_exists(u, v) -> bool:
+    """Whether some d has u.d = 0 and v.d = +-1: when u = 0, iff gcd(v) = 1;
+    else iff the gcd of the 2 x 2 minors u_i v_j - u_j v_i is gcd(u).
+
+    The image of d -> (u.d, v.d) is a subgroup L of Z^2, and such a d
+    exists iff (0, 1) is in L.  When u = 0, L is 0 x gcd(v)Z.  Else L
+    projects onto gcd(u)Z in the first coordinate, and L meets 0 x Z in
+    0 x hZ: d exists iff h = 1.  When v is a multiple of u over Q, every
+    minor is 0 while gcd(u) > 0, and L, of rank 1, meets 0 x Z in 0 only.
+    Else L has rank 2 and the Hermite normal form basis (gcd(u), x),
+    (0, h), so its index in Z^2 is gcd(u) h; the index of the image of the
+    2 x dim matrix with rows u and v is the gcd of its 2 x 2 minors (the
+    product of its invariant factors).  So h = 1 iff that gcd is gcd(u).
+    The two `_split`s of `_partners` reach the same h: the first leaves a
+    basis of the kernel of u, on which v takes the values hZ."""
+    g = gcd(*u)
+    if not g:
+        return gcd(*v) == 1
+    return gcd(*[u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(len(u)), 2)]) == g
+
+
+def _partners(mat):
+    """The function that takes a primitive isotropic c to a short d with
+    (Mc).d = 0 and cMd = (M^T c).d = 1, or to None when there is none."""
     dim = len(mat)
+    cols = transpose(mat)
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    g, first, rest = _split(units, mat_vec(mat, c))
-    kernel = rest if g else [first, *rest]
-    g, d, common = _split(kernel, mat_vec(transpose(mat), c))
-    if abs(g) != 1:
-        return None
-    return tuple(g * x for x in _babai(d, _pair_reduced(common)))
+
+    def partner(c):
+        u, v = mat_vec(mat, c), mat_vec(cols, c)
+        if not _partner_exists(u, v):
+            return None
+        g, first, rest = _split(units, u)
+        kernel = rest if g else [first, *rest]
+        g, d, common = _split(kernel, v)
+        return tuple(g * x for x in _babai(d, _pair_reduced(common)))
+
+    return partner
 
 
 def _construct(mat, k: int | None, bound: int, deadline: float | None):
@@ -168,7 +227,7 @@ def _construct(mat, k: int | None, bound: int, deadline: float | None):
     shells = tried = 0
     if abs(signature(symmetrize(mat))) == dim:
         return None, shells, tried
-    complete = _completions(mat, k)
+    complete, partner = _completions(mat, k), _partners(mat)
     for h in range(bound + 1):
         check_deadline(deadline)
         shells += 1
@@ -176,9 +235,11 @@ def _construct(mat, k: int | None, bound: int, deadline: float | None):
             for c in complete(u):
                 if gcd(*c) == 1:
                     tried += 1
-                    d = _partner(mat, c)
+                    d = partner(c)
                     if d is not None:
-                        return CurveCertificate(c, d, restricted_form(mat, c, d)), shells, tried
+                        # cMc = (Mc).d = 0 and cMd = 1, so only dMd is left
+                        form = ((0, 1), (0, _dot(d, mat_vec(mat, d))))
+                        return CurveCertificate(c, d, form), shells, tried
     return None, shells, tried
 
 

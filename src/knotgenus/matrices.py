@@ -325,9 +325,13 @@ class GramLattice:
             time.perf_counter() - start,
         )
         if not definite:
+            # past the interpreter's limit on int to str, a minor, here < 0,
+            # is named by its size
+            minor = minors[-1]
+            shown = minor if minor > -(10**30) else f"negative, of {minor.bit_length()} bits"
             raise ValueError(
                 f"Gram matrix is not positive definite: leading principal minor "
-                f"{len(minors)} is {minors[-1]}"
+                f"{len(minors)} is {shown}"
             )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_minors", tuple(minors))

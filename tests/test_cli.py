@@ -299,6 +299,49 @@ def test_seifert_budget_exceeded_exits_two(capsys, tmp_path, s00_file):
     assert code == 0 and out == "-2\n107\n-2:6 -1:-27 0:41 1:-27 2:6\n"
 
 
+def _decimal(n: int) -> str:
+    """str(n) past the interpreter's limit on the digits of an int."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_seifert_prints_invariants_past_the_digit_limit(capsys, tmp_path):
+    # [[3x, 1], [0, 3x]], x = 10^2200, has entries of 2,201 digits, which
+    # are read under the limit; its determinant 36 x^2 - 1 and Alexander
+    # polynomial 9 x^2 t^-1 - (18 x^2 - 1) + 9 x^2 t have 4,402 and 4,401
+    x = 10**2200
+    path = tmp_path / "huge.txt"
+    path.write_text(format_matrix_text([[3 * x, 1], [0, 3 * x]]))
+    limit = sys.get_int_max_str_digits()
+    det = f"{_decimal(36 * x * x - 1)}\n"
+    alex = f"-1:{_decimal(9 * x * x)} 0:{_decimal(1 - 18 * x * x)} 1:{_decimal(9 * x * x)}\n"
+    assert len(det) > limit
+    for flags, expected in ((["--det"], det), (["--alex"], alex), (["--sig", "--det", "--alex"], "2\n" + det + alex)):
+        code, out, err = run(capsys, ["seifert", str(path), *flags])
+        assert (code, err) == (0, "") and out == expected, flags
+        assert sys.get_int_max_str_digits() == limit
+    # the input itself is still read under the limit
+    path.write_text(f"1\n{'1' * (limit + 1)}\n")
+    code, out, err = run(capsys, ["seifert", str(path), "--det"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"knot: error: {path}: line 2: expected integers")
+
+
+def test_lattice_names_a_huge_failing_minor_by_its_size(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2\n1{'0' * 2200} 0\n0 -1{'0' * 2200}\n")
+    code, out, err = run(capsys, ["lattice", str(path), "--dim", "3"])
+    assert code == 1 and out == ""
+    assert err == (
+        "knot: error: Gram matrix is not positive definite: leading principal minor 2 "
+        f"is negative, of {(10**4400).bit_length()} bits\n"
+    )
+
+
 def test_curve_family(capsys):
     code, out, _ = run(capsys, ["curve", "--m", "0", "--n", "0", "--bound", "3"])
     assert code == 0
@@ -360,10 +403,10 @@ def test_curve_budget_exceeded_exits_two(capsys, tmp_path):
     # isotropic (7 w^2 is a sum of three squares only at w = 0)
     path = tmp_path / "q7.txt"
     path.write_text("4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 -7\n")
-    argv = ["curve", "--matrix", str(path), "--bound", "39", "--cap-seconds", "0.2"]
+    argv = ["curve", "--matrix", str(path), "--bound", "39", "--cap-seconds", "0.05"]
     start = time.monotonic()
     code, out, err = run(capsys, argv)
-    assert time.monotonic() - start < 2  # the whole search takes about 3 s
+    assert time.monotonic() - start < 2  # the whole search takes about 0.4 s
     assert code == 2 and out == ""
     assert err.startswith("knot: search stopped:") and err.count("\n") == 1
     for cap in ("0", "-1", "nan"):

@@ -2,6 +2,7 @@ import logging
 import random
 from itertools import product
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from box_search import (
 from knotgenus import cli, curve_search, pipeline
 from knotgenus.curve_search import MAX_SEARCH_VECTORS, find_genus1_certificate
 from knotgenus.lattice import SearchBudgetExceeded
-from knotgenus.matrices import as_matrix, det
+from knotgenus.matrices import as_matrix, det, mat_vec, transpose
 from knotgenus.pipeline import default_search_bound
 from knotgenus.seifert import (
     CurveCertificate,
@@ -378,7 +379,7 @@ def constructed(mat, bound, expected):
     if expected is not None:
         mat = as_matrix(mat)
         c = converse_class(mat, expected)
-        assert curve_search._partner(mat, c) is not None
+        assert curve_search._partners(mat)(c) is not None
         k = curve_search._solved_coordinate(mat)
         height = max((abs(v) for i, v in enumerate(c) if i != k), default=0)
         assert cert is not None or height > bound, mat
@@ -976,3 +977,120 @@ def test_k286_287_runs():
     assert default_search_bound(k) == 19
     cert = constructed(seifert_matrix(k), 19, None)
     assert (cert.a, cert.b) == ((-2, 1, 0, -38), (8, 15, 1, 7))
+
+
+REFERENCE_CERTIFICATES = Path(__file__).parent / "reference" / "certificates_m30_n30.txt"
+
+
+def certificate_lines(m_max, n_max):
+    """One line per K(m,n), m <= m_max and n <= n_max, at the default
+    bound: the certificate as `knot curve` prints it, then the search's log
+    record without its time (the bound, the verdict, the shells entered and
+    the isotropic c tried)."""
+    handler = logging.Handler()
+    records = []
+    handler.emit = records.append
+    logger = logging.getLogger("knotgenus.curve_search")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    lines = []
+    try:
+        for m, n in product(range(m_max + 1), range(n_max + 1)):
+            k = KnotParams(m, n)
+            cert = find_genus1_certificate(seifert_matrix(k), default_search_bound(k))
+            record = records.pop()
+            counts = record.msg.rsplit(", ", 1)[0] % record.args[:-1]
+            lines.append(f"K({m},{n}): {pipeline.format_certificate(cert)} ; {counts}\n")
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return lines
+
+
+def test_certificates_up_to_30_match_the_reference():
+    # every certificate, shell count and isotropic c count of the 31 x 31
+    # grid, byte for byte; the reference was written by certificate_lines
+    # before the discriminant form and the partner pre-test, which change
+    # only the cost of each candidate
+    assert "".join(certificate_lines(30, 30)) == REFERENCE_CERTIFICATES.read_text()
+
+
+def partner_by_column_operations(mat, c):
+    """The partner of c as the constructor built it without the pre-test:
+    both column reductions, then None unless M^T c is +-1 on the vector
+    the second one leaves."""
+    units = [tuple(int(i == j) for j in range(len(mat))) for i in range(len(mat))]
+    g, first, rest = curve_search._split(units, mat_vec(mat, c))
+    kernel = rest if g else [first, *rest]
+    g, d, common = curve_search._split(kernel, mat_vec(transpose(mat), c))
+    if abs(g) != 1:
+        return None
+    return tuple(g * x for x in curve_search._babai(d, curve_search._pair_reduced(common)))
+
+
+def _partner_cases(rng):
+    """Seeded (kind, M, c) of dim 2-5: the primitive isotropic c that the
+    constructor tries in its first shells, any c, c with Mc = 0 (M made to
+    kill it), and c with Mc parallel to M^T c (M symmetric, antisymmetric,
+    or made to have M^T c = 0)."""
+    for _ in range(300):
+        dim = rng.choice((2, 3, 4, 5))
+        r = rng.choice((1, 2, 3, 5, 9))
+        mat = as_matrix([[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)])
+        k = curve_search._solved_coordinate(mat)
+        complete = curve_search._completions(mat, k)
+        tried = [c for h in range(3) for u in curve_search._shell(dim if k is None else dim - 1, h)
+                 for c in complete(u) if gcd(*c) == 1]
+        for c in tried[:5]:
+            yield "isotropic", mat, c
+        c = tuple(rng.randint(-3, 3) for _ in range(dim - 1)) + (rng.choice((-1, 1)),)
+        yield "any", mat, c
+        # the last column makes Mc = 0, as c's last entry is +-1
+        killed = [row[:-1] + (-c[-1] * dot(row[:-1], c[:-1]),) for row in mat]
+        yield "Mc = 0", as_matrix(killed), c
+        yield "M^T c = 0", transpose(as_matrix(killed)), c
+        sym = [[mat[i][j] + mat[j][i] for j in range(dim)] for i in range(dim)]
+        yield "Mc = M^T c", as_matrix(sym), c
+        yield "Mc = -M^T c", antisymmetrize(mat), c
+
+
+def test_the_partner_pre_test_is_exact():
+    # the pre-test answers None exactly where the column operations end
+    # with |g| != 1, so every partner is the one they build
+    outcomes = {}
+    for kind, mat, c in _partner_cases(random.Random(37)):
+        d = curve_search._partners(mat)(c)
+        assert d == partner_by_column_operations(mat, c), (kind, mat, c)
+        u, v = mat_vec(mat, c), mat_vec(transpose(mat), c)
+        assert d is None or (dot(u, d), dot(v, d)) == (0, 1), (kind, mat, c)
+        outcomes[kind, d is not None] = outcomes.get((kind, d is not None), 0) + 1
+    # each kind has c with a partner and c without one, but where Mc and
+    # M^T c are parallel and not both 0: then (Mc).d = 0 forces (M^T c).d = 0
+    kinds = ("isotropic", "any", "Mc = 0", "M^T c = 0", "Mc = M^T c", "Mc = -M^T c")
+    assert {kind for kind, found in outcomes if found} == {"isotropic", "any", "Mc = 0"}
+    assert {kind for kind, found in outcomes if not found} == set(kinds)
+    assert outcomes["isotropic", True] >= 100 and outcomes["isotropic", False] >= 100
+
+
+def test_the_discriminant_form_is_that_of_the_quadratic_in_c_k():
+    # for every coordinate k that can be solved for, the form built once
+    # per search equals b^2 - 4a uM'u, b and M' read from M directly
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(200):
+        dim = rng.choice((2, 3, 4, 5))
+        r = rng.choice((1, 3, 9, 10**20))
+        mat = as_matrix([[rng.randint(-r, r) for _ in range(dim)] for _ in range(dim)])
+        for k in (k for k in range(dim) if mat[k][k]):
+            lin, terms = curve_search._discriminant(mat, k)
+            assert len(terms) <= dim * (dim - 1) // 2
+            others = [i for i in range(dim) if i != k]
+            for _ in range(5):
+                u = [rng.randint(-4, 4) for _ in others]
+                b = sum((mat[k][i] + mat[i][k]) * x for i, x in zip(others, u))
+                umu = sum(x * mat[i][j] * y for i, x in zip(others, u) for j, y in zip(others, u))
+                assert dot(lin, u) == b
+                assert sum(t * u[i] * u[j] for t, i, j in terms) == b * b - 4 * mat[k][k] * umu
+                checked += 1
+    assert checked > 2000

@@ -427,6 +427,27 @@ def test_positive_definiteness_check_logs_one_info_record(caplog):
     assert all(m.endswith(" s") for m in messages)
 
 
+def test_a_huge_failing_minor_is_named_by_its_size():
+    # str() refuses an int of more than 4,300 digits: such a minor is named
+    # by its size, and one above -10^30 is shown as it is
+    huge = 10**2200
+    with pytest.raises(ValueError) as refused:
+        GramLattice([[huge, 0], [0, -huge]])
+    assert str(refused.value) == (
+        "Gram matrix is not positive definite: leading principal minor 2 is "
+        f"negative, of {(huge * huge).bit_length()} bits"
+    )
+    with pytest.raises(ValueError) as refused:
+        GramLattice(((1, 2), (2, 1)))
+    assert str(refused.value) == (
+        "Gram matrix is not positive definite: leading principal minor 2 is -3"
+    )
+    for minor, shown in ((0, "0"), (1 - 10**30, "-" + "9" * 30), (-(10**30), "negative, of 100 bits")):
+        with pytest.raises(ValueError) as refused:
+            GramLattice([[minor]])
+        assert str(refused.value).endswith(f"leading principal minor 1 is {shown}")
+
+
 def _dense_path(weights):
     n = len(weights)
     return tuple(
