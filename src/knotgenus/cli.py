@@ -19,8 +19,12 @@ verdict, node count and time, or `memo` for a call that repeats the last
 search (see `lattice.find_embedding`), every curve search its dimension,
 bound, verdict, shells entered, isotropic c tried and time, every
 positive-definiteness check its rank, verdict and time, and every
-signature and Alexander polynomial its matrix size and time.  Stdout does
-not change.
+signature and Alexander polynomial its matrix size and time.  The
+signature, the determinant and the Alexander polynomial of one Seifert
+matrix share one symmetric elimination of M + M^T (see `seifert`), so
+after --sig the --det and --alex of `knot seifert` read their budget once
+for it, and a signature that reuses it logs the time of the lookup.
+Stdout does not change.
 
 Each search checks what it returns: `find_genus1_certificate` with
 `verify_certificate`, `find_embedding` with `verify_embedding`, so `knot
@@ -37,6 +41,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 
 from . import lattice
 from .lattice import find_embedding, format_embedding, min_embedding_dim
@@ -88,12 +93,14 @@ def cmd_info(args) -> int:
     from .pipeline import genus_bounds, render_json, report_to_dict, report_to_text, reports_to_csv
 
     report = genus_bounds(KnotParams(args.m, args.n))
-    if args.format == "json":
-        sys.stdout.write(render_json(report_to_dict(report)))
-    elif args.format == "csv":
-        sys.stdout.write(reports_to_csv([report]))
-    else:
-        sys.stdout.write(report_to_text(report))
+    with _unlimited_digits():
+        if args.format == "json":
+            text = render_json(report_to_dict(report))
+        elif args.format == "csv":
+            text = reports_to_csv([report])
+        else:
+            text = report_to_text(report)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -160,23 +167,27 @@ def cmd_seifert(args) -> int:
         values.append(knot_determinant(mat, cap_seconds=cap))
     if args.alex:
         values.append(alexander(mat, cap_seconds=cap))
-    sys.stdout.write(_unlimited_text(values))
+    with _unlimited_digits():
+        text = "".join(f"{value}\n" for value in values)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
-def _unlimited_text(values) -> str:
-    """The values one a line, each through str with the interpreter's limit
-    on the digits of an int (4,300 by default) lifted: they are results
-    already computed under the command's budget, and the determinant of a
-    matrix with entries of 2,200 digits has more.  The limit is restored
+@contextmanager
+def _unlimited_digits():
+    """Lift the interpreter's limit on the digits of an int in str (4,300
+    by default) for the formatting of results already computed under the
+    command's budget: the determinant of a matrix with entries of 2,200
+    digits has more, as have the determinant and the Alexander
+    coefficients of K(m,n) for m = n = 10^2200.  The limit is restored
     after, so the input is still read under it."""
-    lines = (f"{value}\n" for value in values)
     if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7, no limit
-        return "".join(lines)
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return "".join(lines)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -1,15 +1,19 @@
 """Invariants computed exactly from Seifert matrices.
 
-The Alexander polynomial P(t) = det(M - t M^T) comes from floor(n/2) + 1
-Bareiss determinants by the Cayley substitution t = (1 + s)/(1 - s) (see
-`alexander`), and is returned as its canonical representative up to units.
 The signature of a symmetric S comes from one symmetric Bareiss pass, by
-Sylvester's law of inertia and Jacobi's rule (see `signature`), and the
-determinant is one Bareiss determinant: O(n^3) work each, against the
-O(n^4) of the determinants of P.  Each takes a time budget, which the
-kernel `matrices._bareiss_pivots` reads between its pivots.  No floating
-point.  Each signature and Alexander polynomial logs one INFO record on
-the "knotgenus.seifert" logger with the matrix size and the time.
+Sylvester's law of inertia and Jacobi's rule (see `signature`).  The last
+symmetric pass that finished is remembered with its pivots, keyed by the
+value of S, so the signature of B = M + M^T, the determinant |det B| (the
+last of n pivots, else 0) and the top coefficient of the Alexander
+polynomial, (-1)^n det B, share one O(n^3) pass.  The Alexander
+polynomial P(t) = det(M - t M^T) then takes floor(n/2) further Bareiss
+determinants by the Cayley substitution t = (1 + s)/(1 - s) (see
+`alexander`), O(n^4) in all, and is returned as its canonical
+representative up to units.  Each takes a time budget, which the kernel
+`matrices._bareiss_pivots` reads between its pivots, and which a call
+answered from the remembered pass reads once.  No floating point.  Each
+signature and Alexander polynomial logs one INFO record on the
+"knotgenus.seifert" logger with the matrix size and the time.
 
 A genus-1 reduction certificate of M is a pair of homology classes (a, b)
 with intersection a(M - M^T)b = +-1 whose restricted 2x2 Seifert form has
@@ -29,6 +33,7 @@ from .matrices import (
     _bareiss_pivots,
     as_matrix,
     as_vector,
+    check_deadline,
     det,
     is_symmetric,
     mat_vec,
@@ -79,35 +84,70 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({str(self)!r})"
 
 
+# The last symmetric pass that finished, as (S, its pivots), or None.  One
+# entry, so memory stays bounded by one matrix.
+_last_symmetric = None
+
+
+def _symmetric_pivots(sym: IntMatrix, deadline: float | None) -> tuple[int, ...]:
+    """The pivots of the symmetric Bareiss pass of sym (the "symmetric" mode
+    of `matrices._bareiss_pivots`), from `_last_symmetric` when it holds a
+    matrix equal to sym: the deadline is then read once, as after a pass's
+    first pivot.  A pass that raises is not remembered."""
+    global _last_symmetric
+    last = _last_symmetric
+    if last is not None and last[0] == sym:
+        check_deadline(deadline)
+        return last[1]
+    pivots = tuple(_bareiss_pivots(sym, "symmetric", deadline))
+    _last_symmetric = (sym, pivots)
+    return pivots
+
+
+def _symmetric_det(sym: IntMatrix, deadline: float | None) -> int:
+    """det(sym): the last symmetric pivot when there are n of them (the
+    congruences of the pass have determinant 1), else 0, the rank being
+    below n; 1 for the 0x0 matrix."""
+    pivots = _symmetric_pivots(sym, deadline)
+    if len(pivots) < len(sym):
+        return 0
+    return pivots[-1] if pivots else 1
+
+
 def _alexander_coefficients(mat: IntMatrix, deadline: float | None) -> list[int]:
     """Ascending integer coefficients of P(t) = det(M - t M^T), n + 1 of
-    them, from floor(n/2) + 1 determinants (the derivation is in
-    `alexander`).  Raises SearchBudgetExceeded when the deadline is past
-    between two pivots of one of them."""
+    them, from the symmetric pass of M + M^T and floor(n/2) determinants
+    (the derivation is in `alexander`).  Raises SearchBudgetExceeded when
+    the deadline is past between two pivots of one of them."""
     n = len(mat)
     h, odd = divmod(n, 2)
-    # D(s) = det(A - s B), A = M - M^T, B = M + M^T, is s^odd E(s^2):
-    # sample E at the nodes s^2 for s = 0..h (n even) or 1..h + 1 (n odd)
-    rows = [
-        ([x - y for x, y in zip(row, col)], [x + y for x, y in zip(row, col)])
-        for row, col in zip(mat, zip(*mat))
-    ]
+    sym = symmetrize(mat)
+    # D(s) = det(A - s B), A = M - M^T, B = M + M^T, is s^odd E(s^2), and
+    # E's top coefficient e_h is D_n = det(-B)
+    top = _symmetric_det(sym, deadline)
+    if odd:
+        top = -top
+    rows = [([x - y for x, y in zip(row, col)], b) for row, col, b in zip(mat, zip(*mat), sym)]
+    # sample F = E - e_h x^h, of degree < h, at the nodes s^2 for
+    # s = 0..h - 1 (n even) or 1..h (n odd)
     nodes, values = [], []
-    for s in range(odd, h + 1 + odd):
+    for s in range(odd, h + odd):
         d = det([[a - s * b for a, b in zip(ra, rb)] for ra, rb in rows], deadline)
-        nodes.append(s * s)
-        values.append(d // s if odd else d)
-    # Newton divided differences of E, each an exact integer division
-    for k in range(1, h + 1):
-        for i in range(h, k - 1, -1):
+        x = s * s
+        nodes.append(x)
+        values.append((d // s if odd else d) - top * x**h)
+    # Newton divided differences of F, each an exact integer division
+    for k in range(1, h):
+        for i in range(h - 1, k - 1, -1):
             values[i] = (values[i] - values[i - 1]) // (nodes[i] - nodes[i - k])
     # Horner on c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)), ascending powers
-    e = [values[h]]
-    for k in range(h - 1, -1, -1):
+    e = values[-1:]
+    for k in range(h - 2, -1, -1):
         e = [0] + e
         for j in range(len(e) - 1):
             e[j] -= nodes[k] * e[j + 1]
         e[0] += values[k]
+    e.append(top)
     # D_k, the coefficient of s^k, is e_j at k = 2 j + odd.  Horner for
     # 2^n P(t) = sum_k D_k (t - 1)^k (t + 1)^(n - k): q = D_n, then
     # q = q (t - 1) + D_k (t + 1)^(n - k) for k = n - 1..0
@@ -135,11 +175,12 @@ def signature(mat, cap_seconds: float | None = None) -> int:
     diag(d_1/d_0, ..., d_r/d_(r-1), 0, ..., 0) with d_0 = 1.  So by
     Jacobi's rule each consecutive pair of 1, d_1, ..., d_r with the same
     sign counts +1 and each with different signs -1, and the n - r zero
-    eigenvalues count 0.
+    eigenvalues count 0.  The pass is the one remembered for S (see the
+    module docstring), so a repeated S costs no elimination.
 
     cap_seconds (> 0, or None for no budget) bounds the time: it is read
-    after each pivot, and SearchBudgetExceeded is raised when it has run
-    out.  A bad value raises ValueError.
+    after each pivot, or once for a remembered S, and SearchBudgetExceeded
+    is raised when it has run out.  A bad value raises ValueError.
     """
     deadline = search_deadline(cap_seconds)
     mat = as_matrix(mat)
@@ -148,7 +189,7 @@ def signature(mat, cap_seconds: float | None = None) -> int:
     start = time.perf_counter()
     sigma = 0
     prev = 1
-    for pivot in _bareiss_pivots(mat, "symmetric", deadline):
+    for pivot in _symmetric_pivots(mat, deadline):
         sigma += 1 if (pivot > 0) == (prev > 0) else -1
         prev = pivot
     log.info("signature: size %d, %.3f s", len(mat), time.perf_counter() - start)
@@ -156,10 +197,12 @@ def signature(mat, cap_seconds: float | None = None) -> int:
 
 
 def knot_determinant(mat, cap_seconds: float | None = None) -> int:
-    """|det(M + M^T)| of a Seifert matrix M, from one Bareiss pass with row
-    swaps.  cap_seconds bounds it as it bounds `signature`."""
+    """|det(M + M^T)| of a Seifert matrix M: the last pivot of the symmetric
+    pass of M + M^T when it has n pivots, else 0 (see
+    `matrices._bareiss_pivots`), so it shares the pass of `signature`.
+    cap_seconds bounds it as it bounds `signature`."""
     deadline = search_deadline(cap_seconds)
-    return abs(det(symmetrize(as_matrix(mat)), deadline))
+    return abs(_symmetric_det(symmetrize(as_matrix(mat)), deadline))
 
 
 def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
@@ -180,20 +223,24 @@ def alexander(mat, cap_seconds: float | None = None) -> LaurentPolynomial:
     B = M + M^T, D(s) = det(A - s B) = det((1 - s) M - (1 + s) M^T)
     = (1 - s)^n P((1 + s)/(1 - s)).  The transpose of A - s B is
     -(A + s B), so D(-s) = (-1)^n D(s): D is even or odd with n, and
-    D(s) = s^(n mod 2) E(s^2) with E of degree <= h = floor(n/2).  So
-    h + 1 determinants give E: D at s = 0..h (n even), or D(s) / s at
-    s = 1..h + 1 (n odd), exact since E has integer coefficients.  E is
-    interpolated in Newton form at the integer nodes s^2; each divided
-    difference of an integer polynomial at integer nodes is a complete
-    homogeneous symmetric sum of the nodes, an integer, so each division is
-    exact.  Inverting the substitution, 2^n P(t) = sum_k D_k (t - 1)^k
+    D(s) = s^(n mod 2) E(s^2) with E of degree <= h = floor(n/2).  The top
+    coefficient e_h of E is the top coefficient D_n = det(-B) = (-1)^n
+    det(B) of D, which the symmetric pass of B shared with `signature` and
+    `knot_determinant` gives.  So h more determinants give
+    F(x) = E(x) - e_h x^h, of degree < h: D(s) - e_h s^(2h) at
+    s = 0..h - 1 (n even), or D(s) / s - e_h s^(2h) at s = 1..h (n odd),
+    exact since E has integer coefficients.  F is interpolated in Newton
+    form at the integer nodes s^2; each divided difference of an integer
+    polynomial at integer nodes is a complete homogeneous symmetric sum of
+    the nodes, an integer, so each division is exact.  Inverting the substitution, 2^n P(t) = sum_k D_k (t - 1)^k
     (t + 1)^(n - k) with D_k the coefficients of D, summed by Horner in
     (t - 1)/(t + 1), and the division by 2^n is exact because P has integer
     coefficients.  D vanishes identically exactly when P does.
 
     cap_seconds (> 0, or None for no budget) bounds the time: it is read
-    after each pivot of the floor(n/2) + 1 determinants, and
-    SearchBudgetExceeded is raised when it has run out.  A bad value raises
+    after each pivot of the symmetric pass (once when it is remembered)
+    and of the floor(n/2) determinants, and SearchBudgetExceeded is raised
+    when it has run out.  A bad value raises
     ValueError.
     """
     deadline = search_deadline(cap_seconds)

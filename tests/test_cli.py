@@ -331,6 +331,19 @@ def test_seifert_prints_invariants_past_the_digit_limit(capsys, tmp_path):
     assert err.startswith(f"knot: error: {path}: line 2: expected integers")
 
 
+def test_info_prints_a_report_past_the_digit_limit(capsys):
+    # K(x, x), x = 10^2200: m and n have 2,201 digits, which are read under
+    # the limit; the determinant 20 x^2 + 96 x + 107 has 4,403
+    x = 10**2200
+    det = _decimal(20 * x * x + 96 * x + 107)
+    limit = sys.get_int_max_str_digits()
+    assert len(det) > limit
+    for fmt, shown in (("human", f"  det = {det}\n"), ("json", f'"determinant": {det},'), ("csv", f",-2,{det},")):
+        code, out, err = run(capsys, ["info", "--m", str(x), "--n", str(x), "--format", fmt])
+        assert (code, err) == (0, "") and shown in out, fmt
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_lattice_names_a_huge_failing_minor_by_its_size(capsys, tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text(f"2\n1{'0' * 2200} 0\n0 -1{'0' * 2200}\n")

@@ -25,6 +25,13 @@ from knotgenus.two_bridge import KnotParams, knot_fraction, seifert_matrix
 L = LaurentPolynomial
 
 
+@pytest.fixture(autouse=True)
+def _no_remembered_pass(monkeypatch):
+    """Each test starts with no remembered symmetric pass, so no count or
+    budget depends on the tests before it."""
+    monkeypatch.setattr(seifert, "_last_symmetric", None)
+
+
 def _units_normal(coeffs):
     """Representative of a {exponent: coeff} polynomial up to +-t^k, made
     without the library: lowest exponent 0, lowest coefficient positive."""
@@ -380,14 +387,20 @@ def test_signature_and_determinant_time_budget(monkeypatch):
             with pytest.raises(ValueError, match="time budget must be > 0"):
                 invariant(arg, cap_seconds=cap)
         assert invariant(arg, cap_seconds=60) == invariant(arg)
-    # the budget is read once per pivot, between the elimination steps
+    # the budget is read once per pivot, between the elimination steps, and
+    # once when the pass is remembered
     reads = []
     monkeypatch.setattr(matrices, "check_deadline", reads.append)
+    monkeypatch.setattr(seifert, "check_deadline", reads.append)
+    monkeypatch.setattr(seifert, "_last_symmetric", None)
     signature(sym, cap_seconds=60)
     assert len(reads) == len(list(_bareiss_pivots(sym, "symmetric")))
-    reads.clear()
-    knot_determinant(mat, cap_seconds=60)
-    assert len(reads) == 40
+    for cold in (True, False):
+        if cold:
+            monkeypatch.setattr(seifert, "_last_symmetric", None)
+        reads.clear()
+        assert knot_determinant(mat, cap_seconds=60) == abs(det(sym))
+        assert len(reads) == (40 if cold else 1)
 
 
 def _alexander_oracle_matrices(rng):
@@ -433,24 +446,93 @@ def test_alexander_against_the_n_plus_one_determinants():
 
 
 def test_alexander_takes_half_the_determinants(monkeypatch):
+    # one symmetric pass of M + M^T, then floor(n/2) determinants
     calls = []
     bare_det = seifert.det
+    bare_pivots = seifert._bareiss_pivots
 
     def counting(m, deadline):
         calls.append(len(m))
         return bare_det(m, deadline)
 
+    def counting_pivots(m, pivoting, deadline):
+        calls.append(pivoting)
+        return bare_pivots(m, pivoting, deadline)
+
     monkeypatch.setattr(seifert, "det", counting)
+    monkeypatch.setattr(seifert, "_bareiss_pivots", counting_pivots)
     rng = random.Random(103)
     for size in range(1, 15):
         calls.clear()
         alexander([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
-        assert calls == [size] * (size // 2 + 1)
+        assert calls == ["symmetric"] + [size] * (size // 2)
+
+
+def test_alexander_shares_the_symmetric_pass(monkeypatch):
+    # cold, after the signature of M + M^T and after the determinant, which
+    # leave the pass remembered, alexander gives the same polynomial
+    for mat, expected in _alexander_oracle_matrices(random.Random(109)):
+        mat = matrices.as_matrix(mat)
+        sym = symmetrize(mat)
+        monkeypatch.setattr(seifert, "_last_symmetric", None)
+        cold = alexander(mat)
+        assert seifert._last_symmetric[0] == sym
+        for first in (lambda: signature(sym), lambda: knot_determinant(mat)):
+            monkeypatch.setattr(seifert, "_last_symmetric", None)
+            first()
+            assert alexander(mat) == cold
+            assert seifert._alexander_coefficients(mat, None) == expected
+
+
+def test_the_memo_keeps_the_last_symmetric_pass_by_value(monkeypatch):
+    rng = random.Random(113)
+    mat = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
+    sym = symmetrize(mat)
+    sigma = signature(sym)
+    remembered = seifert._last_symmetric
+    assert remembered == (sym, tuple(_bareiss_pivots(sym, "symmetric")))
+    passes = []
+    bare_pivots = seifert._bareiss_pivots
+    monkeypatch.setattr(
+        seifert, "_bareiss_pivots", lambda *args: passes.append(args[1]) or bare_pivots(*args)
+    )
+    # an equal matrix that is another object is a hit
+    assert signature(tuple(tuple(row) for row in sym)) == sigma
+    assert knot_determinant(mat) == abs(det(sym))
+    assert passes == [] and seifert._last_symmetric is remembered
+    # a different matrix is a miss, and is remembered in its place
+    other = tuple(row[:-1] + (row[-1] + 1,) if i == 11 else row for i, row in enumerate(sym))
+    signature(other)
+    assert passes == ["symmetric"] and seifert._last_symmetric[0] == other
+
+
+def test_a_stopped_pass_leaves_the_memo_as_it_was():
+    rng = random.Random(127)
+    small = symmetrize([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+    signature(small)
+    remembered = seifert._last_symmetric
+    mat = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    for invariant, arg in ((signature, symmetrize(mat)), (knot_determinant, mat), (alexander, mat)):
+        with pytest.raises(SearchBudgetExceeded, match="time budget exceeded"):
+            invariant(arg, cap_seconds=1e-9)
+        assert seifert._last_symmetric is remembered
+
+
+def test_a_remembered_pass_reads_the_budget_once(monkeypatch):
+    rng = random.Random(131)
+    sym = symmetrize([[rng.randint(-3, 3) for _ in range(10)] for _ in range(10)])
+    signature(sym)
+    reads = []
+    monkeypatch.setattr(matrices, "check_deadline", reads.append)
+    monkeypatch.setattr(seifert, "check_deadline", reads.append)
+    signature(sym, cap_seconds=60)
+    assert len(reads) == 1
 
 
 def test_alexander_budget_is_read_between_pivots(monkeypatch):
-    # each of the floor(n/2) + 1 determinants reads the budget after each
-    # of its pivots, so a budget overruns by one elimination step at most
+    # the symmetric pass and each of the floor(n/2) determinants read the
+    # budget after each of their pivots, so a budget overruns by one
+    # elimination step at most
     rng = random.Random(107)
     size = 12
     mat = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
